@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except identities.OrderBudgetExceeded as exc:
+    except identities.UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except identities.UnknownIdentity as exc:

@@ -11,10 +11,11 @@ actually detects one-off exponent errors.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import partitions
@@ -33,14 +34,18 @@ from .partitions import (
 )
 from .products import PochSpec, euler1, euler2, inv_qpoch, poch_finite, poch_inf, qbinom
 from .report import IdentityReport
-from .series import Q_VARS, QUIN_VARS, QX_VARS, QXY_VARS, Series
+from .series import Q_VARS, QUIN_VARS, QX_VARS, QXY_VARS, Series, SeriesError
 
 
 class UnknownIdentity(KeyError):
     pass
 
 
-class OrderBudgetExceeded(ValueError):
+class UsageError(ValueError):
+    """A caller-supplied order, job count or series parameter is out of range."""
+
+
+class OrderBudgetExceeded(UsageError):
     pass
 
 
@@ -445,21 +450,35 @@ def registry_ids(include_negative: bool = False) -> list[str]:
     return [i for i in REGISTRY if include_negative or not i.startswith("neg:")]
 
 
-def verify(identity: str, order: int | None = None, *, max_order_override: int | None = None) -> IdentityReport:
-    """Run one registry entry and time it; order defaults per entry."""
+def _checked_order(identity: str, order: int | None, max_order_override: int | None = None) -> int:
+    """The order an entry runs at; raises before any work if it is out of range."""
     entry = REGISTRY.get(identity)
     if entry is None:
         raise UnknownIdentity(identity)
     n = entry.default_order if order is None else order
     if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+        raise UsageError(f"order must be >= 1, got {n}")
     budget = entry.max_order if max_order_override is None else max_order_override
     if n > budget:
         raise OrderBudgetExceeded(
             f"{identity}: order {n} exceeds the resource budget {budget}"
         )
+    return n
+
+
+def _env_jobs() -> int:
+    raw = os.environ.get("QIDENT_JOBS", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"QIDENT_JOBS must be an integer, got {raw!r}") from None
+
+
+def verify(identity: str, order: int | None = None, *, max_order_override: int | None = None) -> IdentityReport:
+    """Run one registry entry and time it; order defaults per entry."""
+    n = _checked_order(identity, order, max_order_override)
     start = time.perf_counter()
-    passed, witness = entry.runner(n)
+    passed, witness = REGISTRY[identity].runner(n)
     elapsed = time.perf_counter() - start
     return IdentityReport(identity, n, passed, witness, elapsed)
 
@@ -475,19 +494,27 @@ def verify_all(
 
     Entries are independent; with jobs > 1 they run in worker processes, and
     reports always come back in registry order.  Set QIDENT_JOBS to override
-    the default worker count (the number of available cores).
+    the default worker count (the number of available cores).  If the worker
+    pool cannot start or breaks, every entry reruns serially, the cause goes
+    to stderr and each report carries ``serial_fallback``.
     """
     ids = [i for i in registry_ids() if i.startswith(prefix)]
+    for i in ids:
+        _checked_order(i, order)
     if jobs is None:
-        jobs = int(os.environ.get("QIDENT_JOBS", "0")) or (os.cpu_count() or 1)
+        jobs = _env_jobs() or (os.cpu_count() or 1)
     if jobs <= 1 or len(ids) <= 1:
         return [verify(i, order) for i in ids]
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             futures = [pool.submit(_verify_for_pool, i, order) for i in ids]
             return [f.result() for f in futures]
-    except (OSError, PermissionError, BrokenProcessPool):
-        return [verify(i, order) for i in ids]
+    except (OSError, BrokenProcessPool) as exc:
+        print(
+            f"qident: worker pool failed ({type(exc).__name__}: {exc}); running serially",
+            file=sys.stderr,
+        )
+        return [replace(verify(i, order), serial_fallback=True) for i in ids]
 
 
 # -- named series for coefficient export --------------------------------------------
@@ -533,6 +560,8 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
     (the gap-4 ideal unless a custom one is supplied), and h:<beta list> for
     the quinvariate multi-sum at an explicit beta vector.
     """
+    if order < 0:
+        raise UsageError(f"order must be >= 0, got {order}")
     build = _SERIES_BUILDERS.get(name)
     if build is not None:
         return build(order)
@@ -553,5 +582,8 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
             beta = tuple(int(p) for p in name[2:].split(","))
         except ValueError:
             raise UnknownIdentity(name) from None
-        return eval_sum(quinvariate_spec(), beta, QUIN_VARS, order)
+        try:
+            return eval_sum(quinvariate_spec(), beta, QUIN_VARS, order)
+        except SeriesError as exc:
+            raise UsageError(f"series {name!r}: {exc}") from None
     raise UnknownIdentity(name)

@@ -12,13 +12,11 @@ class IdentityReport:
     passed: bool
     witness: str | None = None
     elapsed: float = 0.0  # seconds
+    serial_fallback: bool = False  # the worker pool failed and the entry reran serially
 
     def __post_init__(self) -> None:
         if not self.passed and not self.witness:
             raise ValueError("a failed report must carry a witness")
-
-    def with_elapsed(self, seconds: float) -> "IdentityReport":
-        return IdentityReport(self.id, self.order, self.passed, self.witness, seconds)
 
     def to_dict(self) -> dict:
         return {
@@ -27,6 +25,7 @@ class IdentityReport:
             "passed": self.passed,
             "witness": self.witness,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
+            "serial_fallback": self.serial_fallback,
         }
 
     def render(self) -> str:

@@ -332,11 +332,18 @@ class Series:
     __rmul__ = __mul__
 
     def invert(self) -> "Series":
-        """Multiplicative inverse to the same order.
+        """Multiplicative inverse to the same order, by one pass over q-degree slices.
 
-        Requires a unit (+-1) constant term and positive q-degree on every
-        non-constant monomial; under those conditions 1/a = c0 * sum_k (-c0*A)^k
-        with A = a - c0, and the sum terminates at k = order.
+        Requires a unit (+-1) constant term c0 and positive q-degree on every
+        non-constant monomial, so the q-degree-0 slice of ``a`` is exactly c0
+        and 1/c0 = c0.  Writing a_k and b_k for the q-degree-k slices of ``a``
+        and of its inverse b, the graded reciprocal recurrence (Knuth, TAOCP
+        vol. 2, 4.7) is
+
+            b_0 = c0,    b_n = -c0 * sum_{k=1..n} a_k * b_{n-k}    (n = 1..order).
+
+        Every slice product is formed once, so the cost is about that of one
+        product of ``a`` by the result.
         """
         c0 = self.constant_term()
         if c0 not in (1, -1):
@@ -348,17 +355,34 @@ class Series:
                 raise NotInvertible(
                     f"non-constant monomial {m} carries no q-degree; inversion unsupported"
                 )
-        a_tail = Series._raw(
-            self.vars, self.order, {m: -c0 * c for m, c in self.terms.items() if m != unit}
-        )
-        result = Series.one(self.vars, self.order)
-        power = Series.one(self.vars, self.order)
-        for _ in range(self.order):
-            power = power * a_tail
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(c0)
+        order = self.order
+        # tail[k]: the q-degree-k slice of -c0 * (a - c0), so b_n = sum_k tail[k] * b_{n-k}.
+        tail: list[list[tuple[Mono, int]]] = [[] for _ in range(order + 1)]
+        for m, c in self.terms.items():
+            if m != unit and m[qi] <= order:
+                tail[m[qi]].append((m, -c0 * c))
+        degrees = [k for k in range(1, order + 1) if tail[k]]
+        slices: list[dict[Mono, int]] = [{unit: c0}]
+        for n in range(1, order + 1):
+            acc: dict[Mono, int] = {}
+            get = acc.get
+            for k in degrees:
+                if k > n:
+                    break
+                prev = slices[n - k].items()
+                for ma, ca in tail[k]:
+                    for mb, cb in prev:
+                        key = tuple(map(_add, ma, mb))
+                        s = get(key, 0) + ca * cb
+                        if s:
+                            acc[key] = s
+                        else:
+                            del acc[key]
+            slices.append(acc)
+        result = slices[0]
+        for piece in slices[1:]:
+            result.update(piece)
+        return Series._raw(self.vars, order, result)
 
     def substitute(self, var: str | int, mono: Mono) -> "Series":
         """Replace every occurrence of ``var``**e by ``mono``**e, re-truncated.

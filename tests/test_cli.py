@@ -37,7 +37,7 @@ class TestVerify:
         assert len(lines) == 4
         for line in lines:
             doc = json.loads(line)
-            assert set(doc) == {"id", "order", "passed", "witness", "elapsed_ms"}
+            assert set(doc) == {"id", "order", "passed", "witness", "elapsed_ms", "serial_fallback"}
             assert json.loads(json.dumps(doc)) == doc
             assert doc["passed"] is True
 
@@ -50,6 +50,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "lpi-eq-A", "--order", "999")
         assert code == 2
         assert "budget" in err
+
+    def test_order_zero_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "rr1", "--order", "0")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "order must be >= 1, got 0"
+
+    def test_bad_jobs_variable_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIDENT_JOBS", "abc")
+        code, out, err = run(capsys, "verify", "all")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "QIDENT_JOBS" in err and "'abc'" in err
 
     def test_all_json_one_object_per_line(self, capsys):
         # a low shared order keeps every entry quick
@@ -134,6 +147,18 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--series", "nope", "--order", "5")
         assert code == 2
         assert "unknown series" in err
+
+    def test_short_beta_exit_two(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--series", "h:1,1", "--order", "5")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "must have length 4" in err
+
+    def test_negative_order_exit_two(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--series", "rr1-lhs", "--order", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "order must be >= 0, got -1"
 
     def test_f_series_with_custom_ideal(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"

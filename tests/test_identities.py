@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from qident import identities
 from qident.identities import (
     REGISTRY,
     OrderBudgetExceeded,
@@ -83,7 +84,24 @@ def test_parallel_matches_serial():
 
 def test_report_json_fields():
     doc = verify("rr1", 10).to_dict()
-    assert set(doc) == {"id", "order", "passed", "witness", "elapsed_ms"}
+    assert set(doc) == {"id", "order", "passed", "witness", "elapsed_ms", "serial_fallback"}
+    assert doc["serial_fallback"] is False
+
+
+class _PoolThatCannotStart:
+    def __init__(self, *args, **kwargs):
+        raise OSError("no process slots")
+
+
+def test_pool_failure_falls_back_serially_and_says_so(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _PoolThatCannotStart)
+    reports = verify_all(order=10, prefix="rr", jobs=2)
+    assert [r.id for r in reports] == ["rr1", "rr2"]
+    assert all(r.passed and r.serial_fallback for r in reports)
+    assert all(r.to_dict()["serial_fallback"] is True for r in reports)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "OSError" in err[0] and "no process slots" in err[0]
 
 
 def test_named_series_h_matches_eval():

@@ -279,6 +279,56 @@ def test_invert_two_sided(a):
     assert inv * a == Series.one(VS3, a.order)
 
 
+def power_sum_inverse(a: Series) -> Series:
+    """Oracle: 1/a = c0 * sum_k (-c0*A)^k with A = a - c0, one full product per power."""
+    c0 = a.constant_term()
+    unit = a.vars.unit
+    tail = make(a.vars, a.order, [(m, -c0 * c) for m, c in a.terms.items() if m != unit])
+    total = Series.one(a.vars, a.order)
+    power = Series.one(a.vars, a.order)
+    for _ in range(a.order):
+        power = power * tail
+        total = total + power
+    return total.scale(c0)
+
+
+@st.composite
+def gappy_invertible_series(draw):
+    """Unit constant term plus terms confined to a few q-degrees, so most slices are empty."""
+    order = draw(st.integers(0, 14))
+    degrees = sorted(draw(st.sets(st.integers(1, 14), max_size=3)))
+    terms = [(VS3.unit, draw(st.sampled_from((1, -1))))]
+    for _ in range(draw(st.integers(0, 8)) if degrees else 0):
+        mono = (draw(st.sampled_from(degrees)), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms.append((mono, draw(st.integers(-9, 9))))
+    return make(VS3, order, terms)
+
+
+@given(gappy_invertible_series())
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_power_sum_oracle(a):
+    inv = a.invert()
+    assert inv == power_sum_inverse(a)
+    assert 0 not in inv.terms.values()
+
+
+def test_invert_two_factor_geometric_double_series():
+    order = 20
+    a = make(VS3, order, [(VS3.unit, 1), (VS3.m(x=1, q=3), -1)]) * make(
+        VS3, order, [(VS3.unit, 1), (VS3.m(y=1, q=5), 1)]
+    )
+    expected = make(
+        VS3,
+        order,
+        [
+            (VS3.m(q=3 * i + 5 * j, x=i, y=j), (-1) ** j)
+            for i in range(order // 3 + 1)
+            for j in range(order // 5 + 1)
+        ],
+    )
+    assert a.invert() == expected
+
+
 @given(small_series(), small_series(), st.integers(0, 4))
 @settings(max_examples=100, deadline=None)
 def test_substitute_is_homomorphism(a, b, qshift):
