@@ -61,6 +61,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     if ideal is None and args.set is None:
         print("either --set or --lpi-spec is required", file=sys.stderr)
         return EXIT_USAGE
+    if args.n < 0:
+        raise identities.UsageError(f"n must be >= 0, got {args.n}")
     members = sorted(_enum_members(args, ideal), key=lambda op: op.parts)
     header_printed = False
     for op in members:

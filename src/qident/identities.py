@@ -28,8 +28,7 @@ from .partitions import (
     SET_A_NO_1_1BAR,
     SET_A_NO_1_1BAR_2_3BAR,
     SET_AVEE,
-    enum_overpartitions,
-    in_A,
+    oracle_members,
     weighted_gf,
 )
 from .products import PochSpec, euler1, euler2, inv_qpoch, poch_finite, poch_inf, qbinom
@@ -261,7 +260,7 @@ def _run_lpi_eq_A(order: int) -> tuple[bool, str | None]:
         by_size.setdefault(op.size, set()).add(op)
     for n in range(order + 1):
         generated = by_size.get(n, set())
-        filtered = {op for op in enum_overpartitions(n) if in_A(op)}
+        filtered = oracle_members(SET_A, n)
         if generated != filtered:
             extra = next(iter(generated - filtered), None)
             missing = next(iter(filtered - generated), None)

@@ -11,7 +11,8 @@ part value may be overlined; overlines carry no size.  The central objects are
   same gap rule, except that an overlined 5 and a plain 1 may coexist.
 
 Two independent enumeration routes are provided: an exhaustive generator of
-all overpartitions (partitions times overline masks, the slow oracle) and a
+all overpartitions as canonical parts tuples (partitions times overline
+choices, the slow oracle), filtered by per-family tuple predicates, and a
 direct gap-constrained recursive generator per family.
 """
 
@@ -139,37 +140,57 @@ def _gap_ok(lo: Part, hi: Part) -> bool:
     return d == 4 and not hi[1] and hi[0] % 4 != 0
 
 
-def in_A(op: Overpartition) -> bool:
-    parts = op.parts
-    if any(o and v % 2 == 0 for v, o in parts):
-        return False
-    return all(_gap_ok(parts[i], parts[i + 1]) for i in range(len(parts) - 1))
-
-
-def in_A_S(op: Overpartition, forbidden: frozenset[Part] | set[Part]) -> bool:
-    return in_A(op) and not any(p in forbidden for p in op.parts)
-
-
-def in_Avee(op: Overpartition) -> bool:
-    parts = op.parts
-    if any(o and (v % 2 == 0 or v == 1) for v, o in parts):
-        return False
-    for i in range(len(parts) - 1):
-        lo, hi = parts[i], parts[i + 1]
-        if lo == (1, False) and hi == (5, True):
-            continue  # the one sanctioned exception
-        if not _gap_ok(lo, hi):
+def _parts_in_A(parts: tuple[Part, ...], forbidden: frozenset[Part] | set[Part] = frozenset()) -> bool:
+    """Membership in A minus the ``forbidden`` parts, for a canonical parts tuple."""
+    prev = None
+    for part in parts:
+        if part[1] and part[0] % 2 == 0:
             return False
+        if part in forbidden:
+            return False
+        if prev is not None and not _gap_ok(prev, part):
+            return False
+        prev = part
     return True
 
 
-def predicate_for(setid: str) -> Callable[[Overpartition], bool]:
+def _parts_in_Avee(parts: tuple[Part, ...]) -> bool:
+    """Membership in Avee for a canonical parts tuple."""
+    prev = None
+    for part in parts:
+        if part[1] and (part[0] % 2 == 0 or part[0] == 1):
+            return False
+        # a plain 1 then an overlined 5 is the one sanctioned gap exception
+        if prev is not None and not _gap_ok(prev, part) and (prev, part) != ((1, False), (5, True)):
+            return False
+        prev = part
+    return True
+
+
+def in_A(op: Overpartition) -> bool:
+    return _parts_in_A(op.parts)
+
+
+def in_A_S(op: Overpartition, forbidden: frozenset[Part] | set[Part]) -> bool:
+    return _parts_in_A(op.parts, forbidden)
+
+
+def in_Avee(op: Overpartition) -> bool:
+    return _parts_in_Avee(op.parts)
+
+
+def _parts_predicate(setid: str) -> Callable[[tuple[Part, ...]], bool]:
     if setid == SET_AVEE:
-        return in_Avee
+        return _parts_in_Avee
     if setid in _FORBIDDEN:
         forb = _FORBIDDEN[setid]
-        return lambda op: in_A_S(op, forb)
+        return lambda parts: _parts_in_A(parts, forb)
     raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
+
+
+def predicate_for(setid: str) -> Callable[[Overpartition], bool]:
+    pred = _parts_predicate(setid)
+    return lambda op: pred(op.parts)
 
 
 # -- exhaustive enumeration (the slow oracle) ----------------------------------
@@ -186,23 +207,38 @@ def _partitions_by_multiplicity(n: int, min_val: int = 1) -> Iterator[tuple[tupl
                 yield ((v, m),) + rest
 
 
+def _overpartition_parts(n: int) -> Iterator[tuple[Part, ...]]:
+    """Every overpartition of n as a canonical parts tuple, none skipped.
+
+    Each partition contributes one tuple per choice, for every distinct value,
+    between its plain run and its run with the first copy overlined.
+    """
+    for partition in _partitions_by_multiplicity(n):
+        runs = [
+            (((v, False),) * m, ((v, True),) + ((v, False),) * (m - 1))
+            for v, m in partition
+        ]
+        for choice in iter_product(*runs):
+            yield sum(choice, ())
+
+
 def enum_overpartitions(n: int) -> list[Overpartition]:
     """Every overpartition of n, duplicate-free (partition times overline mask)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: list[Overpartition] = []
-    for partition in _partitions_by_multiplicity(n):
-        k = len(partition)
-        for mask in iter_product((False, True), repeat=k):
-            parts: list[Part] = []
-            for (v, mult), overlined in zip(partition, mask):
-                if overlined:
-                    parts.append((v, True))
-                    parts.extend((v, False) for _ in range(mult - 1))
-                else:
-                    parts.extend((v, False) for _ in range(mult))
-            out.append(Overpartition(tuple(parts)))
-    return out
+    return [Overpartition(parts) for parts in _overpartition_parts(n)]
+
+
+def oracle_members(setid: str, n: int) -> set[Overpartition]:
+    """Members of the named family with size n, filtered from every overpartition of n.
+
+    The exhaustive counterpart of ``enum_set``: it tests each overpartition's
+    parts tuple and builds objects only for the members.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    pred = _parts_predicate(setid)
+    return {Overpartition(parts) for parts in filter(pred, _overpartition_parts(n))}
 
 
 # -- direct gap-constrained generators -----------------------------------------

@@ -115,6 +115,20 @@ class TestEnum:
         assert code == 0
         assert set(out.splitlines()) == {"5", "5~"}
 
+    def test_negative_n_with_set_exit_two(self, capsys):
+        code, out, err = run(capsys, "enum", "--set", "A", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "n must be >= 0, got -1\n"
+
+    def test_negative_n_with_ideal_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(gap4_ideal().to_json(), encoding="utf-8")
+        code, out, err = run(capsys, "enum", "--lpi-spec", str(path), "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "n must be >= 0, got -1\n"
+
     def test_bad_ideal_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}", encoding="utf-8")

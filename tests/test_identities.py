@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from qident import identities
+from qident.lpi import gap4_ideal
 from qident.identities import (
     REGISTRY,
     OrderBudgetExceeded,
@@ -102,6 +106,26 @@ def test_pool_failure_falls_back_serially_and_says_so(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "OSError" in err[0] and "no process slots" in err[0]
+
+
+def _linking_mutant(i: int, j: int):
+    """The gap-4 ideal with bit j of linking set i flipped (0-based blocks)."""
+    ideal = gap4_ideal()
+    linking = list(ideal.linking)
+    linking[i] = linking[i] ^ {j}
+    return replace(ideal, linking=tuple(linking))
+
+
+# Row 0 and column 0 stay fixed: the empty block must link to every block and
+# be linked from every block, so flipping those bits gives no valid ideal.
+@pytest.mark.parametrize("i,j", [(i, j) for i in range(1, 7) for j in range(1, 7)])
+def test_linking_bit_mutant_fails_lpi_eq_A(monkeypatch, i, j):
+    mutant = _linking_mutant(i, j)
+    monkeypatch.setattr(identities, "gap4_ideal", lambda: mutant)
+    report = verify("lpi-eq-A")
+    assert report.order == REGISTRY["lpi-eq-A"].default_order
+    assert not report.passed
+    assert re.match(r"size \d+: ", report.witness)
 
 
 def test_named_series_h_matches_eval():

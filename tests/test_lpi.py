@@ -29,9 +29,8 @@ from qident.partitions import (
     SET_A_NO_1BAR,
     SET_A_NO_1_1BAR,
     SET_A_NO_1_1BAR_2_3BAR,
-    enum_overpartitions,
     enum_set,
-    in_A,
+    oracle_members,
     weighted_gf,
 )
 from qident.series import QUIN_VARS, Series
@@ -151,7 +150,7 @@ class TestLanguage:
         for op in members:
             by_size.setdefault(op.size, set()).add(op)
         for n in range(19):
-            expected = {op for op in enum_overpartitions(n) if in_A(op)}
+            expected = oracle_members(SET_A, n)
             assert by_size.get(n, set()) == expected
 
     def test_no_duplicates(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from qident.partitions import (
@@ -22,9 +24,15 @@ from qident.partitions import (
     in_A,
     in_A_S,
     in_Avee,
+    oracle_members,
     predicate_for,
     stats,
     weighted_gf,
+    _FORBIDDEN,
+    _gap_ok,
+    _overpartition_parts,
+    _partitions_by_multiplicity,
+    _parts_predicate,
 )
 from qident.series import QUIN_VARS, Series, make
 
@@ -124,6 +132,99 @@ class TestMembership:
         assert not in_Avee(Overpartition.of((1, True)))
 
 
+def overpartition_numbers(n_max: int) -> list[int]:
+    """Coefficients of (-q;q)_inf / (q;q)_inf up to q^n_max, by integer DP."""
+    c = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for i in range(n_max, k - 1, -1):  # times (1 + q^k)
+            c[i] += c[i - k]
+    for k in range(1, n_max + 1):
+        for i in range(k, n_max + 1):  # divided by (1 - q^k)
+            c[i] += c[i - k]
+    return c
+
+
+def reference_enum_overpartitions(n: int) -> list[Overpartition]:
+    """The object-building oracle: one Overpartition per partition and overline mask."""
+    out = []
+    for partition in _partitions_by_multiplicity(n):
+        for mask in product((False, True), repeat=len(partition)):
+            parts = []
+            for (v, mult), overlined in zip(partition, mask):
+                if overlined:
+                    parts.append((v, True))
+                    parts.extend((v, False) for _ in range(mult - 1))
+                else:
+                    parts.extend((v, False) for _ in range(mult))
+            out.append(Overpartition(tuple(parts)))
+    return out
+
+
+def reference_in_A_S(op: Overpartition, forbidden) -> bool:
+    parts = op.parts
+    if any(o and v % 2 == 0 for v, o in parts):
+        return False
+    if any(p in forbidden for p in parts):
+        return False
+    return all(_gap_ok(parts[i], parts[i + 1]) for i in range(len(parts) - 1))
+
+
+def reference_in_Avee(op: Overpartition) -> bool:
+    parts = op.parts
+    if any(o and (v % 2 == 0 or v == 1) for v, o in parts):
+        return False
+    for i in range(len(parts) - 1):
+        lo, hi = parts[i], parts[i + 1]
+        if lo == (1, False) and hi == (5, True):
+            continue
+        if not _gap_ok(lo, hi):
+            return False
+    return True
+
+
+def reference_predicate(setid: str):
+    if setid == SET_AVEE:
+        return reference_in_Avee
+    return lambda op: reference_in_A_S(op, _FORBIDDEN[setid])
+
+
+class TestOracleRoute:
+    def test_overpartition_numbers_start(self):
+        assert overpartition_numbers(8) == [1, 2, 4, 8, 14, 24, 40, 64, 100]
+
+    def test_tuple_count_is_overpartition_number(self):
+        # Any pruning of the exhaustive generator shows up as a short count.
+        expected = overpartition_numbers(25)
+        for n in range(26):
+            assert sum(1 for _ in _overpartition_parts(n)) == expected[n], n
+
+    def test_tuples_are_canonical_and_match_reference(self):
+        for n in range(19):
+            tuples = list(_overpartition_parts(n))
+            assert all(Overpartition(p).parts == p for p in tuples), n
+            assert enum_overpartitions(n) == reference_enum_overpartitions(n), n
+
+    @pytest.mark.parametrize("setid", SET_IDS)
+    def test_tuple_predicates_match_object_predicates(self, setid):
+        tuple_pred = _parts_predicate(setid)
+        object_preds = (
+            predicate_for(setid),
+            in_Avee if setid == SET_AVEE else lambda op: in_A_S(op, _FORBIDDEN[setid]),
+        )
+        reference = reference_predicate(setid)
+        for n in range(15):
+            for op in reference_enum_overpartitions(n):
+                expected = reference(op)
+                assert tuple_pred(op.parts) == expected, op
+                assert all(pred(op) == expected for pred in object_preds), op
+                if setid == SET_A:
+                    assert in_A(op) == expected, op
+
+    def test_oracle_members_negative_size(self):
+        with pytest.raises(ValueError):
+            oracle_members(SET_A, -1)
+
+
 class TestEnumeration:
     def test_fourteen_overpartitions_of_four(self):
         assert len(enum_overpartitions(4)) == 14
@@ -157,11 +258,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("setid", SET_IDS)
     def test_oracle_equivalence(self, setid):
-        pred = predicate_for(setid)
         for n in range(26):
             direct = set(enum_set(setid, n))
-            filtered = {op for op in enum_overpartitions(n) if pred(op)}
-            assert direct == filtered, f"{setid} differs at n={n}"
+            assert direct == oracle_members(setid, n), f"{setid} differs at n={n}"
 
 
 class TestWeightedGF:
