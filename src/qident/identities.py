@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import partitions
 from .borel import borel_apply
-from .lpi import LpiSpec, compose, decompose, gap4_ideal, g_vector, language, matrices
+from .lpi import LpiSpec, compose, decompose, f_vector, gap4_ideal, g_vector, language, matrices
 from .multisum import MultiSumSpec, eval_sum, quinvariate_spec, verify_matrix_relation
 from .partitions import (
     SET_A,
@@ -291,14 +291,17 @@ def _build_quin_gf(setid: str) -> Callable[[int], tuple[Series, Series]]:
 
 
 def _run_g_system(order: int) -> tuple[bool, str | None]:
+    # The right side sums over the incidence matrix, not f_vector: g_vector
+    # already uses f_vector, and a fault in it would then cancel out.
     spec = gap4_ideal()
+    a, weights = matrices(spec)
     g = g_vector(spec, order)
     shifted = [s.substitute("x", QUIN_VARS.m(x=1, q=4)) for s in g]
-    weights = spec.weights(QUIN_VARS)
     for k in range(spec.size):
         rhs = Series.zero(QUIN_VARS, order)
-        for j in spec.linking[k]:
-            rhs = rhs + shifted[j]
+        for j in range(spec.size):
+            if a[k][j]:
+                rhs = rhs + shifted[j]
         rhs = rhs.mul_monomial(weights[k])
         mm = g[k].first_mismatch(rhs, order)
         if mm is not None:
@@ -310,12 +313,7 @@ def _run_f_system(order: int) -> tuple[bool, str | None]:
     spec = gap4_ideal()
     a, weights = matrices(spec)
     g = g_vector(spec, order)
-    f = []
-    for k in range(spec.size):
-        total = Series.zero(QUIN_VARS, order)
-        for j in spec.linking[k]:
-            total = total + g[j]
-        f.append(total)
+    f = f_vector(spec, g)
     shifted = [s.substitute("x", QUIN_VARS.m(x=1, q=4)) for s in f]
     for k in range(spec.size):
         rhs = Series.zero(QUIN_VARS, order)
@@ -354,16 +352,21 @@ def _run_thm15(order: int) -> tuple[bool, str | None]:
     return witness is None, witness
 
 
+def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:
+    """The (n, m, ell) counts of table_A summed into (n, m + weight*ell)."""
+    out: dict[tuple[int, int], int] = {}
+    for (n, m, ell), c in table.items():
+        key = (n, m + weight * ell)
+        out[key] = out.get(key, 0) + c
+    return out
+
+
 def _run_thmA1(order: int) -> tuple[bool, str | None]:
     t_a1 = partitions.table_A1(order)
     witness = _diff_tables(t_a1, partitions.table_B1(order), ("A1", "B1"))
     if witness:
         return False, witness
-    collapsed: dict[tuple[int, int], int] = {}
-    for (n, m, ell), c in partitions.table_A(order).items():
-        key = (n, m + ell)
-        collapsed[key] = collapsed.get(key, 0) + c
-    witness = _diff_tables(t_a1, collapsed, ("A1", "sum_{m+l}A"))
+    witness = _diff_tables(t_a1, _collapse(partitions.table_A(order), 1), ("A1", "sum_{m+l}A"))
     return witness is None, witness
 
 
@@ -372,11 +375,7 @@ def _run_thmA2(order: int) -> tuple[bool, str | None]:
     witness = _diff_tables(t_a2, partitions.table_B2(order), ("A2", "B2"))
     if witness:
         return False, witness
-    collapsed: dict[tuple[int, int], int] = {}
-    for (n, m, ell), c in partitions.table_A(order).items():
-        key = (n, m + 2 * ell)
-        collapsed[key] = collapsed.get(key, 0) + c
-    witness = _diff_tables(t_a2, collapsed, ("A2", "sum_{m+2l}A"))
+    witness = _diff_tables(t_a2, _collapse(partitions.table_A(order), 2), ("A2", "sum_{m+2l}A"))
     return witness is None, witness
 
 
@@ -482,10 +481,6 @@ def verify(identity: str, order: int | None = None, *, max_order_override: int |
     return IdentityReport(identity, n, passed, witness, elapsed)
 
 
-def _verify_for_pool(identity: str, order: int | None) -> IdentityReport:
-    return verify(identity, order)
-
-
 def verify_all(
     order: int | None = None, prefix: str = "", jobs: int | None = None
 ) -> list[IdentityReport]:
@@ -506,7 +501,7 @@ def verify_all(
         return [verify(i, order) for i in ids]
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-            futures = [pool.submit(_verify_for_pool, i, order) for i in ids]
+            futures = [pool.submit(verify, i, order) for i in ids]
             return [f.result() for f in futures]
     except (OSError, BrokenProcessPool) as exc:
         print(
@@ -570,12 +565,7 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
         if not 1 <= k <= ideal.size:
             raise UnknownIdentity(name)
         g = g_vector(ideal, order)
-        if name[0] == "g":
-            return g[k - 1]
-        total = Series.zero(QUIN_VARS, order)
-        for j in ideal.linking[k - 1]:
-            total = total + g[j]
-        return total
+        return g[k - 1] if name[0] == "g" else f_vector(ideal, g)[k - 1]
     if name.startswith("h:"):
         try:
             beta = tuple(int(p) for p in name[2:].split(","))

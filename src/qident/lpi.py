@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .partitions import EMPTY, Overpartition, stats, weight_monomial
+from .partitions import EMPTY, InvalidOverpartition, Overpartition, stats, weight_monomial
 from .series import Mono, QUIN_VARS, Series, VarSet
 
 
@@ -82,19 +82,29 @@ class LpiSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "LpiSpec":
+        """Read the document ``to_json`` writes; any other input raises LpiError."""
         doc = json.loads(text)
         try:
             blocks = tuple(
-                Overpartition(tuple((p["value"], bool(p["overlined"])) for p in block))
+                Overpartition(tuple(
+                    (_json_of(int, p["value"]), _json_of(bool, p["overlined"])) for p in block
+                ))
                 for block in doc["blocks"]
             )
             linking = tuple(
-                frozenset(i - 1 for i in link) for link in doc["linking"]
+                frozenset(_json_of(int, i) - 1 for i in link) for link in doc["linking"]
             )
-            modulus = int(doc["modulus"])
-        except (KeyError, TypeError) as exc:
+            modulus = _json_of(int, doc["modulus"])
+        except (KeyError, TypeError, InvalidOverpartition) as exc:
             raise LpiError(f"malformed ideal document: {exc}") from exc
         return cls(blocks, linking, modulus)
+
+
+def _json_of(kind: type, value):
+    """``value`` if its JSON type is ``kind``; a JSON true is not the integer 1."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def gap4_ideal() -> LpiSpec:
@@ -211,16 +221,24 @@ def g_vector(spec: LpiSpec, order: int, vars: VarSet = QUIN_VARS) -> list[Series
     current = [Series.one(vars, order)] + [Series.zero(vars, order) for _ in range(k - 1)]
     for d in range(depth_limit - 1, -1, -1):
         nxt: list[Series] = []
-        for i in range(k):
-            total = Series.zero(vars, order)
-            for j in spec.linking[i]:
-                total = total + current[j]
+        for i, total in enumerate(f_vector(spec, current)):
             shift = vars.m(**{q_name: t * d * weights[i][xi]})
             nxt.append(total.mul_monomial(
                 tuple(w + s for w, s in zip(weights[i], shift))
             ))
         current = nxt
     return current
+
+
+def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
+    """For each block k, the sum of vec[j] over the linking set of block k."""
+    out = []
+    for link in spec.linking:
+        total = Series.zero(vec[0].vars, vec[0].order)
+        for j in link:
+            total = total + vec[j]
+        out.append(total)
+    return out
 
 
 def G_series(spec: LpiSpec, k: int, order: int, vars: VarSet = QUIN_VARS) -> Series:
@@ -234,11 +252,7 @@ def F_series(spec: LpiSpec, k: int, order: int, vars: VarSet = QUIN_VARS) -> Ser
     """F_k = sum of G_j over the linking set of block k (1-based)."""
     if not 1 <= k <= spec.size:
         raise LpiError(f"block index {k} out of range 1..{spec.size}")
-    g = g_vector(spec, order, vars)
-    total = Series.zero(vars, order)
-    for j in spec.linking[k - 1]:
-        total = total + g[j]
-    return total
+    return f_vector(spec, g_vector(spec, order, vars))[k - 1]
 
 
 def matrices(spec: LpiSpec, vars: VarSet = QUIN_VARS) -> tuple[tuple[tuple[int, ...], ...], tuple[Mono, ...]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .products import InvPochMemo
 from .report import IdentityReport
 from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, mono_mul
 
@@ -92,29 +93,6 @@ def _check_beta(spec: MultiSumSpec, beta: tuple[int, ...]) -> None:
             )
 
 
-class _InvPochCache:
-    """Coefficient lists of 1/(q^base; q^base)_n, built by knapsack extension."""
-
-    def __init__(self, order: int):
-        self.order = order
-        self._lists: dict[tuple[int, int], list[int]] = {}
-
-    def get(self, base: int, n: int) -> list[int]:
-        key = (base, n)
-        got = self._lists.get(key)
-        if got is not None:
-            return got
-        if n == 0:
-            lst = [1] + [0] * self.order
-        else:
-            lst = list(self.get(base, n - 1))
-            part = base * n
-            for j in range(part, self.order + 1):
-                lst[j] += lst[j - part]
-        self._lists[key] = lst
-        return lst
-
-
 def _conv(u: list[int], v: list[int], limit: int) -> list[int]:
     out = [0] * min(len(u) + len(v) - 1, limit + 1)
     top = len(out)
@@ -138,7 +116,7 @@ def eval_sum(
     qi = vars.trunc_var
     rank = spec.rank
     arity = vars.arity
-    cache = _InvPochCache(order)
+    memo = InvPochMemo(order)
     # Exponent increment on the non-q variables when index r advances by one.
     col_step: list[Mono] = []
     for r in range(rank):
@@ -176,7 +154,7 @@ def eval_sum(
             child_mono = mono if n == 0 else [
                 e + n * s for e, s in zip(mono, col_step[r])
             ]
-            child_uni = uni if n == 0 else _conv(uni, cache.get(spec.bases[r], n), order - total)
+            child_uni = uni if n == 0 else _conv(uni, memo.get(spec.bases[r], n), order - total)
             walk(r + 1, total, list(child_mono), child_uni, chosen + (n,))
             n += 1
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .series import QUIN_VARS, Series, VarSet
 
 Part = tuple[int, bool]  # (value, overlined)
+T = TypeVar("T")
 
 SET_A = "A"
 SET_A_NO_1BAR = "A-no-1bar"
@@ -304,14 +305,18 @@ def weighted_gf(setid: str, order: int, vars: VarSet | None = None) -> Series:
 # -- weighted counters ----------------------------------------------------------
 
 
-def count_A(n: int, m: int, ell: int) -> int:
-    """Members of Avee of size n with r1mod2 + 2*r0mod4 = m and r2mod4 + over = ell."""
-    total = 0
-    for op in enum_set(SET_AVEE, n):
-        st = stats(op)
-        if st.r1mod2 + 2 * st.r0mod4 == m and st.r2mod4 + st.over == ell:
-            total += 1
-    return total
+def tally(
+    source: Callable[[int], Iterable[T]],
+    key: Callable[[T], tuple[int, ...]],
+    sizes: Iterable[int],
+) -> dict[tuple[int, ...], int]:
+    """Count the items of ``source(n)`` for each n in ``sizes``, keyed by ``(n, *key(item))``."""
+    out: dict[tuple[int, ...], int] = {}
+    for n in sizes:
+        for item in source(n):
+            k = (n, *key(item))
+            out[k] = out.get(k, 0) + 1
+    return out
 
 
 def distinct_4regular(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
@@ -340,102 +345,84 @@ def odd_parts_mult_le3(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
                 yield (v,) * mult + rest
 
 
+def _avee_stats(n: int) -> Iterator[PartStats]:
+    return map(stats, enum_set(SET_AVEE, n))
+
+
+def _key_A(st: PartStats) -> tuple[int, int]:
+    return st.r1mod2 + 2 * st.r0mod4, st.r2mod4 + st.over
+
+
+def _key_A1(st: PartStats) -> tuple[int]:
+    return (st.length + st.over + st.r0mod4,)
+
+
+def _key_A2(st: PartStats) -> tuple[int]:
+    return (st.r1mod2 + 2 * st.over + 2 * st.r2mod4 + 2 * st.r0mod4,)
+
+
+def _key_B(parts: tuple[int, ...]) -> tuple[int, int]:
+    odd = sum(1 for v in parts if v % 2)
+    return odd, len(parts) - odd
+
+
+def _key_length(parts: tuple[int, ...]) -> tuple[int]:
+    return (len(parts),)
+
+
+# count_X looks up one size; table_X tallies every size up to the order in one
+# sweep and is what the registry uses.
+
+
+def count_A(n: int, m: int, ell: int) -> int:
+    """Members of Avee of size n with r1mod2 + 2*r0mod4 = m and r2mod4 + over = ell."""
+    return tally(_avee_stats, _key_A, (n,)).get((n, m, ell), 0)
+
+
 def count_B(n: int, m: int, ell: int) -> int:
     """Distinct 4-regular partitions of n with m odd parts and ell even parts."""
-    total = 0
-    for parts in distinct_4regular(n):
-        odd = sum(1 for v in parts if v % 2)
-        if odd == m and len(parts) - odd == ell:
-            total += 1
-    return total
+    return tally(distinct_4regular, _key_B, (n,)).get((n, m, ell), 0)
 
 
 def count_A1(n: int, m: int) -> int:
     """Avee members of n, parts weighted: overlined or divisible by 4 count double."""
-    total = 0
-    for op in enum_set(SET_AVEE, n):
-        st = stats(op)
-        if st.length + st.over + st.r0mod4 == m:
-            total += 1
-    return total
+    return tally(_avee_stats, _key_A1, (n,)).get((n, m), 0)
 
 
 def count_B1(n: int, m: int) -> int:
     """Distinct 4-regular partitions of n into m parts."""
-    return sum(1 for parts in distinct_4regular(n) if len(parts) == m)
+    return tally(distinct_4regular, _key_length, (n,)).get((n, m), 0)
 
 
 def count_A2(n: int, m: int) -> int:
     """Avee members of n, weighted: overlined parts triple, even parts double."""
-    total = 0
-    for op in enum_set(SET_AVEE, n):
-        st = stats(op)
-        if st.r1mod2 + 2 * st.over + 2 * st.r2mod4 + 2 * st.r0mod4 == m:
-            total += 1
-    return total
+    return tally(_avee_stats, _key_A2, (n,)).get((n, m), 0)
 
 
 def count_B2(n: int, m: int) -> int:
     """Partitions of n into m odd parts, none appearing more than three times."""
-    return sum(1 for parts in odd_parts_mult_le3(n) if len(parts) == m)
-
-
-# -- table builders (one enumeration sweep per n, shared by the registry) -------
+    return tally(odd_parts_mult_le3, _key_length, (n,)).get((n, m), 0)
 
 
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    for n in range(order + 1):
-        for op in enum_set(SET_AVEE, n):
-            st = stats(op)
-            key = (n, st.r1mod2 + 2 * st.r0mod4, st.r2mod4 + st.over)
-            out[key] = out.get(key, 0) + 1
-    return out
+    return tally(_avee_stats, _key_A, range(order + 1))
 
 
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    for n in range(order + 1):
-        for parts in distinct_4regular(n):
-            odd = sum(1 for v in parts if v % 2)
-            key = (n, odd, len(parts) - odd)
-            out[key] = out.get(key, 0) + 1
-    return out
+    return tally(distinct_4regular, _key_B, range(order + 1))
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for n in range(order + 1):
-        for op in enum_set(SET_AVEE, n):
-            st = stats(op)
-            key = (n, st.length + st.over + st.r0mod4)
-            out[key] = out.get(key, 0) + 1
-    return out
+    return tally(_avee_stats, _key_A1, range(order + 1))
 
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for n in range(order + 1):
-        for parts in distinct_4regular(n):
-            key = (n, len(parts))
-            out[key] = out.get(key, 0) + 1
-    return out
+    return tally(distinct_4regular, _key_length, range(order + 1))
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for n in range(order + 1):
-        for op in enum_set(SET_AVEE, n):
-            st = stats(op)
-            key = (n, st.r1mod2 + 2 * st.over + 2 * st.r2mod4 + 2 * st.r0mod4)
-            out[key] = out.get(key, 0) + 1
-    return out
+    return tally(_avee_stats, _key_A2, range(order + 1))
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for n in range(order + 1):
-        for parts in odd_parts_mult_le3(n):
-            key = (n, len(parts))
-            out[key] = out.get(key, 0) + 1
-    return out
+    return tally(odd_parts_mult_le3, _key_length, range(order + 1))

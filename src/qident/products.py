@@ -79,28 +79,44 @@ def poch(spec: PochSpec, vars: VarSet, order: int) -> Series:
     return poch_finite(spec, vars, order)
 
 
+class InvPochMemo:
+    """Coefficient lists of 1/(q^base; q^base)_n to q^order, by knapsack extension.
+
+    Entry e counts the partitions of e/base into parts <= n; the list for n
+    extends the one for n - 1, and nothing here calls invert().
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self._lists: dict[int, list[list[int]]] = {}
+
+    def get(self, base: int, n: int) -> list[int]:
+        # Factors 1 - q^{base*k} with base*k > order are 1 here; n <= 0 is the empty product.
+        n = max(0, min(n, self.order // base))
+        lists = self._lists.get(base)
+        if lists is None:
+            lists = self._lists[base] = [[1] + [0] * self.order]
+        while len(lists) <= n:
+            lst = list(lists[-1])
+            part = base * len(lists)
+            for j in range(part, self.order + 1):
+                lst[j] += lst[j - part]
+            lists.append(lst)
+        return lists[n]
+
+    def series(self, vars: VarSet, base: int, n: int) -> Series:
+        """1/(q^base; q^base)_n over ``vars``, truncated at the memo's order."""
+        q = vars.names[vars.trunc_var]
+        terms = {vars.m(**{q: e}): c for e, c in enumerate(self.get(base, n)) if c}
+        return Series._raw(vars, self.order, terms)
+
+
 def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     """1 / (q^step; q^step)_n by counting partitions into at most n part sizes.
 
-    Coefficient of q^{step*j} is the number of partitions of j into parts <= n,
-    computed by the standard knapsack recurrence; fully independent of invert().
+    The knapsack of ``InvPochMemo``; fully independent of invert().
     """
-    qi = vars.trunc_var
-    top = order // step
-    counts = [1] + [0] * top
-    for part in range(1, n + 1):
-        if part > top:
-            break
-        for j in range(part, top + 1):
-            counts[j] += counts[j - part]
-    zero = vars.unit
-    terms = {}
-    for j, c in enumerate(counts):
-        if c:
-            mono = list(zero)
-            mono[qi] = step * j
-            terms[tuple(mono)] = c
-    return Series._raw(vars, order, terms)
+    return InvPochMemo(order).series(vars, step, n)
 
 
 def euler1(vars: VarSet, order: int, z: Mono, step: int, coeff: int = 1) -> Series:
@@ -113,11 +129,12 @@ def euler1(vars: VarSet, order: int, z: Mono, step: int, coeff: int = 1) -> Seri
     if z[qi] < 1:
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
     total = Series.zero(vars, order)
+    memo = InvPochMemo(order)
     zn = vars.unit
     cn = 1
     n = 0
     while zn[qi] <= order:
-        total = total + inv_qpoch(vars, order, step, n).mul_monomial(zn, cn)
+        total = total + memo.series(vars, step, n).mul_monomial(zn, cn)
         zn = mono_mul(zn, z)
         cn *= coeff
         n += 1
@@ -135,6 +152,7 @@ def euler2(vars: VarSet, order: int, z: Mono, step: int, coeff: int = 1) -> Seri
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
     q_name = vars.names[qi]
     total = Series.zero(vars, order)
+    memo = InvPochMemo(order)
     n = 0
     while True:
         qshift = step * (n * (n - 1) // 2) + n * z[qi]
@@ -143,9 +161,7 @@ def euler2(vars: VarSet, order: int, z: Mono, step: int, coeff: int = 1) -> Seri
         mono = mono_mul(
             tuple(e * n for e in z), vars.m(**{q_name: step * (n * (n - 1) // 2)})
         )
-        total = total + inv_qpoch(vars, order, step, n).mul_monomial(
-            mono, coeff**n
-        )
+        total = total + memo.series(vars, step, n).mul_monomial(mono, coeff**n)
         n += 1
     return total
 
@@ -173,13 +189,14 @@ def qbinom(
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
     q_step_mono = vars.m(**{vars.names[qi]: step})
     total = Series.zero(vars, order)
+    memo = InvPochMemo(order)
     a_poch = Series.one(vars, order)  # (a; q^step)_n, extended one factor per loop
     a_factor_arg = a
     zn = vars.unit
     cn = 1
     n = 0
     while zn[qi] <= order:
-        total = total + (a_poch * inv_qpoch(vars, order, step, n)).mul_monomial(zn, cn)
+        total = total + (a_poch * memo.series(vars, step, n)).mul_monomial(zn, cn)
         if a_factor_arg[qi] <= order:
             a_poch = a_poch * Series(vars, order, [(vars.unit, 1), (a_factor_arg, -a_coeff)])
         a_factor_arg = mono_mul(a_factor_arg, q_step_mono)

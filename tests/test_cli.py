@@ -184,6 +184,16 @@ class TestCoeffs:
         assert code == 0
         assert out.splitlines()[0] == "q,x,y1,y2,z,coeff"
 
+    def test_non_integer_part_in_ideal_exit_two(self, capsys, tmp_path):
+        doc = json.loads(gap4_ideal().to_json())
+        doc["blocks"][1][0]["value"] = 1.5
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--series", "f1", "--order", "4", "--lpi-spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot load ideal: ") and err.count("\n") == 1
+
 
 class TestList:
     def test_ids_listed(self, capsys):

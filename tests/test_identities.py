@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from qident import identities
+from qident import identities, lpi
 from qident.lpi import gap4_ideal
 from qident.identities import (
     REGISTRY,
@@ -126,6 +126,25 @@ def test_linking_bit_mutant_fails_lpi_eq_A(monkeypatch, i, j):
     assert report.order == REGISTRY["lpi-eq-A"].default_order
     assert not report.passed
     assert re.match(r"size \d+: ", report.witness)
+
+
+@pytest.mark.parametrize("identity", ["g-system", "f-system"])
+def test_faulty_linking_sum_fails_the_automaton_systems(monkeypatch, identity):
+    # g_vector and F both use f_vector; each system sums its right side over the
+    # incidence matrix instead, so a fault in f_vector cannot cancel out.
+    real = lpi.f_vector
+
+    def drops_block_7(spec, vec):
+        return [
+            total - vec[6] if 6 in link and len(link) > 1 else total
+            for total, link in zip(real(spec, vec), spec.linking)
+        ]
+
+    monkeypatch.setattr(lpi, "f_vector", drops_block_7)
+    monkeypatch.setattr(identities, "f_vector", drops_block_7)
+    report = verify(identity)
+    assert not report.passed
+    assert re.match(r"[GF]_\d: ", report.witness)
 
 
 def test_named_series_h_matches_eval():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from qident.lpi import (
@@ -212,8 +214,6 @@ class TestJson:
         assert again == IDEAL
 
     def test_linking_is_one_based_in_json(self):
-        import json
-
         doc = json.loads(IDEAL.to_json())
         assert doc["linking"][6] == [1]  # block 7 links only to the empty block
         assert doc["modulus"] == 4
@@ -221,6 +221,44 @@ class TestJson:
     def test_malformed_rejected(self):
         with pytest.raises(LpiError):
             LpiSpec.from_json('{"blocks": [[]], "modulus": 4}')
+
+    @staticmethod
+    def _two_block_doc() -> dict:
+        return {
+            "blocks": [[], [{"value": 1, "overlined": False}]],
+            "linking": [[1, 2], [1, 2]],
+            "modulus": 3,
+        }
+
+    def test_two_block_doc_loads(self):
+        spec = LpiSpec.from_json(json.dumps(self._two_block_doc()))
+        assert spec.blocks == (EMPTY, Overpartition.of(1))
+        assert spec.modulus == 3
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("overlined", "false"),  # a string is not a JSON boolean, whatever it says
+            ("overlined", 0),
+            ("value", 1.5),
+            ("value", 0),
+            ("value", True),
+            ("modulus", "four"),
+            ("modulus", 3.0),
+            ("linking", True),
+            ("linking", "1"),
+        ],
+    )
+    def test_bad_field_rejected(self, field, bad):
+        doc = self._two_block_doc()
+        if field == "modulus":
+            doc["modulus"] = bad
+        elif field == "linking":
+            doc["linking"][1][1] = bad
+        else:
+            doc["blocks"][1][0][field] = bad
+        with pytest.raises(LpiError):
+            LpiSpec.from_json(json.dumps(doc))
 
     def test_multi_part_block_ideal(self):
         # blocks may hold several parts; the engine is generic over the alphabet

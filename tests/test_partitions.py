@@ -27,6 +27,12 @@ from qident.partitions import (
     oracle_members,
     predicate_for,
     stats,
+    table_A,
+    table_A1,
+    table_A2,
+    table_B,
+    table_B1,
+    table_B2,
     weighted_gf,
     _FORBIDDEN,
     _gap_ok,
@@ -325,6 +331,21 @@ class TestCounts:
                 assert count_A2(n, m) == count_B2(n, m)
                 for ell in range(n + 2):
                     assert count_A(n, m, ell) == count_B(n, m, ell)
+
+    def test_counts_are_lookups_in_the_tables(self):
+        # every key up to width*n + 1 for each n <= 12, absent keys included
+        order = 12
+        for count, table, arity, width in (
+            (count_A, table_A, 2, 1), (count_B, table_B, 2, 1),
+            (count_A1, table_A1, 1, 3), (count_B1, table_B1, 1, 3),
+            (count_A2, table_A2, 1, 3), (count_B2, table_B2, 1, 3),
+        ):
+            tab = table(order)
+            for n in range(order + 1):
+                keys = list(product(range(width * n + 2), repeat=arity))
+                assert {k[1:] for k in tab if k[0] == n} <= set(keys)
+                for key in keys:
+                    assert count(n, *key) == tab.get((n, *key), 0), (count.__name__, n, key)
 
     def test_B_generating_function_is_the_signed_product(self):
         # sum B(n,m,l) x^m y^l q^n against (-xq;q^2)_inf (-yq^2;q^4)_inf

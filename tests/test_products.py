@@ -4,6 +4,7 @@ import pytest
 
 from qident.products import (
     DivergentProduct,
+    InvPochMemo,
     PochSpec,
     euler1,
     euler2,
@@ -209,7 +210,16 @@ class TestProductFormProperties:
 
 
 def test_inv_qpoch_matches_series_invert():
-    for step, n in ((1, 3), (2, 4), (4, 2)):
+    # (1, 30) and (4, 9) reach past order // step, where further factors are 1
+    for step, n in ((1, 3), (2, 4), (4, 2), (1, 30), (4, 9)):
         direct = inv_qpoch(Q_VARS, 24, step, n)
         via_invert = poch_finite(PochSpec(Q_VARS.m(q=step), step, n), Q_VARS, 24).invert()
         assert direct == via_invert
+    # one memo serving successive n, out of order and past order // step, over a
+    # VarSet whose truncation variable is not the first
+    vs = varset("x", "q")
+    shared = InvPochMemo(17)
+    for step in (1, 3):
+        for n in (4, 2, 9, 0, 9, 3, 20):
+            via_invert = poch_finite(PochSpec(vs.m(q=step), step, n), vs, 17).invert()
+            assert shared.series(vs, step, n) == InvPochMemo(17).series(vs, step, n) == via_invert
