@@ -396,6 +396,9 @@ def _run_h_matrix(order: int) -> tuple[bool, str | None]:
 # -- registry ----------------------------------------------------------------------
 
 
+# The max_order of thm51-a..d, thm15, thmA1, thmA2 and avee-split is the
+# largest multiple of 5 at which the entry runs serially within 2 s (median of
+# three runs on a 2-core machine, Python 3.11); the other budgets are older.
 def _entries() -> list[Entry]:
     out = [
         Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", _pair(_build_rr1)),
@@ -425,14 +428,14 @@ def _entries() -> list[Entry]:
         Entry("lpi-eq-A", 30, 36, "block-automaton language equals the gap-4 overpartition family, with round-trip", _run_lpi_eq_A),
         Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", _run_g_system),
         Entry("f-system", 20, 30, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", _run_f_system),
-        Entry("thm51-a", 20, 28, "quinvariate enumeration of the full gap-4 family vs multi-sum", _pair(_build_quin_gf(SET_A))),
-        Entry("thm51-b", 20, 28, "quinvariate enumeration without overlined 1 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1BAR))),
-        Entry("thm51-c", 20, 28, "quinvariate enumeration without 1, overlined 1 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1_1BAR))),
-        Entry("thm51-d", 20, 28, "quinvariate enumeration without 1, overlined 1, 2, overlined 3 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1_1BAR_2_3BAR))),
-        Entry("thm15", 25, 32, "trivariate refined counts: variant family vs distinct 4-regular partitions", _run_thm15),
-        Entry("thmA1", 25, 32, "double-weight counts vs distinct 4-regular partitions, plus collapse consistency", _run_thmA1),
-        Entry("thmA2", 25, 32, "triple/double-weight counts vs odd parts of multiplicity <= 3, plus collapse consistency", _run_thmA2),
-        Entry("avee-split", 20, 28, "variant family splits as base family plus x^2 z q^6 shifted copy", _pair(_build_avee_split)),
+        Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", _pair(_build_quin_gf(SET_A))),
+        Entry("thm51-b", 20, 100, "quinvariate enumeration without overlined 1 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1BAR))),
+        Entry("thm51-c", 20, 105, "quinvariate enumeration without 1, overlined 1 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1_1BAR))),
+        Entry("thm51-d", 20, 110, "quinvariate enumeration without 1, overlined 1, 2, overlined 3 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1_1BAR_2_3BAR))),
+        Entry("thm15", 25, 80, "trivariate refined counts: variant family vs distinct 4-regular partitions", _run_thm15),
+        Entry("thmA1", 25, 80, "double-weight counts vs distinct 4-regular partitions, plus collapse consistency", _run_thmA1),
+        Entry("thmA2", 25, 75, "triple/double-weight counts vs odd parts of multiplicity <= 3, plus collapse consistency", _run_thmA2),
+        Entry("avee-split", 20, 90, "variant family splits as base family plus x^2 z q^6 shifted copy", _pair(_build_avee_split)),
         # Deliberately broken variants: one exponent off by one in each.
         Entry("neg:rr1", 30, 60, "negative control: mismatched linear exponent in the gap-2 sum", _pair(lambda n: (_residue_product((1, 4), 5, n), _single_gap_sum(2, n)))),
         Entry("neg:quad", 16, 24, "negative control: first beta entry off by one in the quadruple sum", _pair(lambda n: (_build_quad_lhs(n), _build_quad_rhs(n, perturb=1)))),
@@ -518,29 +521,39 @@ def _gf_builder(setid: str) -> Callable[[int], Series]:
     return lambda order: weighted_gf(setid, order)
 
 
-_SERIES_BUILDERS: dict[str, Callable[[int], Series]] = {
-    "rr1-lhs": lambda n: _residue_product((1, 4), 5, n),
-    "rr1-rhs": lambda n: _single_gap_sum(1, n),
-    "rr2-lhs": lambda n: _residue_product((2, 3), 5, n),
-    "rr2-rhs": lambda n: _single_gap_sum(2, n),
-    "tri-single-lhs": _build_tri_single_lhs,
-    "tri-single-rhs": _build_tri_single_rhs,
-    "quad-lhs": _build_quad_lhs,
-    "quad-rhs": _build_quad_rhs,
-    "quad-new-lhs": _build_quad_new_lhs,
-    "quad-new-rhs": _build_quad_new_rhs,
-    "gf-A": _gf_builder(SET_A),
-    "gf-A-no-1bar": _gf_builder(SET_A_NO_1BAR),
-    "gf-A-no-1-1bar": _gf_builder(SET_A_NO_1_1BAR),
-    "gf-A-no-1-1bar-2-3bar": _gf_builder(SET_A_NO_1_1BAR_2_3BAR),
-    "gf-Avee": _gf_builder(SET_AVEE),
+# Each fixed name is one side of a registry entry and shares its max_order.
+_SERIES_SIDES: dict[str, tuple[str, Callable[[int], Series]]] = {
+    "rr1-lhs": ("rr1", lambda n: _residue_product((1, 4), 5, n)),
+    "rr1-rhs": ("rr1", lambda n: _single_gap_sum(1, n)),
+    "rr2-lhs": ("rr2", lambda n: _residue_product((2, 3), 5, n)),
+    "rr2-rhs": ("rr2", lambda n: _single_gap_sum(2, n)),
+    "tri-single-lhs": ("tri-single", _build_tri_single_lhs),
+    "tri-single-rhs": ("tri-single", _build_tri_single_rhs),
+    "quad-lhs": ("quad", _build_quad_lhs),
+    "quad-rhs": ("quad", _build_quad_rhs),
+    "quad-new-lhs": ("quad-new", _build_quad_new_lhs),
+    "quad-new-rhs": ("quad-new", _build_quad_new_rhs),
+    "gf-A": ("thm51-a", _gf_builder(SET_A)),
+    "gf-A-no-1bar": ("thm51-b", _gf_builder(SET_A_NO_1BAR)),
+    "gf-A-no-1-1bar": ("thm51-c", _gf_builder(SET_A_NO_1_1BAR)),
+    "gf-A-no-1-1bar-2-3bar": ("thm51-d", _gf_builder(SET_A_NO_1_1BAR_2_3BAR)),
+    "gf-Avee": ("avee-split", _gf_builder(SET_AVEE)),
 }
+
+# The order budget of f1..fK, g1..gK and h:<beta>, which are no single entry's
+# side; each of them builds in under 0.2 s at this order on the gap-4 ideal.
+_PARAMETRIC_SERIES_BUDGET = 100
+
+
+def _check_series_budget(name: str, order: int, budget: int) -> None:
+    if order > budget:
+        raise OrderBudgetExceeded(f"{name}: order {order} exceeds the resource budget {budget}")
 
 
 def series_names(spec: LpiSpec | None = None) -> list[str]:
     k = (spec or gap4_ideal()).size
     return (
-        sorted(_SERIES_BUILDERS)
+        sorted(_SERIES_SIDES)
         + [f"f{j}" for j in range(1, k + 1)]
         + [f"g{j}" for j in range(1, k + 1)]
         + ["h:<beta entries, comma-separated>"]
@@ -552,18 +565,22 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
 
     Supports the fixed names above, f1..fK / g1..gK over the block automaton
     (the gap-4 ideal unless a custom one is supplied), and h:<beta list> for
-    the quinvariate multi-sum at an explicit beta vector.
+    the quinvariate multi-sum at an explicit beta vector.  An order above the
+    name's budget raises ``OrderBudgetExceeded`` before anything is built.
     """
     if order < 0:
         raise UsageError(f"order must be >= 0, got {order}")
-    build = _SERIES_BUILDERS.get(name)
-    if build is not None:
+    side = _SERIES_SIDES.get(name)
+    if side is not None:
+        identity, build = side
+        _check_series_budget(name, order, REGISTRY[identity].max_order)
         return build(order)
     ideal = spec or gap4_ideal()
     if len(name) >= 2 and name[0] in "fg" and name[1:].isdigit():
         k = int(name[1:])
         if not 1 <= k <= ideal.size:
             raise UnknownIdentity(name)
+        _check_series_budget(name, order, _PARAMETRIC_SERIES_BUDGET)
         g = g_vector(ideal, order)
         return g[k - 1] if name[0] == "g" else f_vector(ideal, g)[k - 1]
     if name.startswith("h:"):
@@ -571,6 +588,7 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
             beta = tuple(int(p) for p in name[2:].split(","))
         except ValueError:
             raise UnknownIdentity(name) from None
+        _check_series_budget(name, order, _PARAMETRIC_SERIES_BUDGET)
         try:
             return eval_sum(quinvariate_spec(), beta, QUIN_VARS, order)
         except SeriesError as exc:

@@ -12,8 +12,8 @@ part value may be overlined; overlines carry no size.  The central objects are
 
 Two independent enumeration routes are provided: an exhaustive generator of
 all overpartitions as canonical parts tuples (partitions times overline
-choices, the slow oracle), filtered by per-family tuple predicates, and a
-direct gap-constrained recursive generator per family.
+choices, the slow oracle), filtered by per-family tuple predicates, and one
+gap-constrained walk that reaches every member up to an order in one pass.
 """
 
 from __future__ import annotations
@@ -242,49 +242,54 @@ def oracle_members(setid: str, n: int) -> set[Overpartition]:
     return {Overpartition(parts) for parts in filter(pred, _overpartition_parts(n))}
 
 
-# -- direct gap-constrained generators -----------------------------------------
+# -- the gap-constrained walk ---------------------------------------------------
+
+# A member's statistics in PartStats field order:
+# (size, length, r1mod2, r2mod4, r0mod4, over).
+Stats = tuple[int, int, int, int, int, int]
 
 
-def _gen_gap4(
-    n: int,
-    overline_ok: Callable[[int], bool],
-    allow_5bar_after_1: bool,
-    forbidden: frozenset[Part],
-) -> Iterator[tuple[Part, ...]]:
-    """Members of a gap-4 family with |lambda| = n, parts chosen ascending."""
+def _walk_gap4(setid: str, order: int) -> Iterator[tuple[tuple[Part, ...], Stats]]:
+    """Every member of the named family with size <= order, with its statistics.
 
-    def rec(remaining: int, prev: Part | None) -> Iterator[tuple[Part, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        lo = 1 if prev is None else prev[0] + 4
-        for v in range(lo, remaining + 1):
-            for overlined in (False, True):
-                if overlined and not overline_ok(v):
-                    continue
-                cur = (v, overlined)
-                if cur in forbidden:
-                    continue
-                if prev is not None and not _gap_ok(prev, cur):
-                    if not (allow_5bar_after_1 and prev == (1, False) and cur == (5, True)):
-                        continue
-                for rest in rec(remaining - v, cur):
-                    yield (cur,) + rest
-
-    return rec(n, None)
+    One depth-first walk over ascending parts, with the gap rule written out
+    here, apart from the oracle's predicates.  Every prefix of a member is a
+    member, so each node is yielded, before its extensions, with statistics
+    carried down from its parent.  Members of one size come out in
+    lexicographic order of their parts, a plain part before its overlined copy.
+    """
+    if setid == SET_AVEE:
+        forbidden, min_overlined, avee = frozenset(), 3, True
+    elif setid in _FORBIDDEN:
+        forbidden, min_overlined, avee = _FORBIDDEN[setid], 1, False
+    else:
+        raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
+    stack: list[tuple[tuple[Part, ...], Stats]] = [((), (0, 0, 0, 0, 0, 0))]
+    while stack:
+        parts, st = stack.pop()
+        yield parts, st
+        size, length, odd, two, four, over = st
+        # A part exactly 4 above the previous one (v == tight) must be plain and
+        # not divisible by 4, except that in Avee an overlined 5 may follow a 1.
+        tight = parts[-1][0] + 4 if parts else 0
+        # Larger parts are pushed first, so that smaller ones are walked first.
+        for v in range(order - size, max(tight, 1) - 1, -1):
+            r = v % 4
+            if r % 2 and v >= min_overlined and (v, True) not in forbidden and (
+                v != tight or (avee and v == 5)
+            ):
+                overlined = (size + v, length + 1, odd + 1, two, four, over + 1)
+                stack.append((parts + ((v, True),), overlined))
+            if (v, False) not in forbidden and (r or v != tight):
+                plain = (size + v, length + 1, odd + r % 2, two + (r == 2), four + (r == 0), over)
+                stack.append((parts + ((v, False),), plain))
 
 
 def enum_set(setid: str, n: int) -> list[Overpartition]:
-    """Members of the named family with size exactly n (direct generator)."""
+    """Members of the named family with size exactly n, in the order of the gap-4 walk."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if setid == SET_AVEE:
-        gen = _gen_gap4(n, lambda v: v % 2 == 1 and v > 1, True, frozenset())
-    elif setid in _FORBIDDEN:
-        gen = _gen_gap4(n, lambda v: v % 2 == 1, False, _FORBIDDEN[setid])
-    else:
-        raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
-    return [Overpartition(parts) for parts in gen]
+    return [Overpartition(parts) for parts, st in _walk_gap4(setid, n) if st[0] == n]
 
 
 def weight_monomial(vars: VarSet, st: PartStats) -> tuple[int, ...]:
@@ -292,31 +297,33 @@ def weight_monomial(vars: VarSet, st: PartStats) -> tuple[int, ...]:
     return vars.m(q=st.size, x=st.length, y1=st.r2mod4, y2=st.r0mod4, z=st.over)
 
 
+def _sized_walk(setid: str, order: int) -> Iterator[tuple[int, Stats]]:
+    return ((st[0], st) for _, st in _walk_gap4(setid, order))
+
+
 def weighted_gf(setid: str, order: int, vars: VarSet | None = None) -> Series:
     """Quinvariate generating function of the named family, truncated at order."""
     vs = QUIN_VARS if vars is None else vars
-    terms = []
-    for n in range(order + 1):
-        for op in enum_set(setid, n):
-            terms.append((weight_monomial(vs, stats(op)), 1))
-    return Series(vs, order, terms)
+    counts = tally(_sized_walk(setid, order), lambda st: st[1:])
+    return Series(vs, order, [(weight_monomial(vs, PartStats(*k)), c) for k, c in counts.items()])
 
 
 # -- weighted counters ----------------------------------------------------------
 
 
 def tally(
-    source: Callable[[int], Iterable[T]],
-    key: Callable[[T], tuple[int, ...]],
-    sizes: Iterable[int],
+    pairs: Iterable[tuple[int, T]], key: Callable[[T], tuple[int, ...]]
 ) -> dict[tuple[int, ...], int]:
-    """Count the items of ``source(n)`` for each n in ``sizes``, keyed by ``(n, *key(item))``."""
+    """Count a stream of ``(n, item)`` pairs, keyed by ``(n, *key(item))``."""
     out: dict[tuple[int, ...], int] = {}
-    for n in sizes:
-        for item in source(n):
-            k = (n, *key(item))
-            out[k] = out.get(k, 0) + 1
+    for n, item in pairs:
+        k = (n, *key(item))
+        out[k] = out.get(k, 0) + 1
     return out
+
+
+def _by_size(source: Callable[[int], Iterable[T]], order: int) -> Iterator[tuple[int, T]]:
+    return ((n, item) for n in range(order + 1) for item in source(n))
 
 
 def distinct_4regular(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
@@ -345,20 +352,19 @@ def odd_parts_mult_le3(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
                 yield (v,) * mult + rest
 
 
-def _avee_stats(n: int) -> Iterator[PartStats]:
-    return map(stats, enum_set(SET_AVEE, n))
+def _key_A(st: Stats) -> tuple[int, int]:
+    _, _, odd, two, four, over = st
+    return odd + 2 * four, two + over
 
 
-def _key_A(st: PartStats) -> tuple[int, int]:
-    return st.r1mod2 + 2 * st.r0mod4, st.r2mod4 + st.over
+def _key_A1(st: Stats) -> tuple[int]:
+    _, length, _, _, four, over = st
+    return (length + over + four,)
 
 
-def _key_A1(st: PartStats) -> tuple[int]:
-    return (st.length + st.over + st.r0mod4,)
-
-
-def _key_A2(st: PartStats) -> tuple[int]:
-    return (st.r1mod2 + 2 * st.over + 2 * st.r2mod4 + 2 * st.r0mod4,)
+def _key_A2(st: Stats) -> tuple[int]:
+    _, _, odd, two, four, over = st
+    return (odd + 2 * over + 2 * two + 2 * four,)
 
 
 def _key_B(parts: tuple[int, ...]) -> tuple[int, int]:
@@ -370,59 +376,60 @@ def _key_length(parts: tuple[int, ...]) -> tuple[int]:
     return (len(parts),)
 
 
-# count_X looks up one size; table_X tallies every size up to the order in one
-# sweep and is what the registry uses.
+# table_X tallies every size up to the order in one sweep and is what the
+# registry uses; count_X looks one size up in it.  The A side reads one walk of
+# Avee to the order, the B side the per-size partition generators.
 
 
 def count_A(n: int, m: int, ell: int) -> int:
     """Members of Avee of size n with r1mod2 + 2*r0mod4 = m and r2mod4 + over = ell."""
-    return tally(_avee_stats, _key_A, (n,)).get((n, m, ell), 0)
+    return table_A(n).get((n, m, ell), 0)
 
 
 def count_B(n: int, m: int, ell: int) -> int:
     """Distinct 4-regular partitions of n with m odd parts and ell even parts."""
-    return tally(distinct_4regular, _key_B, (n,)).get((n, m, ell), 0)
+    return table_B(n).get((n, m, ell), 0)
 
 
 def count_A1(n: int, m: int) -> int:
     """Avee members of n, parts weighted: overlined or divisible by 4 count double."""
-    return tally(_avee_stats, _key_A1, (n,)).get((n, m), 0)
+    return table_A1(n).get((n, m), 0)
 
 
 def count_B1(n: int, m: int) -> int:
     """Distinct 4-regular partitions of n into m parts."""
-    return tally(distinct_4regular, _key_length, (n,)).get((n, m), 0)
+    return table_B1(n).get((n, m), 0)
 
 
 def count_A2(n: int, m: int) -> int:
     """Avee members of n, weighted: overlined parts triple, even parts double."""
-    return tally(_avee_stats, _key_A2, (n,)).get((n, m), 0)
+    return table_A2(n).get((n, m), 0)
 
 
 def count_B2(n: int, m: int) -> int:
     """Partitions of n into m odd parts, none appearing more than three times."""
-    return tally(odd_parts_mult_le3, _key_length, (n,)).get((n, m), 0)
+    return table_B2(n).get((n, m), 0)
 
 
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
-    return tally(_avee_stats, _key_A, range(order + 1))
+    return tally(_sized_walk(SET_AVEE, order), _key_A)
 
 
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
-    return tally(distinct_4regular, _key_B, range(order + 1))
+    return tally(_by_size(distinct_4regular, order), _key_B)
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
-    return tally(_avee_stats, _key_A1, range(order + 1))
+    return tally(_sized_walk(SET_AVEE, order), _key_A1)
 
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
-    return tally(distinct_4regular, _key_length, range(order + 1))
+    return tally(_by_size(distinct_4regular, order), _key_length)
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
-    return tally(_avee_stats, _key_A2, range(order + 1))
+    return tally(_sized_walk(SET_AVEE, order), _key_A2)
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:
-    return tally(odd_parts_mult_le3, _key_length, range(order + 1))
+    return tally(_by_size(odd_parts_mult_le3, order), _key_length)

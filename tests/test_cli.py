@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qident import identities
 from qident.cli import main
 from qident.lpi import gap4_ideal
 
@@ -173,6 +174,26 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert err.strip() == "order must be >= 0, got -1"
+
+    @pytest.mark.parametrize(
+        "series, budget, builder",
+        [
+            ("gf-A", identities.REGISTRY["thm51-a"].max_order, "weighted_gf"),
+            ("f3", identities._PARAMETRIC_SERIES_BUDGET, "g_vector"),
+            ("g7", identities._PARAMETRIC_SERIES_BUDGET, "g_vector"),
+            ("h:1,1,2,4", identities._PARAMETRIC_SERIES_BUDGET, "eval_sum"),
+        ],
+    )
+    def test_order_over_budget_exit_two_before_any_work(self, capsys, monkeypatch, series, budget, builder):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{builder} called for an order over budget")
+
+        monkeypatch.setattr(identities, builder, refuse)
+        order = str(budget + 1)
+        code, out, err = run(capsys, "coeffs", "--series", series, "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err == f"{series}: order {order} exceeds the resource budget {budget}\n"
 
     def test_f_series_with_custom_ideal(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"

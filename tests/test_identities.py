@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from qident import identities, lpi
+from qident import identities, lpi, partitions
 from qident.lpi import gap4_ideal
 from qident.identities import (
     REGISTRY,
@@ -157,6 +157,26 @@ def test_named_series_f_and_gf_agree():
     assert named_series("f2", 10) == named_series("gf-A-no-1bar", 10)
 
 
+def test_named_series_budgets(monkeypatch):
+    # Every builder is replaced, so only the budget check does any work.
+    for name, (identity, _) in list(identities._SERIES_SIDES.items()):
+        monkeypatch.setitem(identities._SERIES_SIDES, name, (identity, lambda n: n))
+    monkeypatch.setattr(identities, "g_vector", lambda spec, n: [n] * spec.size)
+    monkeypatch.setattr(identities, "f_vector", lambda spec, g: g)
+    monkeypatch.setattr(identities, "eval_sum", lambda spec, beta, vs, n: n)
+    # the orders the benchmark exports series at (perfbench/workloads.py)
+    exported = {"rr1-lhs": 200, "rr2-lhs": 200, "h:5,5,6,8": 70}
+    exported |= {f"gf-{s}": 70 for s in partitions.SET_IDS} | {f"f{k}": 70 for k in range(1, 8)}
+    for name, order in exported.items():
+        assert named_series(name, order) == order, name
+    budgets = {name: REGISTRY[identity].max_order for name, (identity, _) in identities._SERIES_SIDES.items()}
+    budgets |= dict.fromkeys(("f1", "g7", "h:1,1,2,4"), identities._PARAMETRIC_SERIES_BUDGET)
+    for name, budget in budgets.items():
+        assert named_series(name, budget) == budget, name
+        with pytest.raises(OrderBudgetExceeded):
+            named_series(name, budget + 1)
+
+
 def test_named_series_unknown():
     with pytest.raises(UnknownIdentity):
         named_series("quad-middle", 5)
@@ -164,3 +184,11 @@ def test_named_series_unknown():
         named_series("f9", 5)
     with pytest.raises(UnknownIdentity):
         named_series("h:1,a", 5)
+
+
+def test_allowing_overlined_one_fails_thm51_b(monkeypatch):
+    # The walk reads the forbidden parts; the multi-sum side does not move.
+    monkeypatch.setitem(partitions._FORBIDDEN, partitions.SET_A_NO_1BAR, frozenset())
+    report = verify("thm51-b")
+    assert not report.passed
+    assert report.witness == "q*x*z: left 1 != right 0"

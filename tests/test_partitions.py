@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable, Iterator
 
 import pytest
 
+from qident import partitions
 from qident.partitions import (
     EMPTY,
     InvalidOverpartition,
     Overpartition,
+    Part,
     SET_A,
     SET_A_NO_1BAR,
     SET_A_NO_1_1BAR,
@@ -33,6 +36,7 @@ from qident.partitions import (
     table_B,
     table_B1,
     table_B2,
+    weight_monomial,
     weighted_gf,
     _FORBIDDEN,
     _gap_ok,
@@ -262,6 +266,10 @@ class TestEnumeration:
         with pytest.raises(KeyError):
             enum_set("B", 3)
 
+    def test_enum_set_negative_size(self):
+        with pytest.raises(ValueError):
+            enum_set(SET_A, -1)
+
     @pytest.mark.parametrize("setid", SET_IDS)
     def test_oracle_equivalence(self, setid):
         for n in range(26):
@@ -362,3 +370,98 @@ class TestCounts:
             (QXY_VARS.m(q=n, x=m, y=l), c) for (n, m, l), c in table_B(order).items()
         ]
         assert make(QXY_VARS, order, terms) == prod
+
+
+def reference_gen_gap4(
+    n: int,
+    overline_ok: Callable[[int], bool],
+    allow_5bar_after_1: bool,
+    forbidden: frozenset[Part],
+) -> Iterator[tuple[Part, ...]]:
+    """The per-size generator: members of size n, the recursion restarted for each n."""
+
+    def rec(remaining: int, prev: Part | None) -> Iterator[tuple[Part, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        lo = 1 if prev is None else prev[0] + 4
+        for v in range(lo, remaining + 1):
+            for overlined in (False, True):
+                if overlined and not overline_ok(v):
+                    continue
+                cur = (v, overlined)
+                if cur in forbidden:
+                    continue
+                if prev is not None and not _gap_ok(prev, cur):
+                    if not (allow_5bar_after_1 and prev == (1, False) and cur == (5, True)):
+                        continue
+                for rest in rec(remaining - v, cur):
+                    yield (cur,) + rest
+
+    return rec(n, None)
+
+
+def reference_enum_set(setid: str, n: int) -> list[Overpartition]:
+    if setid == SET_AVEE:
+        gen = reference_gen_gap4(n, lambda v: v % 2 == 1 and v > 1, True, frozenset())
+    else:
+        gen = reference_gen_gap4(n, lambda v: v % 2 == 1, False, _FORBIDDEN[setid])
+    return [Overpartition(parts) for parts in gen]
+
+
+def reference_weighted_gf(members_by_size: list[list[Overpartition]], order: int) -> Series:
+    terms = [
+        (weight_monomial(V, stats(op)), 1) for n in range(order + 1) for op in members_by_size[n]
+    ]
+    return Series(V, order, terms)
+
+
+REFERENCE_KEYS = {
+    table_A: lambda st: (st.r1mod2 + 2 * st.r0mod4, st.r2mod4 + st.over),
+    table_A1: lambda st: (st.length + st.over + st.r0mod4,),
+    table_A2: lambda st: (st.r1mod2 + 2 * st.over + 2 * st.r2mod4 + 2 * st.r0mod4,),
+}
+
+
+def reference_tally(members_by_size: list[list[Overpartition]], key, order: int) -> dict:
+    """Count per-size members by ``(n, *key(stats))``, one size at a time."""
+    out: dict = {}
+    for n in range(order + 1):
+        for op in members_by_size[n]:
+            k = (n, *key(stats(op)))
+            out[k] = out.get(k, 0) + 1
+    return out
+
+
+class TestWalkMatchesPerSizeGenerator:
+    @pytest.mark.parametrize("setid", SET_IDS)
+    def test_weighted_gf_term_for_term(self, setid):
+        members = [reference_enum_set(setid, n) for n in range(31)]
+        for order in range(31):
+            got = weighted_gf(setid, order)
+            assert got.terms == reference_weighted_gf(members, order).terms, (setid, order)
+
+    @pytest.mark.parametrize("setid", SET_IDS)
+    def test_enum_set_same_list_same_order(self, setid):
+        for n in range(21):
+            assert enum_set(setid, n) == reference_enum_set(setid, n), (setid, n)
+
+    @pytest.mark.parametrize("table", list(REFERENCE_KEYS), ids=lambda t: t.__name__)
+    def test_avee_tables_equal_the_per_size_tally(self, table):
+        members = [reference_enum_set(SET_AVEE, n) for n in range(26)]
+        for order in range(26):
+            assert table(order) == reference_tally(members, REFERENCE_KEYS[table], order), order
+
+    def test_walk_does_not_use_the_oracle_predicates(self, monkeypatch):
+        expected_gf = {s: weighted_gf(s, 24) for s in SET_IDS}
+        expected_sets = {s: enum_set(s, 18) for s in SET_IDS}
+        expected_table = table_A(24)
+
+        def refuse(*args):
+            raise AssertionError("the walk called an oracle predicate")
+
+        for name in ("_gap_ok", "_parts_in_A", "_parts_in_Avee"):
+            monkeypatch.setattr(partitions, name, refuse)
+        assert {s: weighted_gf(s, 24) for s in SET_IDS} == expected_gf
+        assert {s: enum_set(s, 18) for s in SET_IDS} == expected_sets
+        assert table_A(24) == expected_table
