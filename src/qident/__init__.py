@@ -40,17 +40,9 @@ from .partitions import (
     Overpartition,
     PartStats,
     SET_IDS,
-    count_A,
-    count_A1,
-    count_A2,
-    count_B,
-    count_B1,
-    count_B2,
     enum_overpartitions,
     enum_set,
     in_A,
-    in_A_S,
-    in_Avee,
     stats,
     weighted_gf,
 )
@@ -79,7 +71,6 @@ from .series import (
     TruncationExceeded,
     VarSet,
     VarSetMismatch,
-    make,
     varset,
 )
 

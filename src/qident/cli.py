@@ -25,10 +25,11 @@ def _load_ideal(path: str | None) -> LpiSpec | None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.identity == "all":
-        reports = identities.verify_all(args.order, jobs=args.jobs)
+        ids = identities.registry_ids()
     elif args.identity in identities.REGISTRY:
-        reports = [identities.verify(args.identity, args.order)]
+        ids = [args.identity]
     else:
+        # a prefix group takes the neg: controls it matches too
         ids = [
             i
             for i in identities.registry_ids(include_negative=True)
@@ -37,7 +38,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not ids:
             print(f"unknown identity {args.identity!r}; try 'qident list'", file=sys.stderr)
             return EXIT_USAGE
-        reports = [identities.verify(i, args.order) for i in ids]
+    reports = identities.verify_group(ids, args.order, args.jobs)
     for report in reports:
         if args.json:
             print(json.dumps(report.to_dict()))
@@ -158,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enum)
 
     p_coeffs = sub.add_parser("coeffs", help="export the coefficient table of a named series")
-    p_coeffs.add_argument("--series", required=True, help="series name (see 'qident list' docs)")
+    p_coeffs.add_argument(
+        "--series", required=True, help="<id>-lhs|rhs, gf-<family>, f<k>, g<k> or h:<beta>"
+    )
     p_coeffs.add_argument("--order", type=int, required=True, help="truncation order")
     p_coeffs.add_argument("--format", choices=("csv", "json"), default="csv")
     p_coeffs.add_argument("--lpi-spec", default=None, help="custom ideal JSON backing f/g series")

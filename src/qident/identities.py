@@ -48,25 +48,34 @@ class OrderBudgetExceeded(UsageError):
     pass
 
 
+Side = Callable[[int], Series]
 Runner = Callable[[int], tuple[bool, "str | None"]]
 
 
 @dataclass(frozen=True)
 class Entry:
+    """One registry check: the two sides of an identity, or a runner.
+
+    ``run`` builds a pair entry's ``sides``, by different routes, and compares
+    them to the order; entries that check a system, a set or count tables
+    carry their own ``runner``.  A side calls what it builds from through
+    module globals, in a def or a lambda, so that whatever rebinds those
+    names (a tracer, a test) reaches it.
+    """
+
     id: str
     default_order: int
     max_order: int
     description: str
-    runner: Runner
+    sides: tuple[Side, Side] | None = None
+    runner: Runner | None = None
 
-
-def _pair(build: Callable[[int], tuple[Series, Series]]) -> Runner:
-    def run(order: int) -> tuple[bool, str | None]:
-        lhs, rhs = build(order)
+    def run(self, order: int) -> tuple[bool, str | None]:
+        if self.sides is None:
+            return self.runner(order)
+        lhs, rhs = self.sides[0](order), self.sides[1](order)
         mm = lhs.first_mismatch(rhs, order)
         return (mm is None, mm.render(lhs.vars) if mm else None)
-
-    return run
 
 
 # -- single q-variable: the mod-5 pair and the odd-moduli ladder -----------------
@@ -78,20 +87,6 @@ def _residue_product(residues: tuple[int, ...], modulus: int, order: int) -> Ser
     for r in residues:
         prod = prod * poch_inf(PochSpec(Q_VARS.m(q=r), modulus), Q_VARS, order)
     return prod.invert()
-
-
-def _single_gap_sum(shift: int, order: int) -> Series:
-    """sum_n q^{n^2 + (shift-1) n} / (q;q)_n via the generic multi-sum engine."""
-    spec = MultiSumSpec(((2,),), (1,), ())
-    return eval_sum(spec, (shift,), Q_VARS, order)
-
-
-def _build_rr1(order: int) -> tuple[Series, Series]:
-    return _residue_product((1, 4), 5, order), _single_gap_sum(1, order)
-
-
-def _build_rr2(order: int) -> tuple[Series, Series]:
-    return _residue_product((2, 3), 5, order), _single_gap_sum(2, order)
 
 
 def _ag_spec(k: int) -> MultiSumSpec:
@@ -106,48 +101,36 @@ def _ag_beta(k: int, i: int) -> tuple[int, ...]:
     return tuple(r + max(0, r - i + 1) for r in range(1, k))
 
 
-def _build_ag(k: int, i: int) -> Callable[[int], tuple[Series, Series]]:
-    def build(order: int) -> tuple[Series, Series]:
-        modulus = 2 * k + 1
-        residues = tuple(r for r in range(1, modulus) if r != i and r != modulus - i)
-        lhs = _residue_product(residues, modulus, order)
-        rhs = eval_sum(_ag_spec(k), _ag_beta(k, i), Q_VARS, order)
-        return lhs, rhs
+def _ag_sides(k: int, i: int) -> tuple[Side, Side]:
+    """The product over parts not = 0, +-i mod 2k+1, and the (k-1)-fold sum.
 
-    return build
+    k = 2 is the mod-5 pair: i = 2 gives rr1, i = 1 gives rr2.
+    """
+    modulus = 2 * k + 1
+    residues = tuple(r for r in range(1, modulus) if r != i and r != modulus - i)
+    return (
+        lambda n: _residue_product(residues, modulus, n),
+        lambda n: eval_sum(_ag_spec(k), _ag_beta(k, i), Q_VARS, n),
+    )
 
 
 # -- classical single sums -------------------------------------------------------
 
 
-def _build_euler1(order: int) -> tuple[Series, Series]:
-    z = QX_VARS.m(x=1, q=1)
-    lhs = euler1(QX_VARS, order, z, 1)
-    rhs = poch_inf(PochSpec(z, 1), QX_VARS, order).invert()
-    return lhs, rhs
+_XQ = QX_VARS.m(x=1, q=1)
 
 
-def _build_euler2(order: int) -> tuple[Series, Series]:
-    z = QX_VARS.m(x=1, q=1)
-    lhs = euler2(QX_VARS, order, z, 1)
-    rhs = poch_inf(PochSpec(z, 1, sign=-1), QX_VARS, order)
-    return lhs, rhs
-
-
-def _build_qbinom(order: int) -> tuple[Series, Series]:
-    a = QXY_VARS.m(y=1)
-    z = QXY_VARS.m(x=1, q=1)
-    lhs = qbinom(QXY_VARS, order, a, z, 1)
-    rhs = poch_inf(PochSpec(QXY_VARS.m(x=1, y=1, q=1), 1), QXY_VARS, order) * poch_inf(
-        PochSpec(z, 1), QXY_VARS, order
+def _qbinom_product(order: int) -> Series:
+    vs = QXY_VARS
+    return poch_inf(PochSpec(vs.m(x=1, y=1, q=1), 1), vs, order) * poch_inf(
+        PochSpec(vs.m(x=1, q=1), 1), vs, order
     ).invert()
-    return lhs, rhs
 
 
 # -- the trivariate single-sum relation ------------------------------------------
 
 
-def _build_tri_single_lhs(order: int) -> Series:
+def _tri_single_lhs(order: int) -> Series:
     vs = QXY_VARS
     p1 = poch_finite(PochSpec(vs.m(x=1), 1, 1, sign=-1), vs, order) * poch_inf(
         PochSpec(vs.m(x=1, q=1), 1, sign=-1), vs, order
@@ -159,7 +142,7 @@ def _build_tri_single_lhs(order: int) -> Series:
     return p1 * p2 * p3
 
 
-def _build_tri_single_rhs(order: int) -> Series:
+def _tri_single_rhs(order: int) -> Series:
     vs = QXY_VARS
     total = Series.zero(vs, order)
     n = 0
@@ -175,10 +158,6 @@ def _build_tri_single_rhs(order: int) -> Series:
         total = total + (bracket * num * den).mul_monomial(lead)
         n += 1
     return total
-
-
-def _build_tri_single(order: int) -> tuple[Series, Series]:
-    return _build_tri_single_lhs(order), _build_tri_single_rhs(order)
 
 
 # -- the quadruple sums and their Borel bridge ------------------------------------
@@ -200,14 +179,14 @@ def _quad_new_spec() -> MultiSumSpec:
     )
 
 
-def _build_quad_lhs(order: int) -> Series:
+def _quad_lhs(order: int) -> Series:
     vs = QXY_VARS
     return poch_inf(PochSpec(vs.m(x=1, q=1), 2, sign=-1), vs, order) * poch_inf(
         PochSpec(vs.m(y=1, q=2), 4, sign=-1), vs, order
     )
 
 
-def _build_quad_rhs(order: int, perturb: int = 0) -> Series:
+def _quad_rhs(order: int, perturb: int = 0) -> Series:
     vs = QXY_VARS
     spec = _quad_spec()
     beta = (1 + perturb, 3, 2, 4)
@@ -218,11 +197,7 @@ def _build_quad_rhs(order: int, perturb: int = 0) -> Series:
     return base + extra
 
 
-def _build_quad(order: int) -> tuple[Series, Series]:
-    return _build_quad_lhs(order), _build_quad_rhs(order)
-
-
-def _build_quad_new_lhs(order: int) -> Series:
+def _quad_new_lhs(order: int) -> Series:
     vs = QXY_VARS
     prod = poch_inf(PochSpec(vs.m(x=1, q=1), 2), vs, order) * poch_inf(
         PochSpec(vs.m(y=1, q=2), 4), vs, order
@@ -230,24 +205,12 @@ def _build_quad_new_lhs(order: int) -> Series:
     return prod.invert()
 
 
-def _build_quad_new_rhs(order: int) -> Series:
+def _quad_new_rhs(order: int) -> Series:
     vs = QXY_VARS
     spec = _quad_new_spec()
     base = eval_sum(spec, (1, 3, 2, 2), vs, order)
     extra = eval_sum(spec, (5, 3, 6, 2), vs, order).mul_monomial(vs.m(x=2, y=1, q=4))
     return base + extra
-
-
-def _build_quad_new(order: int) -> tuple[Series, Series]:
-    return _build_quad_new_lhs(order), _build_quad_new_rhs(order)
-
-
-def _build_borel_lhs(order: int) -> tuple[Series, Series]:
-    return borel_apply(_build_quad_new_lhs(order)), _build_quad_lhs(order)
-
-
-def _build_borel_rhs(order: int) -> tuple[Series, Series]:
-    return borel_apply(_build_quad_new_rhs(order)), _build_quad_rhs(order)
 
 
 # -- automaton vs enumeration -----------------------------------------------------
@@ -281,13 +244,12 @@ _SET_BETA = {
 }
 
 
-def _build_quin_gf(setid: str) -> Callable[[int], tuple[Series, Series]]:
-    def build(order: int) -> tuple[Series, Series]:
-        lhs = weighted_gf(setid, order)
-        rhs = eval_sum(quinvariate_spec(), _SET_BETA[setid], QUIN_VARS, order)
-        return lhs, rhs
-
-    return build
+def _quin_sides(setid: str) -> tuple[Side, Side]:
+    # The multi-sum side reads _SET_BETA per call, so a changed beta shows.
+    return (
+        lambda n: weighted_gf(setid, n),
+        lambda n: eval_sum(quinvariate_spec(), _SET_BETA[setid], QUIN_VARS, n),
+    )
 
 
 def _run_g_system(order: int) -> tuple[bool, str | None]:
@@ -379,13 +341,11 @@ def _run_thmA2(order: int) -> tuple[bool, str | None]:
     return witness is None, witness
 
 
-def _build_avee_split(order: int, shift: int = 8) -> tuple[Series, Series]:
-    lhs = weighted_gf(SET_AVEE, order)
+def _avee_split_rhs(order: int, shift: int = 8) -> Series:
     base = weighted_gf(SET_A_NO_1BAR, order)
-    rhs = base + base.substitute("x", QUIN_VARS.m(x=1, q=shift)).mul_monomial(
+    return base + base.substitute("x", QUIN_VARS.m(x=1, q=shift)).mul_monomial(
         QUIN_VARS.m(x=2, z=1, q=6)
     )
-    return lhs, rhs
 
 
 def _run_h_matrix(order: int) -> tuple[bool, str | None]:
@@ -401,8 +361,8 @@ def _run_h_matrix(order: int) -> tuple[bool, str | None]:
 # three runs on a 2-core machine, Python 3.11); the other budgets are older.
 def _entries() -> list[Entry]:
     out = [
-        Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", _pair(_build_rr1)),
-        Entry("rr2", 50, 200, "product over parts = 2,3 mod 5 vs the shifted gap-2 single sum", _pair(_build_rr2)),
+        Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", sides=_ag_sides(2, 2)),
+        Entry("rr2", 50, 200, "product over parts = 2,3 mod 5 vs the shifted gap-2 single sum", sides=_ag_sides(2, 1)),
     ]
     for k in (2, 3, 4):
         for i in range(1, k + 1):
@@ -412,34 +372,46 @@ def _entries() -> list[Entry]:
                     30,
                     60,
                     f"odd-modulus {2 * k + 1} product vs the {k - 1}-fold multi-sum (i={i})",
-                    _pair(_build_ag(k, i)),
+                    sides=_ag_sides(k, i),
                 )
             )
     out += [
-        Entry("euler1", 30, 80, "geometric-style single sum vs 1/(xq;q)_inf", _pair(_build_euler1)),
-        Entry("euler2", 30, 80, "triangular-exponent single sum vs (-xq;q)_inf", _pair(_build_euler2)),
-        Entry("qbinom", 30, 60, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf", _pair(_build_qbinom)),
-        Entry("tri-single", 25, 34, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", _pair(_build_tri_single)),
-        Entry("quad-new", 20, 30, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", _pair(_build_quad_new)),
-        Entry("quad", 20, 30, "signed quadruple sum vs (-xq;q^2)(-yq^2;q^4) products", _pair(_build_quad)),
-        Entry("borel-bridge-lhs", 20, 30, "coefficient-boost operator maps the inverse product to the signed product", _pair(_build_borel_lhs)),
-        Entry("borel-bridge-rhs", 20, 30, "coefficient-boost operator maps one quadruple sum to the other", _pair(_build_borel_rhs)),
-        Entry("h-matrix", 24, 34, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", _run_h_matrix),
-        Entry("lpi-eq-A", 30, 36, "block-automaton language equals the gap-4 overpartition family, with round-trip", _run_lpi_eq_A),
-        Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", _run_g_system),
-        Entry("f-system", 20, 30, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", _run_f_system),
-        Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", _pair(_build_quin_gf(SET_A))),
-        Entry("thm51-b", 20, 100, "quinvariate enumeration without overlined 1 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1BAR))),
-        Entry("thm51-c", 20, 105, "quinvariate enumeration without 1, overlined 1 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1_1BAR))),
-        Entry("thm51-d", 20, 110, "quinvariate enumeration without 1, overlined 1, 2, overlined 3 vs multi-sum", _pair(_build_quin_gf(SET_A_NO_1_1BAR_2_3BAR))),
-        Entry("thm15", 25, 80, "trivariate refined counts: variant family vs distinct 4-regular partitions", _run_thm15),
-        Entry("thmA1", 25, 80, "double-weight counts vs distinct 4-regular partitions, plus collapse consistency", _run_thmA1),
-        Entry("thmA2", 25, 75, "triple/double-weight counts vs odd parts of multiplicity <= 3, plus collapse consistency", _run_thmA2),
-        Entry("avee-split", 20, 90, "variant family splits as base family plus x^2 z q^6 shifted copy", _pair(_build_avee_split)),
-        # Deliberately broken variants: one exponent off by one in each.
-        Entry("neg:rr1", 30, 60, "negative control: mismatched linear exponent in the gap-2 sum", _pair(lambda n: (_residue_product((1, 4), 5, n), _single_gap_sum(2, n)))),
-        Entry("neg:quad", 16, 24, "negative control: first beta entry off by one in the quadruple sum", _pair(lambda n: (_build_quad_lhs(n), _build_quad_rhs(n, perturb=1)))),
-        Entry("neg:avee-split", 16, 24, "negative control: shifted copy uses q^7 instead of q^8", _pair(lambda n: _build_avee_split(n, shift=7))),
+        Entry("euler1", 30, 80, "geometric-style single sum vs 1/(xq;q)_inf",
+              sides=(lambda n: euler1(QX_VARS, n, _XQ, 1), lambda n: poch_inf(PochSpec(_XQ, 1), QX_VARS, n).invert())),
+        Entry("euler2", 30, 80, "triangular-exponent single sum vs (-xq;q)_inf",
+              sides=(lambda n: euler2(QX_VARS, n, _XQ, 1), lambda n: poch_inf(PochSpec(_XQ, 1, sign=-1), QX_VARS, n))),
+        Entry("qbinom", 30, 60, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf",
+              sides=(lambda n: qbinom(QXY_VARS, n, QXY_VARS.m(y=1), QXY_VARS.m(x=1, q=1), 1), _qbinom_product)),
+        Entry("tri-single", 25, 34, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", sides=(_tri_single_lhs, _tri_single_rhs)),
+        Entry("quad-new", 20, 30, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", sides=(_quad_new_lhs, _quad_new_rhs)),
+        Entry("quad", 20, 30, "signed quadruple sum vs (-xq;q^2)(-yq^2;q^4) products", sides=(_quad_lhs, _quad_rhs)),
+        Entry("borel-bridge-lhs", 20, 30, "coefficient-boost operator maps the inverse product to the signed product",
+              sides=(lambda n: borel_apply(_quad_new_lhs(n)), _quad_lhs)),
+        Entry("borel-bridge-rhs", 20, 30, "coefficient-boost operator maps one quadruple sum to the other",
+              sides=(lambda n: borel_apply(_quad_new_rhs(n)), _quad_rhs)),
+        Entry("h-matrix", 24, 34, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=_run_h_matrix),
+        Entry("lpi-eq-A", 30, 36, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
+        Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
+        Entry("f-system", 20, 30, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
+        Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", sides=_quin_sides(SET_A)),
+        Entry("thm51-b", 20, 100, "quinvariate enumeration without overlined 1 vs multi-sum", sides=_quin_sides(SET_A_NO_1BAR)),
+        Entry("thm51-c", 20, 105, "quinvariate enumeration without 1, overlined 1 vs multi-sum", sides=_quin_sides(SET_A_NO_1_1BAR)),
+        Entry("thm51-d", 20, 110, "quinvariate enumeration without 1, overlined 1, 2, overlined 3 vs multi-sum", sides=_quin_sides(SET_A_NO_1_1BAR_2_3BAR)),
+        Entry("thm15", 25, 80, "trivariate refined counts: variant family vs distinct 4-regular partitions", runner=_run_thm15),
+        Entry("thmA1", 25, 80, "double-weight counts vs distinct 4-regular partitions, plus collapse consistency", runner=_run_thmA1),
+        Entry("thmA2", 25, 75, "triple/double-weight counts vs odd parts of multiplicity <= 3, plus collapse consistency", runner=_run_thmA2),
+        Entry("avee-split", 20, 90, "variant family splits as base family plus x^2 z q^6 shifted copy",
+              sides=(lambda n: weighted_gf(SET_AVEE, n), _avee_split_rhs)),
+    ]
+    # Deliberately broken variants: one exponent off by one in each.
+    sides = {e.id: e.sides for e in out if e.sides}
+    out += [
+        Entry("neg:rr1", 30, 60, "negative control: mismatched linear exponent in the gap-2 sum",
+              sides=(sides["rr1"][0], sides["rr2"][1])),
+        Entry("neg:quad", 16, 24, "negative control: first beta entry off by one in the quadruple sum",
+              sides=(sides["quad"][0], lambda n: _quad_rhs(n, perturb=1))),
+        Entry("neg:avee-split", 16, 24, "negative control: shifted copy uses q^7 instead of q^8",
+              sides=(sides["avee-split"][0], lambda n: _avee_split_rhs(n, shift=7))),
     ]
     return out
 
@@ -479,7 +451,7 @@ def verify(identity: str, order: int | None = None, *, max_order_override: int |
     """Run one registry entry and time it; order defaults per entry."""
     n = _checked_order(identity, order, max_order_override)
     start = time.perf_counter()
-    passed, witness = REGISTRY[identity].runner(n)
+    passed, witness = REGISTRY[identity].run(n)
     elapsed = time.perf_counter() - start
     return IdentityReport(identity, n, passed, witness, elapsed)
 
@@ -487,20 +459,26 @@ def verify(identity: str, order: int | None = None, *, max_order_override: int |
 def verify_all(
     order: int | None = None, prefix: str = "", jobs: int | None = None
 ) -> list[IdentityReport]:
-    """Run every non-negative registry entry whose id starts with ``prefix``.
+    """Run every non-negative registry entry whose id starts with ``prefix``."""
+    return verify_group([i for i in registry_ids() if i.startswith(prefix)], order, jobs)
+
+
+def verify_group(
+    ids: list[str], order: int | None = None, jobs: int | None = None
+) -> list[IdentityReport]:
+    """Run the named registry entries after checking every order against its budget.
 
     Entries are independent; with jobs > 1 they run in worker processes, and
-    reports always come back in registry order.  Set QIDENT_JOBS to override
-    the default worker count (the number of available cores).  If the worker
-    pool cannot start or breaks, every entry reruns serially, the cause goes
-    to stderr and each report carries ``serial_fallback``.
+    reports always come back in the order of ``ids``.  Set QIDENT_JOBS to
+    override the default worker count (the number of available cores).  If
+    the worker pool cannot start or breaks, every entry reruns serially, the
+    cause goes to stderr and each report carries ``serial_fallback``.
     """
-    ids = [i for i in registry_ids() if i.startswith(prefix)]
     for i in ids:
         _checked_order(i, order)
-    if jobs is None:
+    if jobs is None and len(ids) > 1:
         jobs = _env_jobs() or (os.cpu_count() or 1)
-    if jobs <= 1 or len(ids) <= 1:
+    if len(ids) <= 1 or jobs <= 1:
         return [verify(i, order) for i in ids]
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
@@ -517,27 +495,20 @@ def verify_all(
 # -- named series for coefficient export --------------------------------------------
 
 
-def _gf_builder(setid: str) -> Callable[[int], Series]:
-    return lambda order: weighted_gf(setid, order)
-
-
-# Each fixed name is one side of a registry entry and shares its max_order.
-_SERIES_SIDES: dict[str, tuple[str, Callable[[int], Series]]] = {
-    "rr1-lhs": ("rr1", lambda n: _residue_product((1, 4), 5, n)),
-    "rr1-rhs": ("rr1", lambda n: _single_gap_sum(1, n)),
-    "rr2-lhs": ("rr2", lambda n: _residue_product((2, 3), 5, n)),
-    "rr2-rhs": ("rr2", lambda n: _single_gap_sum(2, n)),
-    "tri-single-lhs": ("tri-single", _build_tri_single_lhs),
-    "tri-single-rhs": ("tri-single", _build_tri_single_rhs),
-    "quad-lhs": ("quad", _build_quad_lhs),
-    "quad-rhs": ("quad", _build_quad_rhs),
-    "quad-new-lhs": ("quad-new", _build_quad_new_lhs),
-    "quad-new-rhs": ("quad-new", _build_quad_new_rhs),
-    "gf-A": ("thm51-a", _gf_builder(SET_A)),
-    "gf-A-no-1bar": ("thm51-b", _gf_builder(SET_A_NO_1BAR)),
-    "gf-A-no-1-1bar": ("thm51-c", _gf_builder(SET_A_NO_1_1BAR)),
-    "gf-A-no-1-1bar-2-3bar": ("thm51-d", _gf_builder(SET_A_NO_1_1BAR_2_3BAR)),
-    "gf-Avee": ("avee-split", _gf_builder(SET_AVEE)),
+# Each non-negative pair entry exports its sides as <id>-lhs and <id>-rhs, and
+# gf-<family> is the enumeration side of the entry that checks that family.
+# Every name shares its entry's max_order as its order budget.
+_SERIES_SIDES: dict[str, tuple[str, Side]] = {
+    f"{i}-{name}": (i, side)
+    for i in registry_ids()
+    if REGISTRY[i].sides
+    for name, side in zip(("lhs", "rhs"), REGISTRY[i].sides)
+} | {
+    f"gf-{setid}": (i, REGISTRY[i].sides[0])
+    for setid, i in (
+        (SET_A, "thm51-a"), (SET_A_NO_1BAR, "thm51-b"), (SET_A_NO_1_1BAR, "thm51-c"),
+        (SET_A_NO_1_1BAR_2_3BAR, "thm51-d"), (SET_AVEE, "avee-split"),
+    )
 }
 
 # The order budget of f1..fK, g1..gK and h:<beta>, which are no single entry's
@@ -563,7 +534,7 @@ def series_names(spec: LpiSpec | None = None) -> list[str]:
 def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
     """Resolve a series name for coefficient export.
 
-    Supports the fixed names above, f1..fK / g1..gK over the block automaton
+    Supports the fixed names of ``_SERIES_SIDES``, f1..fK / g1..gK over the block automaton
     (the gap-4 ideal unless a custom one is supplied), and h:<beta list> for
     the quinvariate multi-sum at an explicit beta vector.  An order above the
     name's budget raises ``OrderBudgetExceeded`` before anything is built.

@@ -172,14 +172,6 @@ def in_A(op: Overpartition) -> bool:
     return _parts_in_A(op.parts)
 
 
-def in_A_S(op: Overpartition, forbidden: frozenset[Part] | set[Part]) -> bool:
-    return _parts_in_A(op.parts, forbidden)
-
-
-def in_Avee(op: Overpartition) -> bool:
-    return _parts_in_Avee(op.parts)
-
-
 def _parts_predicate(setid: str) -> Callable[[tuple[Part, ...]], bool]:
     if setid == SET_AVEE:
         return _parts_in_Avee
@@ -187,11 +179,6 @@ def _parts_predicate(setid: str) -> Callable[[tuple[Part, ...]], bool]:
         forb = _FORBIDDEN[setid]
         return lambda parts: _parts_in_A(parts, forb)
     raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
-
-
-def predicate_for(setid: str) -> Callable[[Overpartition], bool]:
-    pred = _parts_predicate(setid)
-    return lambda op: pred(op.parts)
 
 
 # -- exhaustive enumeration (the slow oracle) ----------------------------------
@@ -376,60 +363,35 @@ def _key_length(parts: tuple[int, ...]) -> tuple[int]:
     return (len(parts),)
 
 
-# table_X tallies every size up to the order in one sweep and is what the
-# registry uses; count_X looks one size up in it.  The A side reads one walk of
-# Avee to the order, the B side the per-size partition generators.
-
-
-def count_A(n: int, m: int, ell: int) -> int:
-    """Members of Avee of size n with r1mod2 + 2*r0mod4 = m and r2mod4 + over = ell."""
-    return table_A(n).get((n, m, ell), 0)
-
-
-def count_B(n: int, m: int, ell: int) -> int:
-    """Distinct 4-regular partitions of n with m odd parts and ell even parts."""
-    return table_B(n).get((n, m, ell), 0)
-
-
-def count_A1(n: int, m: int) -> int:
-    """Avee members of n, parts weighted: overlined or divisible by 4 count double."""
-    return table_A1(n).get((n, m), 0)
-
-
-def count_B1(n: int, m: int) -> int:
-    """Distinct 4-regular partitions of n into m parts."""
-    return table_B1(n).get((n, m), 0)
-
-
-def count_A2(n: int, m: int) -> int:
-    """Avee members of n, weighted: overlined parts triple, even parts double."""
-    return table_A2(n).get((n, m), 0)
-
-
-def count_B2(n: int, m: int) -> int:
-    """Partitions of n into m odd parts, none appearing more than three times."""
-    return table_B2(n).get((n, m), 0)
+# table_X tallies every size up to the order in one sweep.  The A side reads
+# one walk of Avee to the order, the B side the per-size partition generators.
 
 
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
+    """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell."""
     return tally(_sized_walk(SET_AVEE, order), _key_A)
 
 
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
+    """(n, m, ell) -> distinct 4-regular partitions of n, m odd parts and ell even parts."""
     return tally(_by_size(distinct_4regular, order), _key_B)
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
+    """(n, m) -> Avee members of n of weight m: overlined parts or parts = 0 mod 4 count double."""
     return tally(_sized_walk(SET_AVEE, order), _key_A1)
 
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
+    """(n, m) -> distinct 4-regular partitions of n into m parts."""
     return tally(_by_size(distinct_4regular, order), _key_length)
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
+    """(n, m) -> Avee members of n of weight m: overlined parts triple, even parts double."""
     return tally(_sized_walk(SET_AVEE, order), _key_A2)
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:
+    """(n, m) -> partitions of n into m odd parts, none appearing more than three times."""
     return tally(_by_size(odd_parts_mult_le3, order), _key_length)

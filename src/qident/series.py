@@ -443,11 +443,6 @@ class Series:
         return f"<{' + '.join(shown)}{more} (order {self.order})>"
 
 
-def make(vars: VarSet, order: int, terms: Iterable[tuple[Mono, int]] = ()) -> Series:
-    """Build a series; over-order terms drop silently, duplicates merge."""
-    return Series(vars, order, terms)
-
-
 # Variable sets used throughout: everything is truncated in q.
 Q_VARS = varset("q")
 QX_VARS = varset("q", "x")

@@ -21,7 +21,7 @@ from qident.multisum import (
     verify_matrix_relation,
 )
 from qident.partitions import SET_A, enum_overpartitions, weighted_gf
-from qident.series import QUIN_VARS, Series, make, varset
+from qident.series import QUIN_VARS, Series, varset
 
 
 def _report(num: int, ok: bool, desc: str) -> None:
@@ -116,7 +116,7 @@ def _random_series(rng: random.Random, vs, order: int) -> Series:
     for _ in range(rng.randint(0, 8)):
         mono = (rng.randint(0, order), rng.randint(0, 4), rng.randint(0, 3))
         terms.append((mono, rng.randint(-9, 9)))
-    return make(vs, order, terms)
+    return Series(vs, order, terms)
 
 
 def test_c11_property_suites():

@@ -3,14 +3,14 @@ from __future__ import annotations
 import pytest
 
 from qident.borel import borel_apply
-from qident.series import QUIN_VARS, QXY_VARS, Series, SeriesError, make
+from qident.series import QUIN_VARS, QXY_VARS, Series, SeriesError
 
 V = QXY_VARS
 
 
 def test_boost_by_x_degree():
-    s = make(V, 10, [(V.m(), 1), (V.m(x=1, q=1), 1), (V.m(x=2, q=2), 1)])
-    expected = make(V, 10, [(V.m(), 1), (V.m(x=1, q=1), 1), (V.m(x=2, q=4), 1)])
+    s = Series(V, 10, [(V.m(), 1), (V.m(x=1, q=1), 1), (V.m(x=2, q=2), 1)])
+    expected = Series(V, 10, [(V.m(), 1), (V.m(x=1, q=1), 1), (V.m(x=2, q=4), 1)])
     assert borel_apply(s) == expected
 
 
@@ -29,13 +29,13 @@ def test_over_order_terms_drop():
 
 
 def test_linearity():
-    a = make(V, 12, [(V.m(x=2, q=1), 2), (V.m(y=1, q=3), -1)])
-    b = make(V, 12, [(V.m(x=1, y=1, q=2), 7), (V.m(), 4)])
+    a = Series(V, 12, [(V.m(x=2, q=1), 2), (V.m(y=1, q=3), -1)])
+    b = Series(V, 12, [(V.m(x=1, y=1, q=2), 7), (V.m(), 4)])
     assert borel_apply(a + b) == borel_apply(a) + borel_apply(b)
 
 
 def test_commutes_with_pure_q_powers():
-    a = make(V, 12, [(V.m(x=2, q=1), 2), (V.m(y=2, q=2), 5)])
+    a = Series(V, 12, [(V.m(x=2, q=1), 2), (V.m(y=2, q=2), 5)])
     shifted = a.mul_monomial(V.m(q=3))
     assert borel_apply(shifted) == borel_apply(a).mul_monomial(V.m(q=3))
 

@@ -65,6 +65,36 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1 and "QIDENT_JOBS" in err and "'abc'" in err
 
+    def test_prefix_over_any_budget_exit_two_before_any_work(self, capsys, monkeypatch):
+        # thm51-a..d allow order 85; thm15 (budget 80) must stop the group first.
+        ran = []
+        monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
+        for jobs in ((), ("--jobs", "1")):
+            code, out, err = run(capsys, "verify", "thm", "--order", "85", *jobs)
+            assert code == 2
+            assert out == ""
+            assert err == "thm15: order 85 exceeds the resource budget 80\n"
+        assert ran == []
+
+    def test_prefix_honours_jobs(self, capsys, monkeypatch):
+        pools = []
+
+        class CountingPool(identities.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "ProcessPoolExecutor", CountingPool)
+        reports = {}
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "verify", "thm51", "--json", "--jobs", jobs)
+            assert code == 0
+            docs = [json.loads(line) for line in out.splitlines()]
+            reports[jobs] = [{k: v for k, v in d.items() if k != "elapsed_ms"} for d in docs]
+        assert [d["id"] for d in reports["1"]] == ["thm51-a", "thm51-b", "thm51-c", "thm51-d"]
+        assert reports["1"] == reports["2"]
+        assert pools == [{"max_workers": 2}]
+
     def test_all_json_one_object_per_line(self, capsys):
         # a low shared order keeps every entry quick
         code, out, _ = run(capsys, "verify", "all", "--json", "--order", "12", "--jobs", "1")

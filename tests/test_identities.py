@@ -155,6 +155,24 @@ def test_named_series_h_matches_eval():
 def test_named_series_f_and_gf_agree():
     assert named_series("f1", 10) == named_series("gf-A", 10)
     assert named_series("f2", 10) == named_series("gf-A-no-1bar", 10)
+    assert named_series("thm51-a-rhs", 10) == named_series("h:1,1,2,4", 10)
+
+
+def test_named_series_are_the_sides_of_the_pair_entries():
+    pairs = [i for i in registry_ids() if REGISTRY[i].sides is not None]
+    assert len(pairs) == len(registry_ids()) - 7
+    expected = {f"{i}-{side}" for i in pairs for side in ("lhs", "rhs")}
+    expected |= {f"gf-{s}" for s in partitions.SET_IDS}
+    assert set(identities._SERIES_SIDES) == expected
+    for i in ("rr1", "rr2", "tri-single", "quad", "quad-new"):
+        assert {f"{i}-lhs", f"{i}-rhs"} <= expected
+    for name, (identity, build) in identities._SERIES_SIDES.items():
+        assert build is REGISTRY[identity].sides[name.endswith("-rhs")], name
+    gf = {name: identity for name, (identity, _) in identities._SERIES_SIDES.items() if name.startswith("gf-")}
+    assert gf == {
+        "gf-A": "thm51-a", "gf-A-no-1bar": "thm51-b", "gf-A-no-1-1bar": "thm51-c",
+        "gf-A-no-1-1bar-2-3bar": "thm51-d", "gf-Avee": "avee-split",
+    }
 
 
 def test_named_series_budgets(monkeypatch):
@@ -169,6 +187,7 @@ def test_named_series_budgets(monkeypatch):
     exported |= {f"gf-{s}": 70 for s in partitions.SET_IDS} | {f"f{k}": 70 for k in range(1, 8)}
     for name, order in exported.items():
         assert named_series(name, order) == order, name
+    # every derived name: both sides of each pair entry and the gf- aliases
     budgets = {name: REGISTRY[identity].max_order for name, (identity, _) in identities._SERIES_SIDES.items()}
     budgets |= dict.fromkeys(("f1", "g7", "h:1,1,2,4"), identities._PARAMETRIC_SERIES_BUDGET)
     for name, budget in budgets.items():
@@ -192,3 +211,25 @@ def test_allowing_overlined_one_fails_thm51_b(monkeypatch):
     report = verify("thm51-b")
     assert not report.passed
     assert report.witness == "q*x*z: left 1 != right 0"
+
+
+_THM51 = (
+    ("thm51-a", partitions.SET_A),
+    ("thm51-b", partitions.SET_A_NO_1BAR),
+    ("thm51-c", partitions.SET_A_NO_1_1BAR),
+    ("thm51-d", partitions.SET_A_NO_1_1BAR_2_3BAR),
+)
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("identity, setid", _THM51)
+def test_beta_mutant_fails_thm51(monkeypatch, identity, setid, slot, delta):
+    # The multi-sum side reads _SET_BETA per call; the enumeration side does not move.
+    beta = list(identities._SET_BETA[setid])
+    beta[slot] += delta
+    monkeypatch.setitem(identities._SET_BETA, setid, tuple(beta))
+    report = verify(identity)
+    assert report.order == REGISTRY[identity].default_order == 20
+    assert not report.passed
+    assert re.fullmatch(r"\S+: left -?\d+ != right -?\d+", report.witness), report.witness

@@ -14,7 +14,7 @@ from qident.products import (
     poch_inf,
     qbinom,
 )
-from qident.series import Q_VARS, QX_VARS, QXY_VARS, Series, make, varset
+from qident.series import Q_VARS, QX_VARS, QXY_VARS, Series, varset
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -47,7 +47,7 @@ def expand_three_binomials(order: int) -> Series:
                 key = (eq + dq, ey + dy)
                 new[key] = new.get(key, 0) + c * dc
         acc = new
-    return make(vs, order, [((eq, ey), c) for (eq, ey), c in acc.items() if c])
+    return Series(vs, order, [((eq, ey), c) for (eq, ey), c in acc.items() if c])
 
 
 class TestPochFinite:
@@ -57,7 +57,7 @@ class TestPochFinite:
 
     def test_qq2(self):
         spec = PochSpec(Q_VARS.m(q=1), 1, 2)
-        expected = make(
+        expected = Series(
             Q_VARS, 10, [(Q_VARS.m(), 1), (Q_VARS.m(q=1), -1), (Q_VARS.m(q=2), -1), (Q_VARS.m(q=3), 1)]
         )
         assert poch_finite(spec, Q_VARS, 10) == expected
@@ -72,7 +72,7 @@ class TestPochFinite:
         arg = vs.m(x=1, q=1)
         for n in range(4):
             left = poch_finite(PochSpec(arg, 2, n + 1), vs, 18)
-            step = make(vs, 18, [(vs.m(), 1), (vs.m(x=1, q=1 + 2 * n), -1)])
+            step = Series(vs, 18, [(vs.m(), 1), (vs.m(x=1, q=1 + 2 * n), -1)])
             right = poch_finite(PochSpec(arg, 2, n), vs, 18) * step
             assert left == right
 
@@ -107,7 +107,7 @@ class TestPochInf:
 
     def test_two_contributing_factors(self):
         spec = PochSpec(QX_VARS.m(x=1, q=1), 2, sign=-1)
-        expected = make(
+        expected = Series(
             QX_VARS,
             4,
             [
@@ -182,7 +182,7 @@ class TestQBinom:
     def test_telescoping_q_over_q(self):
         # a = q, z = q, base q: (q^2;q)_inf / (q;q)_inf = 1/(1-q)
         s = qbinom(Q_VARS, 6, Q_VARS.m(q=1), Q_VARS.m(q=1), 1)
-        assert s == make(Q_VARS, 6, [(Q_VARS.m(q=k), 1) for k in range(7)])
+        assert s == Series(Q_VARS, 6, [(Q_VARS.m(q=k), 1) for k in range(7)])
 
     def test_divergent_z(self):
         with pytest.raises(DivergentProduct):

@@ -12,7 +12,6 @@ from qident.series import (
     TruncationExceeded,
     VarSet,
     VarSetMismatch,
-    make,
     varset,
 )
 
@@ -30,7 +29,7 @@ def poly_product(factor_lists: list[list[tuple[int, int, int]]], order: int) -> 
                     key = (eq + fq, ex + fx)
                     new[key] = new.get(key, 0) + c * fc
         acc = {k: v for k, v in new.items() if v}
-    return make(VS, order, [((eq, ex), c) for (eq, ex), c in acc.items()])
+    return Series(VS, order, [((eq, ex), c) for (eq, ex), c in acc.items()])
 
 
 def count_parts_pm1_mod5(n: int) -> int:
@@ -50,25 +49,25 @@ def count_parts_pm1_mod5(n: int) -> int:
 
 class TestMake:
     def test_constant_one(self):
-        s = make(VS, 5, [(VS.m(), 1)])
+        s = Series(VS, 5, [(VS.m(), 1)])
         assert s.coeff(VS.m()) == 1
         assert len(s.terms) == 1
 
     def test_truncation_drops_silently(self):
-        s = make(VS, 2, [(VS.m(q=3, x=1), 7)])
+        s = Series(VS, 2, [(VS.m(q=3, x=1), 7)])
         assert s.is_zero()
 
     def test_duplicates_merge(self):
-        s = make(VS, 5, [(VS.m(q=1, x=1), 1), (VS.m(q=1, x=1), 2)])
-        assert s == make(VS, 5, [(VS.m(q=1, x=1), 3)])
+        s = Series(VS, 5, [(VS.m(q=1, x=1), 1), (VS.m(q=1, x=1), 2)])
+        assert s == Series(VS, 5, [(VS.m(q=1, x=1), 3)])
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            make(VS, 5, [((1, 2, 3), 1)])
+            Series(VS, 5, [((1, 2, 3), 1)])
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(Exception):
-            make(VS, 5, [((-1, 0), 1)])
+            Series(VS, 5, [((-1, 0), 1)])
 
 
 class TestAddMul:
@@ -77,8 +76,8 @@ class TestAddMul:
         assert (one + one.scale(-1)).is_zero()
 
     def test_add_bivariate(self):
-        a = make(VS, 8, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
-        b = make(VS, 8, [(VS.m(), 1), (VS.m(q=1, x=1), -1)])
+        a = Series(VS, 8, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
+        b = Series(VS, 8, [(VS.m(), 1), (VS.m(q=1, x=1), -1)])
         assert a + b == Series.const(VS, 8, 2)
 
     def test_add_self_negation_of_product(self):
@@ -95,15 +94,15 @@ class TestAddMul:
 
     def test_geometric_telescopes(self):
         n = 9
-        geom = make(VS, n, [(VS.m(q=k, x=k), 1) for k in range(n + 1)])
-        one_minus_z = make(VS, n, [(VS.m(), 1), (VS.m(q=1, x=1), -1)])
+        geom = Series(VS, n, [(VS.m(q=k, x=k), 1) for k in range(n + 1)])
+        one_minus_z = Series(VS, n, [(VS.m(), 1), (VS.m(q=1, x=1), -1)])
         assert one_minus_z * geom == Series.one(VS, n)
 
     def test_two_factor_product(self):
-        lhs = make(VS, 4, [(VS.m(), 1), (VS.m(q=1, x=1), 1)]) * make(
+        lhs = Series(VS, 4, [(VS.m(), 1), (VS.m(q=1, x=1), 1)]) * Series(
             VS, 4, [(VS.m(), 1), (VS.m(q=3, x=1), 1)]
         )
-        expected = make(
+        expected = Series(
             VS,
             4,
             [(VS.m(), 1), (VS.m(q=1, x=1), 1), (VS.m(q=3, x=1), 1), (VS.m(q=4, x=2), 1)],
@@ -131,8 +130,8 @@ class TestInvert:
         assert Series.one(VS, 7).invert() == Series.one(VS, 7)
 
     def test_invert_one_minus_q(self):
-        s = make(VS, 6, [(VS.m(), 1), (VS.m(q=1), -1)])
-        assert s.invert() == make(VS, 6, [(VS.m(q=k), 1) for k in range(7)])
+        s = Series(VS, 6, [(VS.m(), 1), (VS.m(q=1), -1)])
+        assert s.invert() == Series(VS, 6, [(VS.m(q=k), 1) for k in range(7)])
 
     def test_invert_finite_poch(self):
         # (xq; q^2)_2 = (1 - xq)(1 - xq^3)
@@ -144,37 +143,37 @@ class TestInvert:
             Series.const(VS, 5, 2).invert()
 
     def test_qfree_tail_rejected(self):
-        s = make(VS, 5, [(VS.m(), 1), (VS.m(x=1), 1)])
+        s = Series(VS, 5, [(VS.m(), 1), (VS.m(x=1), 1)])
         with pytest.raises(NotInvertible):
             s.invert()
 
     def test_negative_unit(self):
-        s = make(VS, 8, [(VS.m(), -1), (VS.m(q=1), 1)])
+        s = Series(VS, 8, [(VS.m(), -1), (VS.m(q=1), 1)])
         assert s * s.invert() == Series.one(VS, 8)
 
 
 class TestSubstitute:
     def test_x_to_xq4(self):
-        s = make(VS, 8, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
-        assert s.substitute("x", VS.m(x=1, q=4)) == make(
+        s = Series(VS, 8, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
+        assert s.substitute("x", VS.m(x=1, q=4)) == Series(
             VS, 8, [(VS.m(), 1), (VS.m(q=5, x=1), 1)]
         )
 
     def test_identity_substitution(self):
-        s = make(VS, 8, [(VS.m(q=2, x=2), 3), (VS.m(q=1), -1)])
+        s = Series(VS, 8, [(VS.m(q=2, x=2), 3), (VS.m(q=1), -1)])
         assert s.substitute("x", VS.m(x=1)) == s
 
     def test_y_to_x_squared(self):
         vs = varset("q", "x", "y")
         # (-yq^2; q^4)_inf truncated at 10: factors (1+yq^2)(1+yq^6)(1+yq^10)
         factors = [
-            make(vs, 10, [(vs.m(), 1), (vs.m(y=1, q=e), 1)]) for e in (2, 6, 10)
+            Series(vs, 10, [(vs.m(), 1), (vs.m(y=1, q=e), 1)]) for e in (2, 6, 10)
         ]
         prod = factors[0] * factors[1] * factors[2]
         substituted = prod.substitute("y", vs.m(x=2))
-        rebuilt = make(vs, 10, [(vs.m(), 1)])
+        rebuilt = Series(vs, 10, [(vs.m(), 1)])
         for e in (2, 6, 10):
-            rebuilt = rebuilt * make(vs, 10, [(vs.m(), 1), (vs.m(x=2, q=e), 1)])
+            rebuilt = rebuilt * Series(vs, 10, [(vs.m(), 1), (vs.m(x=2, q=e), 1)])
         assert substituted == rebuilt
 
     def test_trunc_var_needs_qdegree(self):
@@ -185,7 +184,7 @@ class TestSubstitute:
 
 class TestCoeff:
     def test_simple(self):
-        s = make(VS, 5, [(VS.m(), 1), (VS.m(q=1, x=1), 3)])
+        s = Series(VS, 5, [(VS.m(), 1), (VS.m(q=1, x=1), 3)])
         assert s.coeff(VS.m(q=1, x=1)) == 3
         assert s.coeff(VS.m(q=2)) == 0
 
@@ -200,7 +199,7 @@ class TestCoeff:
                 e += 5
         prod = Series.one(vs, 5)
         for e in factors:
-            prod = prod * make(vs, 5, [(vs.m(), 1), (vs.m(q=e), -1)])
+            prod = prod * Series(vs, 5, [(vs.m(), 1), (vs.m(q=e), -1)])
         inv = prod.invert()
         expected = [count_parts_pm1_mod5(n) for n in range(6)]
         assert expected == [1, 1, 1, 1, 2, 2]  # frozen from the oracle
@@ -214,11 +213,11 @@ class TestCoeff:
 
 class TestEqualToOrder:
     def test_reflexive(self):
-        s = make(VS, 9, [(VS.m(q=2, x=1), 4)])
+        s = Series(VS, 9, [(VS.m(q=2, x=1), 4)])
         assert s.equal_to_order(s, 9)
 
     def test_mismatch_at_order_one(self):
-        a = make(VS, 5, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
+        a = Series(VS, 5, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
         b = Series.one(VS, 5)
         assert a.equal_to_order(b, 0)
         assert not a.equal_to_order(b, 1)
@@ -248,7 +247,7 @@ def small_series(draw):
             draw(st.integers(0, 3)),
         )
         terms.append((mono, draw(st.integers(-9, 9))))
-    return make(VS3, order, terms)
+    return Series(VS3, order, terms)
 
 
 @st.composite
@@ -257,7 +256,7 @@ def invertible_series(draw):
     unit = draw(st.sampled_from((1, -1)))
     terms = {m: c for m, c in base.terms.items() if m[0] >= 1}
     terms[VS3.unit] = unit
-    return make(VS3, base.order, list(terms.items()))
+    return Series(VS3, base.order, list(terms.items()))
 
 
 @given(small_series(), small_series(), small_series())
@@ -283,7 +282,7 @@ def power_sum_inverse(a: Series) -> Series:
     """Oracle: 1/a = c0 * sum_k (-c0*A)^k with A = a - c0, one full product per power."""
     c0 = a.constant_term()
     unit = a.vars.unit
-    tail = make(a.vars, a.order, [(m, -c0 * c) for m, c in a.terms.items() if m != unit])
+    tail = Series(a.vars, a.order, [(m, -c0 * c) for m, c in a.terms.items() if m != unit])
     total = Series.one(a.vars, a.order)
     power = Series.one(a.vars, a.order)
     for _ in range(a.order):
@@ -301,7 +300,7 @@ def gappy_invertible_series(draw):
     for _ in range(draw(st.integers(0, 8)) if degrees else 0):
         mono = (draw(st.sampled_from(degrees)), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         terms.append((mono, draw(st.integers(-9, 9))))
-    return make(VS3, order, terms)
+    return Series(VS3, order, terms)
 
 
 @given(gappy_invertible_series())
@@ -314,10 +313,10 @@ def test_invert_matches_power_sum_oracle(a):
 
 def test_invert_two_factor_geometric_double_series():
     order = 20
-    a = make(VS3, order, [(VS3.unit, 1), (VS3.m(x=1, q=3), -1)]) * make(
+    a = Series(VS3, order, [(VS3.unit, 1), (VS3.m(x=1, q=3), -1)]) * Series(
         VS3, order, [(VS3.unit, 1), (VS3.m(y=1, q=5), 1)]
     )
-    expected = make(
+    expected = Series(
         VS3,
         order,
         [
