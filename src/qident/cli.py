@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import identities
@@ -70,11 +71,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         if args.json:
             doc: dict = {"parts": op.to_json()}
             if args.stats:
-                st = stats(op)
-                doc.update(
-                    size=st.size, length=st.length, r1mod2=st.r1mod2,
-                    r2mod4=st.r2mod4, r0mod4=st.r0mod4, over=st.over,
-                )
+                doc.update(asdict(stats(op)))
             print(json.dumps(doc))
         elif args.stats:
             if not header_printed:

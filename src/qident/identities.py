@@ -144,7 +144,7 @@ def _tri_single_lhs(order: int) -> Series:
 
 def _tri_single_rhs(order: int) -> Series:
     vs = QXY_VARS
-    total = Series.zero(vs, order)
+    terms = []
     n = 0
     while n * (n - 1) // 2 <= order:
         lead = vs.m(x=n, q=n * (n - 1) // 2)
@@ -155,9 +155,9 @@ def _tri_single_rhs(order: int) -> Series:
         den = inv_qpoch(vs, order, 1, n) * poch_finite(
             PochSpec(vs.m(x=2, y=1, q=2), 2, n), vs, order
         ).invert()
-        total = total + (bracket * num * den).mul_monomial(lead)
+        terms.append((bracket * num * den).mul_monomial(lead))
         n += 1
-    return total
+    return Series.sum(vs, order, terms)
 
 
 # -- the quadruple sums and their Borel bridge ------------------------------------
@@ -260,11 +260,8 @@ def _run_g_system(order: int) -> tuple[bool, str | None]:
     g = g_vector(spec, order)
     shifted = [s.substitute("x", QUIN_VARS.m(x=1, q=4)) for s in g]
     for k in range(spec.size):
-        rhs = Series.zero(QUIN_VARS, order)
-        for j in range(spec.size):
-            if a[k][j]:
-                rhs = rhs + shifted[j]
-        rhs = rhs.mul_monomial(weights[k])
+        linked = (shifted[j] for j in range(spec.size) if a[k][j])
+        rhs = Series.sum(QUIN_VARS, order, linked).mul_monomial(weights[k])
         mm = g[k].first_mismatch(rhs, order)
         if mm is not None:
             return False, f"G_{k + 1}: {mm.render(QUIN_VARS)}"
@@ -278,10 +275,9 @@ def _run_f_system(order: int) -> tuple[bool, str | None]:
     f = f_vector(spec, g)
     shifted = [s.substitute("x", QUIN_VARS.m(x=1, q=4)) for s in f]
     for k in range(spec.size):
-        rhs = Series.zero(QUIN_VARS, order)
-        for j in range(spec.size):
-            if a[k][j]:
-                rhs = rhs + shifted[j].mul_monomial(weights[j])
+        rhs = Series.sum(QUIN_VARS, order, (
+            shifted[j].mul_monomial(weights[j]) for j in range(spec.size) if a[k][j]
+        ))
         mm = f[k].first_mismatch(rhs, order)
         if mm is not None:
             return False, f"F_{k + 1}: {mm.render(QUIN_VARS)}"
@@ -348,11 +344,6 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
     )
 
 
-def _run_h_matrix(order: int) -> tuple[bool, str | None]:
-    report = verify_matrix_relation(order=order)
-    return report.passed, report.witness
-
-
 # -- registry ----------------------------------------------------------------------
 
 
@@ -389,7 +380,7 @@ def _entries() -> list[Entry]:
               sides=(lambda n: borel_apply(_quad_new_lhs(n)), _quad_lhs)),
         Entry("borel-bridge-rhs", 20, 30, "coefficient-boost operator maps one quadruple sum to the other",
               sides=(lambda n: borel_apply(_quad_new_rhs(n)), _quad_rhs)),
-        Entry("h-matrix", 24, 34, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=_run_h_matrix),
+        Entry("h-matrix", 24, 34, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=lambda n: verify_matrix_relation(order=n)),
         Entry("lpi-eq-A", 30, 36, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
         Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
         Entry("f-system", 20, 30, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),

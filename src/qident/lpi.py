@@ -232,13 +232,8 @@ def g_vector(spec: LpiSpec, order: int, vars: VarSet = QUIN_VARS) -> list[Series
 
 def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
     """For each block k, the sum of vec[j] over the linking set of block k."""
-    out = []
-    for link in spec.linking:
-        total = Series.zero(vec[0].vars, vec[0].order)
-        for j in link:
-            total = total + vec[j]
-        out.append(total)
-    return out
+    vars, order = vec[0].vars, vec[0].order
+    return [Series.sum(vars, order, (vec[j] for j in link)) for link in spec.linking]
 
 
 def G_series(spec: LpiSpec, k: int, order: int, vars: VarSet = QUIN_VARS) -> Series:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .products import InvPochMemo
-from .report import IdentityReport
 from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, mono_mul
 
 
@@ -280,15 +279,13 @@ RELATION_PLANS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def verify_matrix_relation(
-    spec: MultiSumSpec | None = None,
-    vars: VarSet = QUIN_VARS,
-    order: int = 24,
-) -> IdentityReport:
-    """Check all seven rows symbolically (leaf multisets) and numerically."""
-    if spec is None:
-        spec = quinvariate_spec()
-    witness: str | None = None
+def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
+    """Check the seven-row closure of the quinvariate family to ``order``.
+
+    Each row is checked symbolically (leaf multisets) and numerically.
+    Returns ``(passed, witness)``; the witness names the first failing row.
+    """
+    spec, vars = quinvariate_spec(), QUIN_VARS
     evals: dict[tuple[int, ...], Series] = {}
 
     def value(beta: tuple[int, ...]) -> Series:
@@ -306,16 +303,14 @@ def verify_matrix_relation(
         leaves = expand_tree(spec, vars, row_beta, list(RELATION_PLANS[k]))
         got = sorted((leaf.weight, leaf.beta) for leaf in leaves)
         if got != expected:
-            witness = f"row {k + 1}: leaf multiset {got} != expected {expected}"
-            break
+            return False, f"row {k + 1}: leaf multiset {got} != expected {expected}"
         lhs = value(row_beta)
-        rhs = Series.zero(vars, order)
-        for j in range(7):
-            if RELATION_MATRIX[k][j]:
-                shifted = shift_beta_for_x(spec, RELATION_BETAS[j], 4)
-                rhs = rhs + value(shifted).mul_monomial(RELATION_WEIGHTS[j])
+        rhs = Series.sum(vars, order, (
+            value(shift_beta_for_x(spec, RELATION_BETAS[j], 4)).mul_monomial(RELATION_WEIGHTS[j])
+            for j in range(7)
+            if RELATION_MATRIX[k][j]
+        ))
         mm = lhs.first_mismatch(rhs, order)
         if mm is not None:
-            witness = f"row {k + 1}: {mm.render(vars)}"
-            break
-    return IdentityReport("h-matrix", order, witness is None, witness)
+            return False, f"row {k + 1}: {mm.render(vars)}"
+    return True, None

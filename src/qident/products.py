@@ -10,6 +10,8 @@ only finitely many factors differ from 1 below the truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
+from typing import Iterable, Iterator
 
 from .series import Mono, Series, SeriesError, VarSet, mono_mul
 
@@ -119,88 +121,59 @@ def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     return InvPochMemo(order).series(vars, step, n)
 
 
-def euler1(vars: VarSet, order: int, z: Mono, step: int, coeff: int = 1) -> Series:
-    """sum_n (coeff*z)^n / (q^step; q^step)_n, equal to 1/(coeff*z; q^step)_inf."""
-    if len(z) != vars.arity:
-        raise SeriesError(f"argument {z} has wrong arity")
-    qi = vars.trunc_var
-    if coeff == 0:
-        return Series.one(vars, order)
-    if z[qi] < 1:
-        raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
-    total = Series.zero(vars, order)
-    memo = InvPochMemo(order)
-    zn = vars.unit
-    cn = 1
-    n = 0
-    while zn[qi] <= order:
-        total = total + memo.series(vars, step, n).mul_monomial(zn, cn)
-        zn = mono_mul(zn, z)
-        cn *= coeff
-        n += 1
-    return total
-
-
-def euler2(vars: VarSet, order: int, z: Mono, step: int, coeff: int = 1) -> Series:
-    """sum_n (coeff*z)^n q^{step*binom(n,2)} / (q^step;q^step)_n = (-coeff*z; q^step)_inf."""
-    if len(z) != vars.arity:
-        raise SeriesError(f"argument {z} has wrong arity")
-    qi = vars.trunc_var
-    if coeff == 0:
-        return Series.one(vars, order)
-    if z[qi] < 1:
-        raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
-    q_name = vars.names[qi]
-    total = Series.zero(vars, order)
-    memo = InvPochMemo(order)
-    n = 0
-    while True:
-        qshift = step * (n * (n - 1) // 2) + n * z[qi]
-        if qshift > order:
-            break
-        mono = mono_mul(
-            tuple(e * n for e in z), vars.m(**{q_name: step * (n * (n - 1) // 2)})
-        )
-        total = total + memo.series(vars, step, n).mul_monomial(mono, coeff**n)
-        n += 1
-    return total
-
-
-def qbinom(
-    vars: VarSet,
-    order: int,
-    a: Mono,
-    z: Mono,
-    step: int,
-    a_coeff: int = 1,
-    z_coeff: int = 1,
+def _single_sum(
+    vars: VarSet, order: int, z: Mono, step: int, numerators: Iterable[Series]
 ) -> Series:
-    """sum_n (a; q^step)_n (coeff_z*z)^n / (q^step; q^step)_n.
+    """sum_n num_n z^n / (q^step; q^step)_n, with num_n taken from ``numerators``.
+
+    Each num_n divides the next, so the sum stops at the first n where z^n
+    passes the order or num_n is 0.  The denominators come from one
+    ``InvPochMemo``; nothing here calls invert().
+    """
+    if len(z) != vars.arity:
+        raise SeriesError(f"argument {z} has wrong arity")
+    qi = vars.trunc_var
+    if z[qi] < 1:
+        raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
+    memo = InvPochMemo(order)
+    terms = []
+    zn = vars.unit
+    for n, num in enumerate(numerators):
+        if zn[qi] > order or num.is_zero():
+            break
+        terms.append((num * memo.series(vars, step, n)).mul_monomial(zn))
+        zn = mono_mul(zn, z)
+    return Series.sum(vars, order, terms)
+
+
+def euler1(vars: VarSet, order: int, z: Mono, step: int) -> Series:
+    """sum_n z^n / (q^step; q^step)_n, equal to 1/(z; q^step)_inf."""
+    return _single_sum(vars, order, z, step, repeat(Series.one(vars, order)))
+
+
+def euler2(vars: VarSet, order: int, z: Mono, step: int) -> Series:
+    """sum_n z^n q^{step*binom(n,2)} / (q^step;q^step)_n = (-z; q^step)_inf."""
+    q = vars.names[vars.trunc_var]
+    nums = (Series.monomial(vars, order, vars.m(**{q: step * (n * (n - 1) // 2)})) for n in count())
+    return _single_sum(vars, order, z, step, nums)
+
+
+def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
+    """sum_n (a; q^step)_n z^n / (q^step; q^step)_n.
 
     Equals (a*z; q^step)_inf / (z; q^step)_inf; the upper argument a may carry
     no q-degree (its Pochhammer factors are finite).
     """
-    if len(a) != vars.arity or len(z) != vars.arity:
-        raise SeriesError("argument arity mismatch")
-    qi = vars.trunc_var
-    if z_coeff == 0:
-        return Series.one(vars, order)
-    if z[qi] < 1:
-        raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
-    q_step_mono = vars.m(**{vars.names[qi]: step})
-    total = Series.zero(vars, order)
-    memo = InvPochMemo(order)
-    a_poch = Series.one(vars, order)  # (a; q^step)_n, extended one factor per loop
-    a_factor_arg = a
-    zn = vars.unit
-    cn = 1
-    n = 0
-    while zn[qi] <= order:
-        total = total + (a_poch * memo.series(vars, step, n)).mul_monomial(zn, cn)
-        if a_factor_arg[qi] <= order:
-            a_poch = a_poch * Series(vars, order, [(vars.unit, 1), (a_factor_arg, -a_coeff)])
-        a_factor_arg = mono_mul(a_factor_arg, q_step_mono)
-        zn = mono_mul(zn, z)
-        cn *= z_coeff
-        n += 1
-    return total
+    if len(a) != vars.arity:
+        raise SeriesError(f"argument {a} has wrong arity")
+
+    def numerators() -> Iterator[Series]:
+        # (a; q^step)_n, each extending the last by the factor 1 - a q^{step n}
+        q = vars.names[vars.trunc_var]
+        num = Series.one(vars, order)
+        for n in count():
+            yield num
+            arg = mono_mul(a, vars.m(**{q: step * n}))
+            num = num * Series(vars, order, [(vars.unit, 1), (arg, -1)])
+
+    return _single_sum(vars, order, z, step, numerators())

@@ -262,21 +262,38 @@ class Series:
     def __neg__(self) -> "Series":
         return Series._raw(self.vars, self.order, {m: -c for m, c in self.terms.items()})
 
+    @classmethod
+    def sum(cls, vars: VarSet, order: int, parts: Iterable["Series"]) -> "Series":
+        """The sum of ``parts``, truncated at ``order`` and at every part's order.
+
+        Equal in terms and order to ``Series.zero(vars, order) + p1 + p2 + ...``,
+        but the parts are added one at a time into one accumulator.  A part
+        with more terms than the accumulator is copied, and the accumulator is
+        added into the copy instead.
+        """
+        qi = vars.trunc_var
+        acc: dict[Mono, int] = {}
+        for p in parts:
+            if p.vars != vars:
+                raise VarSetMismatch(f"{vars.names} vs {p.vars.names}")
+            if p.order < order:
+                order = p.order
+                acc = {m: c for m, c in acc.items() if m[qi] <= order}
+            small = p.terms
+            if len(small) > len(acc):
+                acc, small = {m: c for m, c in small.items() if m[qi] <= order}, acc
+            for m, c in small.items():
+                if m[qi] > order:
+                    continue
+                s = acc.get(m, 0) + c
+                if s:
+                    acc[m] = s
+                else:
+                    acc.pop(m, None)
+        return cls._raw(vars, order, acc)
+
     def __add__(self, other: "Series") -> "Series":
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        qi = self.vars.trunc_var
-        big, small = (self.terms, other.terms) if len(self.terms) >= len(other.terms) else (other.terms, self.terms)
-        acc = {m: c for m, c in big.items() if m[qi] <= order}
-        for m, c in small.items():
-            if m[qi] > order:
-                continue
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Series._raw(self.vars, order, acc)
+        return Series.sum(self.vars, min(self.order, other.order), (self, other))
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from qident import multisum
 from qident.multisum import (
     MultiSumSpec,
     NonTerminatingSum,
@@ -172,6 +174,22 @@ class TestShiftBeta:
             assert lhs == rhs
 
 
+def _leaves_of(matrix):
+    """Stands in for expand_tree: the leaves that ``matrix`` expects, row by row."""
+    rows = iter(range(7))
+
+    def leaves(spec, vars, beta, plan):
+        k = next(rows)
+        assert beta == RELATION_BETAS[k]
+        return [
+            SumNode(RELATION_WEIGHTS[j], shift_beta_for_x(spec, RELATION_BETAS[j], 4))
+            for j in range(7)
+            if matrix[k][j]
+        ]
+
+    return leaves
+
+
 class TestMatrixRelation:
     def test_constants_are_consistent(self):
         assert len(RELATION_BETAS) == len(RELATION_MATRIX) == len(RELATION_PLANS) == 7
@@ -182,8 +200,35 @@ class TestMatrixRelation:
         assert RELATION_MATRIX[6] == (1, 0, 0, 0, 0, 0, 0)
 
     def test_passes_symbolically_and_numerically(self):
-        report = verify_matrix_relation(order=16)
-        assert report.passed, report.witness
+        passed, witness = verify_matrix_relation(order=16)
+        assert passed and witness is None, witness
+
+    def test_every_matrix_bit_mutant_fails(self, monkeypatch):
+        # Flip each of the 49 bits.  The leaf check must catch it at the
+        # flipped row; so must the series check alone, when the leaf check is
+        # handed the mutant's own leaves.
+        by_leaves = by_series = 0
+        survivors = []
+        for k in range(7):
+            for j in range(7):
+                rows = [list(row) for row in RELATION_MATRIX]
+                rows[k][j] ^= 1
+                mutant = tuple(tuple(row) for row in rows)
+                monkeypatch.setattr(multisum, "RELATION_MATRIX", mutant)
+                monkeypatch.setattr(multisum, "expand_tree", expand_tree)
+                passed, witness = verify_matrix_relation(order=12)
+                if not passed and witness.startswith(f"row {k + 1}: leaf multiset "):
+                    by_leaves += 1
+                else:
+                    survivors.append(("leaves", k, j, witness))
+                monkeypatch.setattr(multisum, "expand_tree", _leaves_of(mutant))
+                passed, witness = verify_matrix_relation(order=12)
+                if not passed and re.fullmatch(rf"row {k + 1}: \S+: left -?\d+ != right -?\d+", witness):
+                    by_series += 1
+                else:
+                    survivors.append(("series", k, j, witness))
+        print(f"RELATION_MATRIX bit mutants killed: {by_leaves}/49 by the leaf check, {by_series}/49 by the series check")
+        assert not survivors, survivors
 
     def test_row_five_decomposition(self):
         # H(3,5,6,4) = H(5,5,6,8) + xq^3 H(7,9,10,8) + xy2 q^4 H(9,9,10,12)

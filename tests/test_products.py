@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from qident import products
 from qident.products import (
     DivergentProduct,
     InvPochMemo,
@@ -14,7 +15,7 @@ from qident.products import (
     poch_inf,
     qbinom,
 )
-from qident.series import Q_VARS, QX_VARS, QXY_VARS, Series, varset
+from qident.series import Q_VARS, QX_VARS, QXY_VARS, Series, SeriesError, varset
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -141,9 +142,6 @@ class TestEuler1:
         rhs = poch_inf(PochSpec(z, 4), QX_VARS, 20).invert()
         assert lhs == rhs
 
-    def test_zero_coefficient_gives_one(self):
-        assert euler1(QX_VARS, 10, QX_VARS.m(x=1, q=1), 2, coeff=0) == Series.one(QX_VARS, 10)
-
 
 class TestEuler2:
     def test_matches_negated_product(self):
@@ -173,11 +171,14 @@ class TestQBinom:
         ).invert()
         assert lhs == rhs
 
-    def test_zero_upper_reduces_to_euler1(self):
+    def test_upper_one_reduces_to_one(self):
+        # (1; q)_n vanishes for n >= 1, so only the n = 0 term is left
         z = QX_VARS.m(x=1, q=1)
-        assert qbinom(QX_VARS, 15, QX_VARS.m(x=1), z, 1, a_coeff=0) == euler1(
-            QX_VARS, 15, z, 1
-        )
+        assert qbinom(QX_VARS, 15, QX_VARS.m(), z, 1) == Series.one(QX_VARS, 15)
+
+    def test_upper_argument_arity(self):
+        with pytest.raises(SeriesError):
+            qbinom(QX_VARS, 5, Q_VARS.m(q=1), QX_VARS.m(x=1, q=1), 1)
 
     def test_telescoping_q_over_q(self):
         # a = q, z = q, base q: (q^2;q)_inf / (q;q)_inf = 1/(1-q)
@@ -207,6 +208,32 @@ class TestProductFormProperties:
         az = QXY_VARS.m(x=1, y=1, q=1)
         lhs = qbinom(QXY_VARS, 30, a, z, 1) * poch_inf(PochSpec(z, 1), QXY_VARS, 30)
         assert lhs == poch_inf(PochSpec(az, 1), QXY_VARS, 30)
+
+
+def test_single_sums_stay_off_the_product_route(monkeypatch):
+    # Each single sum is checked against a product that is inverted or not; if
+    # the sum side built products or inverted, the check would compare a route
+    # with itself.
+    z, a = QXY_VARS.m(x=1, q=1), QXY_VARS.m(y=1)
+    expected = (
+        poch_inf(PochSpec(z, 1), QXY_VARS, 30).invert(),
+        poch_inf(PochSpec(z, 1, sign=-1), QXY_VARS, 30),
+        poch_inf(PochSpec(QXY_VARS.m(x=1, y=1, q=1), 1), QXY_VARS, 30)
+        * poch_inf(PochSpec(z, 1), QXY_VARS, 30).invert(),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single sum reached the product route")
+
+    monkeypatch.setattr(Series, "invert", refuse)
+    monkeypatch.setattr(products, "poch_inf", refuse)
+    monkeypatch.setattr(products, "poch_finite", refuse)
+    got = (
+        euler1(QXY_VARS, 30, z, 1),
+        euler2(QXY_VARS, 30, z, 1),
+        qbinom(QXY_VARS, 30, a, z, 1),
+    )
+    assert got == expected
 
 
 def test_inv_qpoch_matches_series_invert():

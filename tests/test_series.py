@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +94,14 @@ class TestAddMul:
         other = varset("q", "y")
         with pytest.raises(VarSetMismatch):
             Series.one(VS, 5) + Series.one(other, 5)
+
+    def test_add_leaves_operands_unchanged(self):
+        big = Series(VS, 6, [(VS.m(q=k, x=1), k + 1) for k in range(6)])
+        small = Series(VS, 4, [(VS.m(q=1, x=1), -2)])
+        big_terms, small_terms = dict(big.terms), dict(small.terms)
+        expected = Series(VS, 4, [(VS.m(q=k, x=1), k + 1) for k in (0, 2, 3, 4)])
+        assert big + small == small + big == expected
+        assert big.terms == big_terms and small.terms == small_terms
 
     def test_geometric_telescopes(self):
         n = 9
@@ -268,6 +279,50 @@ def test_ring_axioms(a, b, c):
     assert (a * b).truncate(order) == (b * a).truncate(order)
     assert ((a * b) * c).truncate(order) == (a * (b * c)).truncate(order)
     assert (a * (b + c)).truncate(order) == (a * b + a * c).truncate(order)
+
+
+class TestSum:
+    def test_mixed_orders_truncate_at_the_least(self):
+        a = Series(VS, 8, [(VS.m(), 1), (VS.m(q=7, x=1), 2)])
+        b = Series(VS, 5, [(VS.m(q=5), 3)])
+        for order in (10, 5):
+            total = Series.sum(VS, order, [a, b])
+            assert total.order == 5
+            assert total == Series(VS, 5, [(VS.m(), 1), (VS.m(q=5), 3)])
+        assert Series.sum(VS, 3, [a, b]) == Series.one(VS, 3)
+
+    def test_cancelling_parts_give_zero(self):
+        p = Series(VS, 6, [(VS.m(q=1, x=1), 4), (VS.m(q=6), -1)])
+        total = Series.sum(VS, 6, [p, -p, p.scale(2), p.scale(-2)])
+        assert total.is_zero() and total.order == 6
+
+    def test_empty_is_zero_at_the_given_order(self):
+        assert Series.sum(VS, 7, []) == Series.zero(VS, 7)
+        assert Series.sum(VS, 7, iter(())) == Series.zero(VS, 7)
+
+    def test_one_part_repeated_and_left_unchanged(self):
+        p = Series(VS, 6, [(VS.m(), 1), (VS.m(q=2, x=3), -5)])
+        terms = dict(p.terms)
+        assert Series.sum(VS, 6, (p for _ in range(3))) == p.scale(3)
+        assert p.terms == terms
+
+    def test_varset_mismatch(self):
+        other = Series.one(varset("q", "y"), 5)
+        with pytest.raises(VarSetMismatch):
+            Series.sum(VS, 5, [Series.one(VS, 5), other])
+        with pytest.raises(VarSetMismatch):
+            Series.sum(VS, 5, [other])
+
+
+@given(st.lists(small_series(), max_size=6), st.integers(0, 6), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_sum_equals_chained_add(parts, cancelled, order):
+    parts = parts + [-p for p in parts[:cancelled]]
+    chained = functools.reduce(operator.add, parts, Series.zero(VS3, order))
+    assert Series.sum(VS3, order, parts) == chained
+    # the constructor merges and truncates on its own, apart from __add__
+    least = min([order] + [p.order for p in parts])
+    assert chained == Series(VS3, least, [t for p in parts for t in p.terms.items()])
 
 
 @given(invertible_series())
