@@ -15,17 +15,13 @@ from .series import Series, SeriesError
 def borel_apply(a: Series) -> Series:
     if set(a.vars.names) != {"q", "x", "y"}:
         raise SeriesError(f"operator needs variables q, x, y; got {a.vars.names}")
-    qi = a.vars.trunc_var
     xi = a.vars.index("x")
     yi = a.vars.index("y")
     acc = {}
     for mono, c in a.terms.items():
         m, n = mono[xi], mono[yi]
         boost = m * (m - 1) + 2 * n * (n - 1)  # 2*binom(m,2) + 4*binom(n,2)
-        e = mono[qi] + boost
-        if e > a.order:
-            continue
-        key = list(mono)
-        key[qi] = e
-        acc[tuple(key)] = c
+        e = mono[0] + boost
+        if e <= a.order:
+            acc[(e, *mono[1:])] = c
     return Series._raw(a.vars, a.order, acc)

@@ -65,6 +65,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.n < 0:
         raise identities.UsageError(f"n must be >= 0, got {args.n}")
+    identities.check_enum_budget(args.set if ideal is None else None, args.n)
     members = sorted(_enum_members(args, ideal), key=lambda op: op.parts)
     header_printed = False
     for op in members:

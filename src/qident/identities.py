@@ -347,9 +347,10 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
 # -- registry ----------------------------------------------------------------------
 
 
-# The max_order of thm51-a..d, thm15, thmA1, thmA2 and avee-split is the
-# largest multiple of 5 at which the entry runs serially within 2 s (median of
-# three runs on a 2-core machine, Python 3.11); the other budgets are older.
+# The max_order of tri-single, quad-new, quad, borel-bridge-rhs, h-matrix,
+# f-system, thm51-a..d, thm15, thmA1, thmA2 and avee-split is the largest
+# multiple of 5 at which the entry runs serially within 2 s (median of three
+# runs on a 2-core machine, Python 3.11); the other budgets are older.
 def _entries() -> list[Entry]:
     out = [
         Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", sides=_ag_sides(2, 2)),
@@ -373,17 +374,17 @@ def _entries() -> list[Entry]:
               sides=(lambda n: euler2(QX_VARS, n, _XQ, 1), lambda n: poch_inf(PochSpec(_XQ, 1, sign=-1), QX_VARS, n))),
         Entry("qbinom", 30, 60, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf",
               sides=(lambda n: qbinom(QXY_VARS, n, QXY_VARS.m(y=1), QXY_VARS.m(x=1, q=1), 1), _qbinom_product)),
-        Entry("tri-single", 25, 34, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", sides=(_tri_single_lhs, _tri_single_rhs)),
-        Entry("quad-new", 20, 30, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", sides=(_quad_new_lhs, _quad_new_rhs)),
-        Entry("quad", 20, 30, "signed quadruple sum vs (-xq;q^2)(-yq^2;q^4) products", sides=(_quad_lhs, _quad_rhs)),
+        Entry("tri-single", 25, 45, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", sides=(_tri_single_lhs, _tri_single_rhs)),
+        Entry("quad-new", 20, 70, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", sides=(_quad_new_lhs, _quad_new_rhs)),
+        Entry("quad", 20, 335, "signed quadruple sum vs (-xq;q^2)(-yq^2;q^4) products", sides=(_quad_lhs, _quad_rhs)),
         Entry("borel-bridge-lhs", 20, 30, "coefficient-boost operator maps the inverse product to the signed product",
               sides=(lambda n: borel_apply(_quad_new_lhs(n)), _quad_lhs)),
-        Entry("borel-bridge-rhs", 20, 30, "coefficient-boost operator maps one quadruple sum to the other",
+        Entry("borel-bridge-rhs", 20, 145, "coefficient-boost operator maps one quadruple sum to the other",
               sides=(lambda n: borel_apply(_quad_new_rhs(n)), _quad_rhs)),
-        Entry("h-matrix", 24, 34, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=lambda n: verify_matrix_relation(order=n)),
+        Entry("h-matrix", 24, 215, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=lambda n: verify_matrix_relation(order=n)),
         Entry("lpi-eq-A", 30, 36, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
         Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
-        Entry("f-system", 20, 30, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
+        Entry("f-system", 20, 195, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
         Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", sides=_quin_sides(SET_A)),
         Entry("thm51-b", 20, 100, "quinvariate enumeration without overlined 1 vs multi-sum", sides=_quin_sides(SET_A_NO_1BAR)),
         Entry("thm51-c", 20, 105, "quinvariate enumeration without 1, overlined 1 vs multi-sum", sides=_quin_sides(SET_A_NO_1_1BAR)),
@@ -431,11 +432,15 @@ def _checked_order(identity: str, order: int | None, max_order_override: int | N
 
 
 def _env_jobs() -> int:
+    """QIDENT_JOBS as a worker count; unset or 0 means the default."""
     raw = os.environ.get("QIDENT_JOBS", "0")
     try:
-        return int(raw)
+        jobs = int(raw)
     except ValueError:
         raise UsageError(f"QIDENT_JOBS must be an integer, got {raw!r}") from None
+    if jobs < 0:
+        raise UsageError(f"QIDENT_JOBS must be >= 0, got {jobs}")
+    return jobs
 
 
 def verify(identity: str, order: int | None = None, *, max_order_override: int | None = None) -> IdentityReport:
@@ -461,14 +466,17 @@ def verify_group(
 
     Entries are independent; with jobs > 1 they run in worker processes, and
     reports always come back in the order of ``ids``.  Set QIDENT_JOBS to
-    override the default worker count (the number of available cores).  If
+    override the default worker count (the number of available cores; 0
+    keeps it).  ``jobs`` below 1 or QIDENT_JOBS below 0 raise UsageError.  If
     the worker pool cannot start or breaks, every entry reruns serially, the
     cause goes to stderr and each report carries ``serial_fallback``.
     """
     for i in ids:
         _checked_order(i, order)
-    if jobs is None and len(ids) > 1:
+    if jobs is None:
         jobs = _env_jobs() or (os.cpu_count() or 1)
+    elif jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
     if len(ids) <= 1 or jobs <= 1:
         return [verify(i, order) for i in ids]
     try:
@@ -510,6 +518,19 @@ _PARAMETRIC_SERIES_BUDGET = 100
 def _check_series_budget(name: str, order: int, budget: int) -> None:
     if order > budget:
         raise OrderBudgetExceeded(f"{name}: order {order} exceeds the resource budget {budget}")
+
+
+def check_enum_budget(setid: str | None, n: int) -> None:
+    """Refuse an enumeration at size ``n`` over budget, before any work.
+
+    Enumerating family X at size n walks the members that ``gf-X`` walks at
+    order n, so it shares that name's budget; a custom ideal's language
+    (``setid`` None) shares the budget of f<k>/g<k>.
+    """
+    name = "f<k>/g<k>" if setid is None else f"gf-{setid}"
+    budget = _PARAMETRIC_SERIES_BUDGET if setid is None else REGISTRY[_SERIES_SIDES[name][0]].max_order
+    if n > budget:
+        raise OrderBudgetExceeded(f"enum: n {n} exceeds the resource budget {budget} of {name}")
 
 
 def series_names(spec: LpiSpec | None = None) -> list[str]:

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .partitions import EMPTY, InvalidOverpartition, Overpartition, stats, weight_monomial
-from .series import Mono, QUIN_VARS, Series, VarSet
+from .series import Mono, QUIN_VARS, Series
 
 
 class LpiError(ValueError):
@@ -69,8 +69,8 @@ class LpiSpec:
     def size(self) -> int:
         return len(self.blocks)
 
-    def weights(self, vars: VarSet = QUIN_VARS) -> tuple[Mono, ...]:
-        return tuple(weight_monomial(vars, stats(b)) for b in self.blocks)
+    def weights(self) -> tuple[Mono, ...]:
+        return tuple(weight_monomial(stats(b)) for b in self.blocks)
 
     def to_json(self) -> str:
         doc = {
@@ -205,7 +205,7 @@ def language(spec: LpiSpec, max_size: int) -> list[Overpartition]:
     return out
 
 
-def g_vector(spec: LpiSpec, order: int, vars: VarSet = QUIN_VARS) -> list[Series]:
+def g_vector(spec: LpiSpec, order: int) -> list[Series]:
     """All G_k at once via the depth-indexed recursion.
 
     G_k at depth d is G_k with x already shifted to x*q^{T*d}; beyond
@@ -214,19 +214,14 @@ def g_vector(spec: LpiSpec, order: int, vars: VarSet = QUIN_VARS) -> list[Series
     """
     t = spec.modulus
     k = spec.size
-    weights = spec.weights(vars)
-    xi = vars.index("x")
-    q_name = vars.names[vars.trunc_var]
+    weights = spec.weights()
     depth_limit = order // t + 1
-    current = [Series.one(vars, order)] + [Series.zero(vars, order) for _ in range(k - 1)]
+    current = [Series.one(QUIN_VARS, order)] + [Series.zero(QUIN_VARS, order) for _ in range(k - 1)]
     for d in range(depth_limit - 1, -1, -1):
-        nxt: list[Series] = []
-        for i, total in enumerate(f_vector(spec, current)):
-            shift = vars.m(**{q_name: t * d * weights[i][xi]})
-            nxt.append(total.mul_monomial(
-                tuple(w + s for w, s in zip(weights[i], shift))
-            ))
-        current = nxt
+        current = [
+            total.mul_monomial((w[0] + t * d * w[1], *w[1:]))
+            for w, total in zip(weights, f_vector(spec, current))
+        ]
     return current
 
 
@@ -236,24 +231,24 @@ def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
     return [Series.sum(vars, order, (vec[j] for j in link)) for link in spec.linking]
 
 
-def G_series(spec: LpiSpec, k: int, order: int, vars: VarSet = QUIN_VARS) -> Series:
+def G_series(spec: LpiSpec, k: int, order: int) -> Series:
     """Generating function of language members whose offset-0 block is block k (1-based)."""
     if not 1 <= k <= spec.size:
         raise LpiError(f"block index {k} out of range 1..{spec.size}")
-    return g_vector(spec, order, vars)[k - 1]
+    return g_vector(spec, order)[k - 1]
 
 
-def F_series(spec: LpiSpec, k: int, order: int, vars: VarSet = QUIN_VARS) -> Series:
+def F_series(spec: LpiSpec, k: int, order: int) -> Series:
     """F_k = sum of G_j over the linking set of block k (1-based)."""
     if not 1 <= k <= spec.size:
         raise LpiError(f"block index {k} out of range 1..{spec.size}")
-    return f_vector(spec, g_vector(spec, order, vars))[k - 1]
+    return f_vector(spec, g_vector(spec, order))[k - 1]
 
 
-def matrices(spec: LpiSpec, vars: VarSet = QUIN_VARS) -> tuple[tuple[tuple[int, ...], ...], tuple[Mono, ...]]:
+def matrices(spec: LpiSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[Mono, ...]]:
     """Linking incidence A (A[k][j] = 1 iff block j may follow block k) and weights W."""
     a = tuple(
         tuple(1 if j in spec.linking[i] else 0 for j in range(spec.size))
         for i in range(spec.size)
     )
-    return a, spec.weights(vars)
+    return a, spec.weights()

@@ -69,15 +69,13 @@ class SumNode:
     beta: tuple[int, ...]
 
 
-def _check_vars(spec: MultiSumSpec, vars: VarSet) -> list[int]:
-    """Positions of the non-q variables, one per gamma vector, in order."""
-    positions = [i for i in range(vars.arity) if i != vars.trunc_var]
-    if len(positions) != len(spec.gammas):
+def _check_vars(spec: MultiSumSpec, vars: VarSet) -> None:
+    """Gamma vector j gives the exponents of variable j + 1, the variables after q."""
+    if vars.arity - 1 != len(spec.gammas):
         raise SeriesError(
             f"spec has {len(spec.gammas)} gamma vectors but {vars.names} has "
-            f"{len(positions)} non-truncation variables"
+            f"{vars.arity - 1} non-truncation variables"
         )
-    return positions
 
 
 def _check_beta(spec: MultiSumSpec, beta: tuple[int, ...]) -> None:
@@ -111,27 +109,18 @@ def eval_sum(
     """H(beta) truncated at ``order``, with per-prefix lower-bound pruning."""
     beta = tuple(beta)
     _check_beta(spec, beta)
-    positions = _check_vars(spec, vars)
-    qi = vars.trunc_var
+    _check_vars(spec, vars)
     rank = spec.rank
-    arity = vars.arity
     memo = InvPochMemo(order)
     # Exponent increment on the non-q variables when index r advances by one.
-    col_step: list[Mono] = []
-    for r in range(rank):
-        vec = [0] * arity
-        for j, pos in enumerate(positions):
-            vec[pos] = spec.gammas[j][r]
-        col_step.append(tuple(vec))
+    col_step = [(0, *(g[r] for g in spec.gammas)) for r in range(rank)]
     acc: dict[Mono, int] = {}
 
     def emit(mono: list[int], qdeg: int, uni: list[int]) -> None:
         for e, c in enumerate(uni):
             if c == 0 or qdeg + e > order:
                 continue
-            key = list(mono)
-            key[qi] = qdeg + e
-            k = tuple(key)
+            k = (qdeg + e, *mono[1:])
             s = acc.get(k, 0) + c
             if s:
                 acc[k] = s
@@ -157,7 +146,7 @@ def eval_sum(
             walk(r + 1, total, list(child_mono), child_uni, chosen + (n,))
             n += 1
 
-    walk(0, 0, [0] * arity, [1], ())
+    walk(0, 0, [0] * vars.arity, [1], ())
     return Series._raw(vars, order, acc)
 
 
@@ -177,18 +166,15 @@ def rec_step(
     """
     if not 1 <= r <= spec.rank:
         raise SeriesError(f"coordinate {r} out of range 1..{spec.rank}")
-    positions = _check_vars(spec, vars)
+    _check_vars(spec, vars)
     idx = r - 1
     beta = node.beta
     if beta[idx] < 0:
         raise SeriesError(f"beta[{idx}] = {beta[idx]} < 0: edge weight q-exponent must stay >= 0")
     child1 = SumNode(node.weight, beta[:idx] + (beta[idx] + spec.bases[idx],) + beta[idx + 1 :])
-    edge = [0] * vars.arity
-    edge[vars.trunc_var] = beta[idx]
-    for j, pos in enumerate(positions):
-        edge[pos] = spec.gammas[j][idx]
+    edge = (beta[idx], *(g[idx] for g in spec.gammas))
     child2 = SumNode(
-        mono_mul(node.weight, tuple(edge)),
+        mono_mul(node.weight, edge),
         tuple(b + spec.alpha[idx][i] for i, b in enumerate(beta)),
     )
     return child1, child2
@@ -210,14 +196,11 @@ def expand_tree(
     return [current] + side[::-1]
 
 
-def shift_beta_for_x(
-    spec: MultiSumSpec, beta: tuple[int, ...], s: int, gamma_row: int = 0
-) -> tuple[int, ...]:
-    """beta for the substitution x_j -> x_j * q^s (j = gamma_row, default first)."""
+def shift_beta_for_x(spec: MultiSumSpec, beta: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """beta for the substitution x -> x * q^s, x being the first non-q variable."""
     if s < 0:
         raise SeriesError("shift must be >= 0")
-    g = spec.gammas[gamma_row]
-    return tuple(b + s * e for b, e in zip(beta, g))
+    return tuple(b + s * e for b, e in zip(beta, spec.gammas[0]))
 
 
 # -- the quinvariate family and its seven-row closure ---------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .series import QUIN_VARS, Series, VarSet
+from .series import QUIN_VARS, Series
 
 Part = tuple[int, bool]  # (value, overlined)
 T = TypeVar("T")
@@ -279,20 +279,19 @@ def enum_set(setid: str, n: int) -> list[Overpartition]:
     return [Overpartition(parts) for parts, st in _walk_gap4(setid, n) if st[0] == n]
 
 
-def weight_monomial(vars: VarSet, st: PartStats) -> tuple[int, ...]:
-    """x^length y1^r2mod4 y2^r0mod4 z^over q^size as an exponent vector."""
-    return vars.m(q=st.size, x=st.length, y1=st.r2mod4, y2=st.r0mod4, z=st.over)
+def weight_monomial(st: PartStats) -> tuple[int, ...]:
+    """x^length y1^r2mod4 y2^r0mod4 z^over q^size as an exponent vector over ``QUIN_VARS``."""
+    return QUIN_VARS.m(q=st.size, x=st.length, y1=st.r2mod4, y2=st.r0mod4, z=st.over)
 
 
 def _sized_walk(setid: str, order: int) -> Iterator[tuple[int, Stats]]:
     return ((st[0], st) for _, st in _walk_gap4(setid, order))
 
 
-def weighted_gf(setid: str, order: int, vars: VarSet | None = None) -> Series:
+def weighted_gf(setid: str, order: int) -> Series:
     """Quinvariate generating function of the named family, truncated at order."""
-    vs = QUIN_VARS if vars is None else vars
     counts = tally(_sized_walk(setid, order), lambda st: st[1:])
-    return Series(vs, order, [(weight_monomial(vs, PartStats(*k)), c) for k, c in counts.items()])
+    return Series(QUIN_VARS, order, [(weight_monomial(PartStats(*k)), c) for k, c in counts.items()])
 
 
 # -- weighted counters ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """q-Pochhammer products and the three classical single-sum identities.
 
-Products are built over an arbitrary VarSet at a given truncation order.  An
-argument is a signed monomial: the product (A; q^m)_n multiplies factors
-(1 - sign*A*q^{mk}) for k = 0..n-1; sign = -1 gives the (-A; q^m) family.
+Products are built over any VarSet (q is always its variable 0) at a given
+truncation order.  An argument is a signed monomial: the product (A; q^m)_n
+multiplies factors (1 - sign*A*q^{mk}) for k = 0..n-1; sign = -1 gives the
+(-A; q^m) family.
 Infinite products require the argument to carry positive q-degree so that
 only finitely many factors differ from 1 below the truncation order.
 """
@@ -44,12 +45,11 @@ def poch_finite(spec: PochSpec, vars: VarSet, order: int) -> Series:
         raise SeriesError("poch_finite needs a finite length")
     if len(spec.argument) != vars.arity:
         raise SeriesError(f"argument {spec.argument} has wrong arity for {vars.names}")
-    qi = vars.trunc_var
-    q_step = vars.m(**{vars.names[qi]: spec.step})
+    q_step = vars.m(q=spec.step)
     result = Series.one(vars, order)
     factor_arg = spec.argument
     for _ in range(spec.length):
-        if factor_arg[qi] <= order:
+        if factor_arg[0] <= order:
             factor = Series(vars, order, [(vars.unit, 1), (factor_arg, -spec.sign)])
             result = result * factor
         factor_arg = mono_mul(factor_arg, q_step)
@@ -62,13 +62,12 @@ def poch_inf(spec: PochSpec, vars: VarSet, order: int) -> Series:
         raise SeriesError("poch_inf needs length None (infinite)")
     if len(spec.argument) != vars.arity:
         raise SeriesError(f"argument {spec.argument} has wrong arity for {vars.names}")
-    qi = vars.trunc_var
-    if spec.argument[qi] < 1:
+    if spec.argument[0] < 1:
         raise DivergentProduct(
             f"infinite product argument {spec.argument} must carry q-degree >= 1"
         )
     # Factors with m*k beyond the order are congruent to 1 and contribute nothing.
-    n_factors = (order - spec.argument[qi]) // spec.step + 1
+    n_factors = (order - spec.argument[0]) // spec.step + 1
     return poch_finite(
         PochSpec(spec.argument, spec.step, n_factors, spec.sign), vars, order
     )
@@ -108,8 +107,7 @@ class InvPochMemo:
 
     def series(self, vars: VarSet, base: int, n: int) -> Series:
         """1/(q^base; q^base)_n over ``vars``, truncated at the memo's order."""
-        q = vars.names[vars.trunc_var]
-        terms = {vars.m(**{q: e}): c for e, c in enumerate(self.get(base, n)) if c}
+        terms = {vars.m(q=e): c for e, c in enumerate(self.get(base, n)) if c}
         return Series._raw(vars, self.order, terms)
 
 
@@ -132,14 +130,13 @@ def _single_sum(
     """
     if len(z) != vars.arity:
         raise SeriesError(f"argument {z} has wrong arity")
-    qi = vars.trunc_var
-    if z[qi] < 1:
+    if z[0] < 1:
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
     memo = InvPochMemo(order)
     terms = []
     zn = vars.unit
     for n, num in enumerate(numerators):
-        if zn[qi] > order or num.is_zero():
+        if zn[0] > order or num.is_zero():
             break
         terms.append((num * memo.series(vars, step, n)).mul_monomial(zn))
         zn = mono_mul(zn, z)
@@ -153,8 +150,7 @@ def euler1(vars: VarSet, order: int, z: Mono, step: int) -> Series:
 
 def euler2(vars: VarSet, order: int, z: Mono, step: int) -> Series:
     """sum_n z^n q^{step*binom(n,2)} / (q^step;q^step)_n = (-z; q^step)_inf."""
-    q = vars.names[vars.trunc_var]
-    nums = (Series.monomial(vars, order, vars.m(**{q: step * (n * (n - 1) // 2)})) for n in count())
+    nums = (Series.monomial(vars, order, vars.m(q=step * (n * (n - 1) // 2))) for n in count())
     return _single_sum(vars, order, z, step, nums)
 
 
@@ -169,11 +165,10 @@ def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
 
     def numerators() -> Iterator[Series]:
         # (a; q^step)_n, each extending the last by the factor 1 - a q^{step n}
-        q = vars.names[vars.trunc_var]
         num = Series.one(vars, order)
         for n in count():
             yield num
-            arg = mono_mul(a, vars.m(**{q: step * n}))
+            arg = mono_mul(a, vars.m(q=step * n))
             num = num * Series(vars, order, [(vars.unit, 1), (arg, -1)])
 
     return _single_sum(vars, order, z, step, numerators())

@@ -1,9 +1,9 @@
 """Exact truncated multivariate formal power series.
 
-A series lives over a fixed, ordered set of variables, one of which (the
-truncation variable, conventionally ``q``) bounds everything: monomials whose
-q-exponent exceeds the truncation order are identically zero.  Coefficients
-are Python ints, so arithmetic is exact at any size.
+A series lives over a fixed, ordered set of variables whose first is always
+``q``, the truncation variable: monomials whose q-exponent (entry 0 of the
+exponent vector) exceeds the truncation order are identically zero.
+Coefficients are Python ints, so arithmetic is exact at any size.
 
 Values are immutable once constructed; every operation returns a fresh
 Series.  Nothing here mutates shared state, so series may be freely shared
@@ -44,18 +44,17 @@ class NotInvertible(SeriesError):
 
 @dataclass(frozen=True)
 class VarSet:
-    """Ordered variable names with a distinguished truncation variable."""
+    """Ordered variable names; the first is the truncation variable ``q``."""
 
     names: tuple[str, ...]
-    trunc_var: int = 0
 
     def __post_init__(self) -> None:
         if not self.names or len(self.names) > MAX_VARS:
             raise SeriesError(f"need 1..{MAX_VARS} variables, got {len(self.names)}")
         if len(set(self.names)) != len(self.names):
             raise SeriesError(f"duplicate variable names in {self.names}")
-        if not 0 <= self.trunc_var < len(self.names):
-            raise SeriesError(f"trunc_var index {self.trunc_var} out of range")
+        if self.names[0] != "q":
+            raise SeriesError(f"the first variable must be q, got {self.names}")
 
     @property
     def arity(self) -> int:
@@ -81,10 +80,9 @@ class VarSet:
         return (0,) * self.arity
 
 
-def varset(*names: str, trunc: str = "q") -> VarSet:
-    """Convenience VarSet factory; the truncation variable defaults to ``q``."""
-    vs = tuple(names)
-    return VarSet(vs, vs.index(trunc))
+def varset(*names: str) -> VarSet:
+    """Convenience VarSet factory: ``varset("q", "x")``."""
+    return VarSet(tuple(names))
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -121,7 +119,6 @@ class Series:
     def __init__(self, vars: VarSet, order: int, terms: Iterable[tuple[Mono, int]] = ()):
         if order < 0:
             raise SeriesError("truncation order must be >= 0")
-        qi = vars.trunc_var
         arity = vars.arity
         acc: dict[Mono, int] = {}
         for mono, coeff in terms:
@@ -129,7 +126,7 @@ class Series:
                 raise ArityMismatch(f"monomial {mono} has arity {len(mono)}, expected {arity}")
             if any(e < 0 for e in mono):
                 raise SeriesError(f"negative exponent in monomial {mono}")
-            if mono[qi] > order or coeff == 0:
+            if mono[0] > order or coeff == 0:
                 continue
             mono = tuple(mono)
             c = acc.get(mono, 0) + coeff
@@ -176,9 +173,9 @@ class Series:
         """Stored coefficient, or 0; raises if the query exceeds the order."""
         if len(mono) != self.vars.arity:
             raise ArityMismatch(f"monomial {mono} has wrong arity")
-        if mono[self.vars.trunc_var] > self.order:
+        if mono[0] > self.order:
             raise TruncationExceeded(
-                f"q-exponent {mono[self.vars.trunc_var]} beyond truncation order {self.order}"
+                f"q-exponent {mono[0]} beyond truncation order {self.order}"
             )
         return self.terms.get(tuple(mono), 0)
 
@@ -197,11 +194,10 @@ class Series:
         n = self.order if upto is None else upto
         if n > self.order:
             raise TruncationExceeded(f"order {n} beyond truncation {self.order}")
-        qi = self.vars.trunc_var
         out = [0] * (n + 1)
         for mono, c in self.terms.items():
-            if mono[qi] <= n:
-                out[mono[qi]] += c
+            if mono[0] <= n:
+                out[mono[0]] += c
         return out
 
     # -- equality --------------------------------------------------------------
@@ -225,14 +221,13 @@ class Series:
             raise TruncationExceeded(
                 f"comparison order {upto} exceeds truncation ({self.order}, {other.order})"
             )
-        qi = self.vars.trunc_var
         witness: Mono | None = None
         for mono, c in self.terms.items():
-            if mono[qi] <= upto and other.terms.get(mono, 0) != c:
+            if mono[0] <= upto and other.terms.get(mono, 0) != c:
                 if witness is None or mono < witness:
                     witness = mono
         for mono, c in other.terms.items():
-            if mono[qi] <= upto and mono not in self.terms:
+            if mono[0] <= upto and mono not in self.terms:
                 if witness is None or mono < witness:
                     witness = mono
         if witness is None:
@@ -254,9 +249,8 @@ class Series:
             if order == self.order:
                 return self
             raise TruncationExceeded(f"cannot extend order {self.order} to {order}")
-        qi = self.vars.trunc_var
         return Series._raw(
-            self.vars, order, {m: c for m, c in self.terms.items() if m[qi] <= order}
+            self.vars, order, {m: c for m, c in self.terms.items() if m[0] <= order}
         )
 
     def __neg__(self) -> "Series":
@@ -271,19 +265,18 @@ class Series:
         with more terms than the accumulator is copied, and the accumulator is
         added into the copy instead.
         """
-        qi = vars.trunc_var
         acc: dict[Mono, int] = {}
         for p in parts:
             if p.vars != vars:
                 raise VarSetMismatch(f"{vars.names} vs {p.vars.names}")
             if p.order < order:
                 order = p.order
-                acc = {m: c for m, c in acc.items() if m[qi] <= order}
+                acc = {m: c for m, c in acc.items() if m[0] <= order}
             small = p.terms
             if len(small) > len(acc):
-                acc, small = {m: c for m, c in small.items() if m[qi] <= order}, acc
+                acc, small = {m: c for m, c in small.items() if m[0] <= order}, acc
             for m, c in small.items():
-                if m[qi] > order:
+                if m[0] > order:
                     continue
                 s = acc.get(m, 0) + c
                 if s:
@@ -303,19 +296,14 @@ class Series:
             return Series.zero(self.vars, self.order)
         return Series._raw(self.vars, self.order, {m: c * v for m, v in self.terms.items()})
 
-    def mul_monomial(self, mono: Mono, coeff: int = 1) -> "Series":
-        """Multiply by coeff * mono; cheaper than a general product."""
+    def mul_monomial(self, mono: Mono) -> "Series":
+        """Multiply by the monomial ``mono``; cheaper than a general product."""
         if len(mono) != self.vars.arity:
             raise ArityMismatch(f"monomial {mono} has wrong arity")
-        if coeff == 0:
-            return Series.zero(self.vars, self.order)
-        qi = self.vars.trunc_var
-        shift = mono[qi]
-        acc = {}
-        for m, c in self.terms.items():
-            if m[qi] + shift <= self.order:
-                acc[mono_mul(m, mono)] = c * coeff
-        return Series._raw(self.vars, self.order, acc)
+        budget = self.order - mono[0]
+        return Series._raw(self.vars, self.order, {
+            mono_mul(m, mono): c for m, c in self.terms.items() if m[0] <= budget
+        })
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -324,15 +312,14 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        qi = self.vars.trunc_var
         # Iterate the shorter factor outside; cut each inner scan at the q-degree
         # budget so over-order products are never formed (pruning during, not after).
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        b_items = sorted(b.terms.items(), key=lambda kv: kv[0][qi])
-        b_qexps = [m[qi] for m, _ in b_items]
+        b_items = sorted(b.terms.items(), key=lambda kv: kv[0][0])
+        b_qexps = [m[0] for m, _ in b_items]
         acc: dict[Mono, int] = {}
         for ma, ca in a.terms.items():
-            budget = order - ma[qi]
+            budget = order - ma[0]
             if budget < 0:
                 continue
             hi = bisect_right(b_qexps, budget)
@@ -365,10 +352,9 @@ class Series:
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise NotInvertible(f"constant term {c0} is not a unit")
-        qi = self.vars.trunc_var
         unit = self.vars.unit
         for m in self.terms:
-            if m != unit and m[qi] == 0:
+            if m != unit and m[0] == 0:
                 raise NotInvertible(
                     f"non-constant monomial {m} carries no q-degree; inversion unsupported"
                 )
@@ -376,8 +362,8 @@ class Series:
         # tail[k]: the q-degree-k slice of -c0 * (a - c0), so b_n = sum_k tail[k] * b_{n-k}.
         tail: list[list[tuple[Mono, int]]] = [[] for _ in range(order + 1)]
         for m, c in self.terms.items():
-            if m != unit and m[qi] <= order:
-                tail[m[qi]].append((m, -c0 * c))
+            if m != unit and m[0] <= order:
+                tail[m[0]].append((m, -c0 * c))
         degrees = [k for k in range(1, order + 1) if tail[k]]
         slices: list[dict[Mono, int]] = [{unit: c0}]
         for n in range(1, order + 1):
@@ -401,20 +387,17 @@ class Series:
             result.update(piece)
         return Series._raw(self.vars, order, result)
 
-    def substitute(self, var: str | int, mono: Mono) -> "Series":
+    def substitute(self, var: str, mono: Mono) -> "Series":
         """Replace every occurrence of ``var``**e by ``mono``**e, re-truncated.
 
-        Substituting the truncation variable requires the replacement to carry
-        q-degree >= 1, otherwise previously discarded terms could re-enter the
-        truncation window and the result would not be exact.
+        Substituting q itself requires the replacement to carry q-degree >= 1,
+        otherwise previously discarded terms could re-enter the truncation
+        window and the result would not be exact.
         """
-        vi = var if isinstance(var, int) else self.vars.index(var)
-        if not 0 <= vi < self.vars.arity:
-            raise ArityMismatch(f"variable index {vi} out of range")
+        vi = self.vars.index(var)
         if len(mono) != self.vars.arity:
             raise ArityMismatch(f"monomial {mono} has wrong arity")
-        qi = self.vars.trunc_var
-        if vi == qi and mono[qi] < 1:
+        if vi == 0 and mono[0] < 1:
             raise SeriesError("substituting the truncation variable needs q-degree >= 1")
         acc: dict[Mono, int] = {}
         for m, c in self.terms.items():
@@ -422,7 +405,7 @@ class Series:
             new = tuple(
                 (0 if j == vi else m[j]) + e * mono[j] for j in range(self.vars.arity)
             )
-            if new[qi] > self.order:
+            if new[0] > self.order:
                 continue
             s = acc.get(new, 0) + c
             if s:
@@ -431,9 +414,9 @@ class Series:
                 del acc[new]
         return Series._raw(self.vars, self.order, acc)
 
-    def set_var_zero(self, var: str | int) -> "Series":
+    def set_var_zero(self, var: str) -> "Series":
         """Evaluate at var = 0: keep only terms with exponent 0 in ``var``."""
-        vi = var if isinstance(var, int) else self.vars.index(var)
+        vi = self.vars.index(var)
         return Series._raw(
             self.vars, self.order, {m: c for m, c in self.terms.items() if m[vi] == 0}
         )
@@ -443,9 +426,8 @@ class Series:
     def __repr__(self) -> str:
         if not self.terms:
             return f"<0 (order {self.order})>"
-        qi = self.vars.trunc_var
         parts = []
-        for mono, c in sorted(self.terms.items(), key=lambda kv: (kv[0][qi], kv[0])):
+        for mono, c in sorted(self.terms.items()):
             txt = format_monomial(self.vars, mono)
             if txt == "1":
                 parts.append(str(c))

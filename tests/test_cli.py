@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qident import identities
+from qident import cli, identities
 from qident.cli import main
 from qident.lpi import gap4_ideal
 
@@ -64,6 +64,42 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "QIDENT_JOBS" in err and "'abc'" in err
+
+    @pytest.mark.parametrize(
+        "env, jobs, message",
+        [
+            (None, "0", "jobs must be >= 1, got 0"),
+            (None, "-1", "jobs must be >= 1, got -1"),
+            ("-4", None, "QIDENT_JOBS must be >= 0, got -4"),
+        ],
+    )
+    def test_bad_jobs_exit_two_before_any_work(self, capsys, monkeypatch, env, jobs, message):
+        ran = []
+        monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
+        if env is not None:
+            monkeypatch.setenv("QIDENT_JOBS", env)
+        for ident in ("thm51", "rr1"):
+            code, out, err = run(capsys, "verify", ident, *(("--jobs", jobs) if jobs else ()))
+            assert code == 2
+            assert out == ""
+            assert err == message + "\n"
+        assert ran == []
+
+    def test_jobs_variable_zero_means_default(self, capsys, monkeypatch):
+        pools = []
+
+        class CountingPool(identities.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(identities.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("QIDENT_JOBS", "0")
+        code, out, _ = run(capsys, "verify", "thm51", "--order", "12")
+        assert code == 0
+        assert out.count("pass") == 4
+        assert pools == [{"max_workers": 2}]
 
     def test_prefix_over_any_budget_exit_two_before_any_work(self, capsys, monkeypatch):
         # thm51-a..d allow order 85; thm15 (budget 80) must stop the group first.
@@ -159,6 +195,28 @@ class TestEnum:
         assert code == 2
         assert out == ""
         assert err == "n must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "args, budget, name",
+        [
+            (("--set", "A"), identities.REGISTRY["thm51-a"].max_order, "gf-A"),
+            (("--set", "Avee"), identities.REGISTRY["avee-split"].max_order, "gf-Avee"),
+            (("--lpi-spec", "ideal.json"), identities._PARAMETRIC_SERIES_BUDGET, "f<k>/g<k>"),
+        ],
+    )
+    def test_size_over_budget_exit_two_before_any_work(self, capsys, monkeypatch, tmp_path, args, budget, name):
+        (tmp_path / "ideal.json").write_text(gap4_ideal().to_json(), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        called = []
+        monkeypatch.setattr(cli, "enum_set", lambda setid, n: called.append(n) or [])
+        monkeypatch.setattr(cli, "language", lambda spec, n: called.append(n) or [])
+        code, out, err = run(capsys, "enum", *args, "--n", str(budget))
+        assert (code, out, err, called) == (0, "", "", [budget])
+        code, out, err = run(capsys, "enum", *args, "--n", str(budget + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"enum: n {budget + 1} exceeds the resource budget {budget} of {name}\n"
+        assert called == [budget]
 
     def test_bad_ideal_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -51,7 +51,7 @@ class TestSpecShape:
         assert IDEAL.modulus == 4
 
     def test_block_weights(self):
-        weights = IDEAL.weights(V)
+        weights = IDEAL.weights()
         assert weights[0] == V.m()
         assert weights[1] == V.m(x=1, q=1)
         assert weights[2] == V.m(x=1, z=1, q=1)
@@ -135,12 +135,12 @@ class TestComposeDecompose:
 
 class TestMatrices:
     def test_matches_relation_constants(self):
-        a, w = matrices(IDEAL, V)
+        a, w = matrices(IDEAL)
         assert a == RELATION_MATRIX
         assert w == RELATION_WEIGHTS
 
     def test_rows_two_three_equal(self):
-        a, _ = matrices(IDEAL, V)
+        a, _ = matrices(IDEAL)
         assert a[1] == a[2]
         assert a[6] == (1, 0, 0, 0, 0, 0, 0)
 
@@ -162,35 +162,35 @@ class TestLanguage:
 
 class TestGandF:
     def test_g7_leading_term(self):
-        g7 = G_series(IDEAL, 7, 4, V)
+        g7 = G_series(IDEAL, 7, 4)
         assert g7 == Series.monomial(V, 4, V.m(x=1, y2=1, q=4))
 
     def test_g_at_x_zero(self):
-        g = g_vector(IDEAL, 12, V)
+        g = g_vector(IDEAL, 12)
         assert g[0].set_var_zero("x") == Series.one(V, 12)
         for k in range(1, 7):
             assert g[k].set_var_zero("x").is_zero()
 
     def test_f_series_match_enumeration(self):
         order = 16
-        assert F_series(IDEAL, 1, order, V) == weighted_gf(SET_A, order)
-        assert F_series(IDEAL, 2, order, V) == weighted_gf(SET_A_NO_1BAR, order)
-        assert F_series(IDEAL, 4, order, V) == weighted_gf(SET_A_NO_1_1BAR, order)
-        assert F_series(IDEAL, 5, order, V) == weighted_gf(SET_A_NO_1_1BAR_2_3BAR, order)
+        assert F_series(IDEAL, 1, order) == weighted_gf(SET_A, order)
+        assert F_series(IDEAL, 2, order) == weighted_gf(SET_A_NO_1BAR, order)
+        assert F_series(IDEAL, 4, order) == weighted_gf(SET_A_NO_1_1BAR, order)
+        assert F_series(IDEAL, 5, order) == weighted_gf(SET_A_NO_1_1BAR_2_3BAR, order)
 
     def test_f_equalities(self):
         order = 14
-        assert F_series(IDEAL, 2, order, V) == F_series(IDEAL, 3, order, V)
-        assert F_series(IDEAL, 5, order, V) == F_series(IDEAL, 6, order, V)
-        assert F_series(IDEAL, 7, order, V) == G_series(IDEAL, 1, order, V)
+        assert F_series(IDEAL, 2, order) == F_series(IDEAL, 3, order)
+        assert F_series(IDEAL, 5, order) == F_series(IDEAL, 6, order)
+        assert F_series(IDEAL, 7, order) == G_series(IDEAL, 1, order)
 
     def test_sum_of_g_is_f1(self):
         order = 14
-        g = g_vector(IDEAL, order, V)
+        g = g_vector(IDEAL, order)
         total = Series.zero(V, order)
         for s in g:
             total = total + s
-        assert total == F_series(IDEAL, 1, order, V)
+        assert total == F_series(IDEAL, 1, order)
 
     def test_f_match_multisum_betas(self):
         order = 16
@@ -198,13 +198,13 @@ class TestGandF:
         betas = ((1, 1, 2, 4), (1, 3, 2, 4), (1, 3, 2, 4), (3, 3, 2, 4),
                  (3, 5, 6, 4), (3, 5, 6, 4), (5, 5, 6, 8))
         for k, beta in enumerate(betas, start=1):
-            assert F_series(IDEAL, k, order, V) == eval_sum(spec, beta, V, order)
+            assert F_series(IDEAL, k, order) == eval_sum(spec, beta, V, order)
 
     def test_index_bounds(self):
         with pytest.raises(LpiError):
-            G_series(IDEAL, 0, 5, V)
+            G_series(IDEAL, 0, 5)
         with pytest.raises(LpiError):
-            F_series(IDEAL, 8, 5, V)
+            F_series(IDEAL, 8, 5)
 
 
 class TestJson:
@@ -276,7 +276,7 @@ class TestJson:
         for op in members:
             assert compose(spec, decompose(spec, op)) == op
         # weights carry the multi-part statistics: block2 = x^2 y1 q^3
-        assert spec.weights(V)[1] == V.m(x=2, y1=1, q=3)
+        assert spec.weights()[1] == V.m(x=2, y1=1, q=3)
 
     def test_custom_two_block_ideal(self):
         # parts congruent to 1 mod 3, each chain block either empty or a single 1

@@ -387,7 +387,7 @@ def reference_enum_set(setid: str, n: int) -> list[Overpartition]:
 
 def reference_weighted_gf(members_by_size: list[list[Overpartition]], order: int) -> Series:
     terms = [
-        (weight_monomial(V, stats(op)), 1) for n in range(order + 1) for op in members_by_size[n]
+        (weight_monomial(stats(op)), 1) for n in range(order + 1) for op in members_by_size[n]
     ]
     return Series(V, order, terms)
 

@@ -12,6 +12,7 @@ from qident.series import (
     NotInvertible,
     QX_VARS,
     Series,
+    SeriesError,
     TruncationExceeded,
     VarSet,
     VarSetMismatch,
@@ -187,7 +188,7 @@ class TestSubstitute:
             rebuilt = rebuilt * Series(vs, 10, [(vs.m(), 1), (vs.m(x=2, q=e), 1)])
         assert substituted == rebuilt
 
-    def test_trunc_var_needs_qdegree(self):
+    def test_q_substitution_needs_qdegree(self):
         s = Series.one(VS, 5)
         with pytest.raises(Exception):
             s.substitute("q", VS.m(x=1))
@@ -403,9 +404,9 @@ def test_truncation_coherence(a, b, m):
 
 
 def test_varset_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(SeriesError):
         VarSet(("q", "q"))
-    with pytest.raises(Exception):
+    with pytest.raises(SeriesError):
         VarSet(("a", "b", "c", "d", "e", "f", "g"))
-    with pytest.raises(Exception):
-        VarSet(("q",), trunc_var=3)
+    with pytest.raises(SeriesError):
+        VarSet(("x", "q"))
