@@ -7,11 +7,9 @@ from .identities import (
     named_series,
     registry_ids,
     verify,
-    verify_all,
+    verify_group,
 )
 from .lpi import (
-    F_series,
-    G_series,
     LinkingViolation,
     LpiError,
     LpiSpec,

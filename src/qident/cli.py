@@ -34,7 +34,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ids = [
             i
             for i in identities.registry_ids(include_negative=True)
-            if i.startswith(args.identity)
+            if args.identity and i.startswith(args.identity)
         ]
         if not ids:
             print(f"unknown identity {args.identity!r}; try 'qident list'", file=sys.stderr)
@@ -50,7 +50,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _enum_members(args: argparse.Namespace, ideal: LpiSpec | None):
     if ideal is not None:
-        return [op for op in language(ideal, args.n) if op.size == args.n]
+        return language(ideal, args.n)
     return enum_set(args.set, args.n)
 
 
@@ -59,9 +59,6 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         ideal = _load_ideal(args.lpi_spec)
     except (LpiError, OSError, json.JSONDecodeError) as exc:
         print(f"cannot load ideal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if ideal is None and args.set is None:
-        print("either --set or --lpi-spec is required", file=sys.stderr)
         return EXIT_USAGE
     if args.n < 0:
         raise identities.UsageError(f"n must be >= 0, got {args.n}")
@@ -149,11 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_enum = sub.add_parser("enum", help="list members of an overpartition family")
-    p_enum.add_argument("--set", choices=SET_IDS, default=None, help="family name")
+    source = p_enum.add_mutually_exclusive_group(required=True)
+    source.add_argument("--set", choices=SET_IDS, default=None, help="family name")
+    source.add_argument("--lpi-spec", default=None, help="custom ideal JSON; enumerates its language instead")
     p_enum.add_argument("--n", type=int, required=True, help="size to enumerate")
     p_enum.add_argument("--stats", action="store_true", help="include statistics columns")
     p_enum.add_argument("--json", action="store_true", help="one JSON object per member")
-    p_enum.add_argument("--lpi-spec", default=None, help="custom ideal JSON; enumerates its language instead")
     p_enum.set_defaults(func=_cmd_enum)
 
     p_coeffs = sub.add_parser("coeffs", help="export the coefficient table of a named series")

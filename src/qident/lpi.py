@@ -10,8 +10,8 @@ The weight of a block is the quinvariate statistic monomial
 x^length y1^r2mod4 y2^r0mod4 z^over q^size.  G_k collects the weights of all
 language members whose offset-0 block is block k; the vector of G_k satisfies
 G = W . A . G(x -> x q^T) with W the diagonal of block weights and A the 0/1
-linking incidence, which is how G_series computes them.  F_k = sum of G_j over
-the linking set of block k.
+linking incidence, which is how g_vector computes them.  F_k = sum of G_j over
+the linking set of block k (f_vector).
 """
 
 from __future__ import annotations
@@ -180,24 +180,25 @@ def decompose(spec: LpiSpec, op: Overpartition) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def language(spec: LpiSpec, max_size: int) -> list[Overpartition]:
-    """All language members with size <= max_size (depth-first over chains)."""
-    out = [EMPTY]
+def language(spec: LpiSpec, n: int) -> list[Overpartition]:
+    """The language members of size n (depth-first over chains)."""
+    out = [EMPTY] if n == 0 else []
     t = spec.modulus
 
     def rec(prev: int, depth: int, acc_size: int, parts: tuple[tuple[int, bool], ...]) -> None:
         # Any nonempty block at offset depth*t adds at least depth*t + 1.
-        if acc_size + depth * t + 1 > max_size:
+        if acc_size + depth * t + 1 > n:
             return
         for k in spec.linking[prev]:
             if k == 0:
                 continue
             block = spec.blocks[k]
-            added = block.size + depth * t * len(block)
-            if acc_size + added <= max_size:
+            size = acc_size + block.size + depth * t * len(block)
+            if size <= n:
                 new_parts = parts + tuple((v + depth * t, o) for v, o in block.parts)
-                out.append(Overpartition(new_parts))
-                rec(k, depth + 1, acc_size + added, new_parts)
+                if size == n:
+                    out.append(Overpartition(new_parts))
+                rec(k, depth + 1, size, new_parts)
         # An empty block defers everything one offset deeper.
         rec(0, depth + 1, acc_size, parts)
 
@@ -229,20 +230,6 @@ def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
     """For each block k, the sum of vec[j] over the linking set of block k."""
     vars, order = vec[0].vars, vec[0].order
     return [Series.sum(vars, order, (vec[j] for j in link)) for link in spec.linking]
-
-
-def G_series(spec: LpiSpec, k: int, order: int) -> Series:
-    """Generating function of language members whose offset-0 block is block k (1-based)."""
-    if not 1 <= k <= spec.size:
-        raise LpiError(f"block index {k} out of range 1..{spec.size}")
-    return g_vector(spec, order)[k - 1]
-
-
-def F_series(spec: LpiSpec, k: int, order: int) -> Series:
-    """F_k = sum of G_j over the linking set of block k (1-based)."""
-    if not 1 <= k <= spec.size:
-        raise LpiError(f"block index {k} out of range 1..{spec.size}")
-    return f_vector(spec, g_vector(spec, order))[k - 1]
 
 
 def matrices(spec: LpiSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[Mono, ...]]:

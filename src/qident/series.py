@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add as _add
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 Mono = tuple[int, ...]
 
@@ -97,6 +97,25 @@ def format_monomial(vars: VarSet, mono: Mono) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+def _accumulate(
+    acc: dict[Mono, int], left: Iterable[tuple[Mono, int]], right: Collection[tuple[Mono, int]]
+) -> None:
+    """Add every product of a term of ``left`` by a term of ``right`` into ``acc``.
+
+    The one place two terms are multiplied; ``right`` is iterated once per term
+    of ``left``.  A coefficient that sums to zero is deleted.
+    """
+    get = acc.get
+    for ma, ca in left:
+        for mb, cb in right:
+            key = tuple(map(_add, ma, mb))
+            s = get(key, 0) + ca * cb
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
 
 
 @dataclass(frozen=True)
@@ -234,9 +253,6 @@ class Series:
             return None
         return Mismatch(witness, self.terms.get(witness, 0), other.terms.get(witness, 0))
 
-    def equal_to_order(self, other: "Series", upto: int) -> bool:
-        return self.first_mismatch(other, upto) is None
-
     # -- ring operations -------------------------------------------------------
 
     def _check_compatible(self, other: "Series") -> None:
@@ -312,25 +328,18 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        # Iterate the shorter factor outside; cut each inner scan at the q-degree
-        # budget so over-order products are never formed (pruning during, not after).
+        # Sort the longer factor by q-degree and cut it, for each q-degree slice
+        # of the shorter one, at the budget, so over-order products are never formed.
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         b_items = sorted(b.terms.items(), key=lambda kv: kv[0][0])
         b_qexps = [m[0] for m, _ in b_items]
+        a_slices: dict[int, list[tuple[Mono, int]]] = {}
+        for m, c in a.terms.items():
+            if m[0] <= order:
+                a_slices.setdefault(m[0], []).append((m, c))
         acc: dict[Mono, int] = {}
-        for ma, ca in a.terms.items():
-            budget = order - ma[0]
-            if budget < 0:
-                continue
-            hi = bisect_right(b_qexps, budget)
-            for i in range(hi):
-                mb, cb = b_items[i]
-                key = mono_mul(ma, mb)
-                s = acc.get(key, 0) + ca * cb
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+        for k, left in a_slices.items():
+            _accumulate(acc, left, b_items[:bisect_right(b_qexps, order - k)])
         return Series._raw(self.vars, order, acc)
 
     __rmul__ = __mul__
@@ -368,19 +377,10 @@ class Series:
         slices: list[dict[Mono, int]] = [{unit: c0}]
         for n in range(1, order + 1):
             acc: dict[Mono, int] = {}
-            get = acc.get
             for k in degrees:
                 if k > n:
                     break
-                prev = slices[n - k].items()
-                for ma, ca in tail[k]:
-                    for mb, cb in prev:
-                        key = tuple(map(_add, ma, mb))
-                        s = get(key, 0) + ca * cb
-                        if s:
-                            acc[key] = s
-                        else:
-                            del acc[key]
+                _accumulate(acc, tail[k], slices[n - k].items())
             slices.append(acc)
         result = slices[0]
         for piece in slices[1:]:

@@ -26,6 +26,13 @@ class TestVerify:
         assert code == 2
         assert "unknown identity" in err
 
+    def test_empty_name_exit_two_before_any_work(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
+        code, out, err = run(capsys, "verify", "")
+        assert (code, out, ran) == (2, "", [])
+        assert err == "unknown identity ''; try 'qident list'\n"
+
     def test_negative_control_exit_one(self, capsys):
         code, out, _ = run(capsys, "verify", "neg:quad")
         assert code == 1
@@ -170,10 +177,39 @@ class TestEnum:
             run(capsys, "enum", "--set", "nope", "--n", "3")
         assert exc.value.code == 2
 
-    def test_missing_set_and_ideal(self, capsys):
-        code, _, err = run(capsys, "enum", "--n", "3")
-        assert code == 2
-        assert "--set" in err
+    @staticmethod
+    def _record_enumeration(monkeypatch) -> list:
+        called = []
+        monkeypatch.setattr(cli, "enum_set", lambda setid, n: called.append(n) or [])
+        monkeypatch.setattr(cli, "language", lambda spec, n: called.append(n) or [])
+        return called
+
+    def test_missing_set_and_ideal(self, capsys, monkeypatch):
+        called = self._record_enumeration(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "enum", "--n", "3")
+        assert exc.value.code == 2
+        assert "--set" in capsys.readouterr().err
+        assert called == []
+
+    def test_set_and_ideal_together_exit_two(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(gap4_ideal().to_json(), encoding="utf-8")
+        called = self._record_enumeration(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "enum", "--set", "A", "--lpi-spec", str(path), "--n", "3")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert called == []
+
+    def test_ideal_route_matches_set_route(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(gap4_ideal().to_json(), encoding="utf-8")
+        code, by_ideal, _ = run(capsys, "enum", "--lpi-spec", str(path), "--n", "14")
+        assert code == 0
+        code, by_set, _ = run(capsys, "enum", "--set", "A", "--n", "14")
+        assert code == 0
+        assert by_ideal == by_set and len(by_set.splitlines()) > 1
 
     def test_custom_ideal(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"
@@ -207,9 +243,7 @@ class TestEnum:
     def test_size_over_budget_exit_two_before_any_work(self, capsys, monkeypatch, tmp_path, args, budget, name):
         (tmp_path / "ideal.json").write_text(gap4_ideal().to_json(), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        called = []
-        monkeypatch.setattr(cli, "enum_set", lambda setid, n: called.append(n) or [])
-        monkeypatch.setattr(cli, "language", lambda spec, n: called.append(n) or [])
+        called = self._record_enumeration(monkeypatch)
         code, out, err = run(capsys, "enum", *args, "--n", str(budget))
         assert (code, out, err, called) == (0, "", "", [budget])
         code, out, err = run(capsys, "enum", *args, "--n", str(budget + 1))

@@ -14,7 +14,7 @@ from qident.identities import (
     named_series,
     registry_ids,
     verify,
-    verify_all,
+    verify_group,
 )
 from qident.multisum import eval_sum, quinvariate_spec
 from qident.series import QUIN_VARS
@@ -64,14 +64,17 @@ def test_negatives_not_in_bulk_ids():
     assert any(i.startswith("neg:") for i in registry_ids(include_negative=True))
 
 
-def test_verify_all_prefix_filter():
-    reports = verify_all(prefix="thm51", jobs=1)
-    assert [r.id for r in reports] == ["thm51-a", "thm51-b", "thm51-c", "thm51-d"]
+_THM51_IDS = ["thm51-a", "thm51-b", "thm51-c", "thm51-d"]
+
+
+def test_verify_group_reports_in_id_order():
+    reports = verify_group(_THM51_IDS[::-1], jobs=1)
+    assert [r.id for r in reports] == _THM51_IDS[::-1]
     assert all(r.passed for r in reports)
 
 
-def test_verify_all_empty_filter():
-    assert verify_all(prefix="zzz", jobs=1) == []
+def test_verify_group_empty():
+    assert verify_group([], jobs=1) == []
 
 
 def test_determinism_modulo_elapsed():
@@ -81,8 +84,8 @@ def test_determinism_modulo_elapsed():
 
 
 def test_parallel_matches_serial():
-    serial = verify_all(order=12, prefix="thm51", jobs=1)
-    parallel = verify_all(order=12, prefix="thm51", jobs=2)
+    serial = verify_group(_THM51_IDS, order=12, jobs=1)
+    parallel = verify_group(_THM51_IDS, order=12, jobs=2)
     assert [(r.id, r.passed) for r in serial] == [(r.id, r.passed) for r in parallel]
 
 
@@ -99,7 +102,7 @@ class _PoolThatCannotStart:
 
 def test_pool_failure_falls_back_serially_and_says_so(monkeypatch, capsys):
     monkeypatch.setattr(identities, "ProcessPoolExecutor", _PoolThatCannotStart)
-    reports = verify_all(order=10, prefix="rr", jobs=2)
+    reports = verify_group(["rr1", "rr2"], order=10, jobs=2)
     assert [r.id for r in reports] == ["rr1", "rr2"]
     assert all(r.passed and r.serial_fallback for r in reports)
     assert all(r.to_dict()["serial_fallback"] is True for r in reports)
@@ -233,3 +236,28 @@ def test_beta_mutant_fails_thm51(monkeypatch, identity, setid, slot, delta):
     assert report.order == REGISTRY[identity].default_order == 20
     assert not report.passed
     assert re.fullmatch(r"\S+: left -?\d+ != right -?\d+", report.witness), report.witness
+
+
+# One count of a table raised by 1; the first differing key names the witness.
+_TABLE_BUMPS = (
+    ("thmA1", "table_B1", (5, 2), "A1(5, 2) = 1 != B1(5, 2) = 2"),
+    ("thmA2", "table_B2", (6, 2), "A2(6, 2) = 2 != B2(6, 2) = 3"),
+    ("thmA2", "table_B2", (4, 4), "A2(4, 4) = 0 != B2(4, 4) = 1"),
+    ("thmA1", "table_A", (6, 2, 0), "A1(6, 2) = 1 != sum_{m+l}A(6, 2) = 2"),
+    ("thmA2", "table_A", (6, 2, 1), "A2(6, 4) = 1 != sum_{m+2l}A(6, 4) = 2"),
+)
+
+
+@pytest.mark.parametrize("identity, table, key, witness", _TABLE_BUMPS)
+def test_table_bump_fails_thmA_with_exact_witness(monkeypatch, identity, table, key, witness):
+    real = getattr(partitions, table)
+
+    def bumped(order):
+        out = dict(real(order))
+        out[key] = out.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(partitions, table, bumped)
+    report = verify(identity, 10)
+    assert not report.passed
+    assert report.witness == witness

@@ -226,13 +226,12 @@ class TestCoeff:
 class TestEqualToOrder:
     def test_reflexive(self):
         s = Series(VS, 9, [(VS.m(q=2, x=1), 4)])
-        assert s.equal_to_order(s, 9)
+        assert s.first_mismatch(s, 9) is None
 
     def test_mismatch_at_order_one(self):
         a = Series(VS, 5, [(VS.m(), 1), (VS.m(q=1, x=1), 1)])
         b = Series.one(VS, 5)
-        assert a.equal_to_order(b, 0)
-        assert not a.equal_to_order(b, 1)
+        assert a.first_mismatch(b, 0) is None
         mm = a.first_mismatch(b, 1)
         assert mm.monomial == VS.m(q=1, x=1)
         assert (mm.left, mm.right) == (1, 0)
