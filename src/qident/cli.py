@@ -7,6 +7,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NoReturn
 
 from . import identities
 from .lpi import LpiError, LpiSpec, language
@@ -131,8 +132,15 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qident",
         description="Exact coefficientwise verification of q-series and overpartition identities.",
     )

@@ -181,26 +181,33 @@ def decompose(spec: LpiSpec, op: Overpartition) -> tuple[int, ...]:
 
 
 def language(spec: LpiSpec, n: int) -> list[Overpartition]:
-    """The language members of size n (depth-first over chains)."""
+    """The language members of size n (depth-first over chains).
+
+    The walk carries each chain as its (block, depth) pairs and the chain's
+    size; a parts tuple is built only for a chain of size n.
+    """
     out = [EMPTY] if n == 0 else []
     t = spec.modulus
+    sizes = [b.size for b in spec.blocks]
+    lengths = [len(b) for b in spec.blocks]
 
-    def rec(prev: int, depth: int, acc_size: int, parts: tuple[tuple[int, bool], ...]) -> None:
-        # Any nonempty block at offset depth*t adds at least depth*t + 1.
-        if acc_size + depth * t + 1 > n:
+    def rec(prev: int, depth: int, acc_size: int, chain: tuple[tuple[int, int], ...]) -> None:
+        offset = depth * t
+        # Any nonempty block at this offset adds at least offset + 1.
+        if acc_size + offset + 1 > n:
             return
         for k in spec.linking[prev]:
             if k == 0:
                 continue
-            block = spec.blocks[k]
-            size = acc_size + block.size + depth * t * len(block)
-            if size <= n:
-                new_parts = parts + tuple((v + depth * t, o) for v, o in block.parts)
-                if size == n:
-                    out.append(Overpartition(new_parts))
-                rec(k, depth + 1, size, new_parts)
+            size = acc_size + sizes[k] + offset * lengths[k]
+            if size == n:
+                out.append(Overpartition(tuple(
+                    (v + d * t, o) for j, d in chain + ((k, depth),) for v, o in spec.blocks[j].parts
+                )))
+            elif size < n:
+                rec(k, depth + 1, size, chain + ((k, depth),))
         # An empty block defers everything one offset deeper.
-        rec(0, depth + 1, acc_size, parts)
+        rec(0, depth + 1, acc_size, chain)
 
     rec(0, 0, 0, ())
     return out

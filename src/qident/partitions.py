@@ -10,9 +10,11 @@ part value may be overlined; overlines carry no size.  The central objects are
 * the variant family ``Avee``: overlines only on odd parts larger than 1, the
   same gap rule, except that an overlined 5 and a plain 1 may coexist.
 
-Two independent enumeration routes are provided: an exhaustive generator of
-all overpartitions as canonical parts tuples (partitions times overline
-choices, the slow oracle), filtered by per-family tuple predicates, and one
+Two independent enumeration routes are provided.  The oracle draws every
+partition of n, unpruned, and expands the overline choices of those whose
+plain parts pass the gap clause ``_gap_ok`` pairwise into canonical parts
+tuples, which per-family tuple predicates filter; no overline choice can
+rescue a partition that fails, so nothing is lost.  The other route is one
 gap-constrained walk that reaches every member up to an order in one pass.
 """
 
@@ -184,30 +186,42 @@ def _parts_predicate(setid: str) -> Callable[[tuple[Part, ...]], bool]:
 # -- exhaustive enumeration (the slow oracle) ----------------------------------
 
 
-def _partitions_by_multiplicity(n: int, min_val: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Partitions of n as ((value, multiplicity), ...) with ascending values."""
-    if n == 0:
-        yield ()
-        return
-    for v in range(min_val, n + 1):
-        for m in range(1, n // v + 1):
-            for rest in _partitions_by_multiplicity(n - v * m, v + 1):
-                yield ((v, m),) + rest
+def _partitions_by_multiplicity(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Partitions of n as ((value, multiplicity), ...) with ascending values.
+
+    One depth-first walk, in lexicographic order of the (value, multiplicity)
+    pairs.  A prefix is extended only if what is left of n is 0 or can still
+    be made of larger values, so every node is the prefix of a partition.
+    """
+    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(n, 1, ())]
+    while stack:
+        rest, low, prefix = stack.pop()
+        if rest == 0:
+            yield prefix
+            continue
+        # Larger values and multiplicities are pushed first, so smaller ones come out first.
+        for v in range(rest, low - 1, -1):
+            for m in range(rest // v, 0, -1):
+                left = rest - v * m
+                if left == 0 or left > v:
+                    stack.append((left, v + 1, prefix + ((v, m),)))
+
+
+def _overlinings(partition: tuple[tuple[int, int], ...]) -> Iterator[tuple[Part, ...]]:
+    """Every overpartition on one partition, as canonical parts tuples.
+
+    Each distinct value v of multiplicity m contributes either its plain run of
+    m copies or the same run with the first copy overlined.
+    """
+    runs = [(((v, False),) * m, ((v, True),) + ((v, False),) * (m - 1)) for v, m in partition]
+    for choice in iter_product(*runs):
+        yield sum(choice, ())
 
 
 def _overpartition_parts(n: int) -> Iterator[tuple[Part, ...]]:
-    """Every overpartition of n as a canonical parts tuple, none skipped.
-
-    Each partition contributes one tuple per choice, for every distinct value,
-    between its plain run and its run with the first copy overlined.
-    """
+    """Every overpartition of n as a canonical parts tuple, none skipped."""
     for partition in _partitions_by_multiplicity(n):
-        runs = [
-            (((v, False),) * m, ((v, True),) + ((v, False),) * (m - 1))
-            for v, m in partition
-        ]
-        for choice in iter_product(*runs):
-            yield sum(choice, ())
+        yield from _overlinings(partition)
 
 
 def enum_overpartitions(n: int) -> list[Overpartition]:
@@ -218,15 +232,39 @@ def enum_overpartitions(n: int) -> list[Overpartition]:
 
 
 def oracle_members(setid: str, n: int) -> set[Overpartition]:
-    """Members of the named family with size n, filtered from every overpartition of n.
+    """Members of the named family with size n, by the family predicate.
 
-    The exhaustive counterpart of ``enum_set``: it tests each overpartition's
-    parts tuple and builds objects only for the members.
+    The exhaustive counterpart of ``enum_set``.  It draws every partition of n
+    and tests its values first: only a partition whose plain parts pass
+    ``_gap_ok`` pairwise (each value once, consecutive values at least 4
+    apart) has its overline choices expanded, and each expanded tuple goes
+    through the family predicate.  Nothing is lost: every family predicate
+    requires ``_gap_ok`` of each consecutive pair, ``_gap_ok`` ignores the
+    lower part's overline, and an overlined upper part never passes where the
+    plain one fails.  The one exception, Avee's plain 1 before an overlined 5,
+    has plain values that pass.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     pred = _parts_predicate(setid)
-    return {Overpartition(parts) for parts in filter(pred, _overpartition_parts(n))}
+    members = set()
+    for partition in _partitions_by_multiplicity(n):
+        if _plain_parts_spread(partition):
+            members.update(Overpartition(parts) for parts in _overlinings(partition) if pred(parts))
+    return members
+
+
+def _plain_parts_spread(partition: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the partition's parts, all plain, pass ``_gap_ok`` pairwise."""
+    prev = None
+    for v, m in partition:
+        part = (v, False)
+        if m > 1 and not _gap_ok(part, part):
+            return False
+        if prev is not None and not _gap_ok(prev, part):
+            return False
+        prev = part
+    return True
 
 
 # -- the gap-constrained walk ---------------------------------------------------

@@ -202,6 +202,26 @@ class TestEnum:
         assert "not allowed with argument" in capsys.readouterr().err
         assert called == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "3"), "qident enum: one of the arguments --set --lpi-spec is required"),
+            (("--set", "nope", "--n", "3"), "qident enum: argument --set: invalid choice: 'nope'"),
+            (("--set", "A"), "qident enum: the following arguments are required: --n"),
+            (("--set", "A", "--lpi-spec", "ideal.json", "--n", "3"),
+             "qident enum: argument --lpi-spec: not allowed with argument --set"),
+        ],
+    )
+    def test_usage_error_is_one_stderr_line(self, capsys, monkeypatch, argv, message):
+        called = self._record_enumeration(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "enum", *argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and called == []
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message) and captured.err.endswith("\n")
+
     def test_ideal_route_matches_set_route(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"
         path.write_text(gap4_ideal().to_json(), encoding="utf-8")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import product
 from typing import Callable, Iterator
 
@@ -37,6 +38,7 @@ from qident.partitions import (
     _parts_in_Avee,
     _parts_predicate,
 )
+from qident.identities import verify
 from qident.series import QUIN_VARS, Series
 
 V = QUIN_VARS
@@ -147,6 +149,15 @@ def overpartition_numbers(n_max: int) -> list[int]:
     return c
 
 
+def partition_numbers(n_max: int) -> list[int]:
+    """Coefficients of 1 / (q;q)_inf up to q^n_max, by integer DP."""
+    c = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for i in range(k, n_max + 1):
+            c[i] += c[i - k]
+    return c
+
+
 def reference_enum_overpartitions(n: int) -> list[Overpartition]:
     """The object-building oracle: one Overpartition per partition and overline mask."""
     out = []
@@ -224,6 +235,52 @@ class TestOracleRoute:
     def test_oracle_members_negative_size(self):
         with pytest.raises(ValueError):
             oracle_members(SET_A, -1)
+
+    def test_partition_numbers_start(self):
+        assert partition_numbers(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+    def test_oracle_equals_the_full_tuple_filter(self):
+        for n in range(26):
+            tuples = list(_overpartition_parts(n))
+            for setid in SET_IDS:
+                full = {Overpartition(p) for p in filter(_parts_predicate(setid), tuples)}
+                assert oracle_members(setid, n) == full, (setid, n)
+
+    def test_oracle_draws_every_partition(self, monkeypatch):
+        real = partitions._partitions_by_multiplicity
+        drawn = []
+
+        def counting(n):
+            for partition in real(n):
+                drawn.append(partition)
+                yield partition
+
+        monkeypatch.setattr(partitions, "_partitions_by_multiplicity", counting)
+        expected = partition_numbers(20)
+        for n in range(21):
+            drawn.clear()
+            oracle_members(SET_A, n)
+            assert len(drawn) == len(set(drawn)) == expected[n], n
+            assert all(sum(v * m for v, m in p) == n for p in drawn), n
+
+    def test_oracle_does_not_use_the_walk(self, monkeypatch):
+        expected = {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS}
+
+        def refuse(*args):
+            raise AssertionError("the oracle called the gap-4 walk")
+
+        monkeypatch.setattr(partitions, "_walk_gap4", refuse)
+        assert {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS} == expected
+
+    def test_oracle_value_test_follows_the_gap_clause(self, monkeypatch):
+        # A gap clause loosened to accept a difference of 3 must reach the
+        # oracle's value test too, so that lpi-eq-A sees the extra members.
+        real = partitions._gap_ok
+        monkeypatch.setattr(partitions, "_gap_ok", lambda lo, hi: hi[0] - lo[0] == 3 or real(lo, hi))
+        assert Overpartition.of(1, 4) in oracle_members(SET_A, 5)
+        report = verify("lpi-eq-A")
+        assert not report.passed
+        assert re.match(r"size \d+: ", report.witness)
 
 
 class TestEnumeration:
