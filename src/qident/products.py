@@ -3,7 +3,9 @@
 Products are built over any VarSet (q is always its variable 0) at a given
 truncation order.  An argument is a signed monomial: the product (A; q^m)_n
 multiplies factors (1 - sign*A*q^{mk}) for k = 0..n-1; sign = -1 gives the
-(-A; q^m) family.
+(-A; q^m) family.  Each factor is applied by shift-and-subtract,
+r * (1 - sign*A) = r - sign * r*A, which for a two-term factor costs less
+than a general product (that would pack and unpack all of r).
 Infinite products require the argument to carry positive q-degree so that
 only finitely many factors differ from 1 below the truncation order.
 """
@@ -39,6 +41,12 @@ class PochSpec:
             raise SeriesError("finite length must be >= 0")
 
 
+def _times_binomial(r: Series, arg: Mono, sign: int) -> Series:
+    """r * (1 - sign*arg) as r - sign * r*arg: one shifted copy and one sum, no product."""
+    shifted = r.mul_monomial(arg)
+    return Series.sum(r.vars, r.order, (r, -shifted if sign == 1 else shifted))
+
+
 def poch_finite(spec: PochSpec, vars: VarSet, order: int) -> Series:
     """The finite product prod_{k<n} (1 - sign*A*q^{mk}), truncated."""
     if spec.length is None:
@@ -50,8 +58,7 @@ def poch_finite(spec: PochSpec, vars: VarSet, order: int) -> Series:
     factor_arg = spec.argument
     for _ in range(spec.length):
         if factor_arg[0] <= order:
-            factor = Series(vars, order, [(vars.unit, 1), (factor_arg, -spec.sign)])
-            result = result * factor
+            result = _times_binomial(result, factor_arg, spec.sign)
         factor_arg = mono_mul(factor_arg, q_step)
     return result
 
@@ -168,7 +175,6 @@ def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
         num = Series.one(vars, order)
         for n in count():
             yield num
-            arg = mono_mul(a, vars.m(q=step * n))
-            num = num * Series(vars, order, [(vars.unit, 1), (arg, -1)])
+            num = _times_binomial(num, mono_mul(a, vars.m(q=step * n)), 1)
 
     return _single_sum(vars, order, z, step, numerators())

@@ -8,13 +8,31 @@ Coefficients are Python ints, so arithmetic is exact at any size.
 Values are immutable once constructed; every operation returns a fresh
 Series.  Nothing here mutates shared state, so series may be freely shared
 across threads.
+
+Exponents are non-negative: a monomial with a negative entry raises
+``SeriesError`` wherever one is taken (construction, ``coeff``,
+``mul_monomial``, ``substitute``), checked once per call.
+
+Inside ``__mul__`` and ``invert`` only, each monomial is packed into one int
+(Kronecker substitution; the packed exponents of Monagan and Pearce, CASC
+2007), so that multiplying two monomials is one int addition in
+``_accumulate``.  Variable j >= 1 gets a bit field of its own; q sits above
+them all, with no width limit, so int order of packed keys is q order first.
+The fields are sized from the operands, never fixed: wide enough for the
+largest exponent any product term can reach, so no field carries into its
+neighbour whatever the exponents (an x of 2**40, or an x with no q-degree).
+A negative exponent would borrow from its neighbour instead, which is why
+the contract above is enforced.  Operands are packed on entry and the result
+unpacked on exit; every other method, and everything outside this module,
+sees exponent tuples.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add as _add
+from operator import lshift as _lshift
 from typing import Collection, Iterable, Iterator
 
 Mono = tuple[int, ...]
@@ -89,6 +107,14 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(_add, a, b))
 
 
+def _check_mono(vars: VarSet, mono: Mono) -> None:
+    """A monomial argument must have the variable set's arity and no negative exponent."""
+    if len(mono) != vars.arity:
+        raise ArityMismatch(f"monomial {mono} has wrong arity")
+    if min(mono) < 0:
+        raise SeriesError(f"negative exponent in monomial {mono}")
+
+
 def format_monomial(vars: VarSet, mono: Mono) -> str:
     parts = []
     for name, e in zip(vars.names, mono):
@@ -99,18 +125,55 @@ def format_monomial(vars: VarSet, mono: Mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _layout(limits: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Shifts and masks of a packed layout whose field j >= 1 holds 0..limits[j].
+
+    Field 1 sits at bit 0 and each later field just above the one before; q,
+    field 0, sits on top with no width limit (limits[0] is ignored), so int
+    order of the packed keys is q order first.
+    """
+    shifts, masks, at = [0], [-1], 0
+    for limit in list(limits)[1:]:
+        width = limit.bit_length()
+        shifts.append(at)
+        masks.append((1 << width) - 1)
+        at += width
+    shifts[0] = at
+    return shifts, masks
+
+
+def _maxima(monos: Iterable[Mono]) -> Iterator[int]:
+    """The largest exponent of each variable over ``monos`` (which must not be empty)."""
+    return map(max, zip(*monos))
+
+
+def _pack(terms: Iterable[tuple[Mono, int]], shifts: list[int]) -> list[tuple[int, int]]:
+    return [(sum(map(_lshift, m, shifts)), c) for m, c in terms]
+
+
+def _unpack(packed: dict[int, int], shifts: list[int], masks: list[int]) -> dict[Mono, int]:
+    fields = list(zip(shifts, masks))
+    return {tuple([k >> s & mk for s, mk in fields]): c for k, c in packed.items()}
+
+
 def _accumulate(
-    acc: dict[Mono, int], left: Iterable[tuple[Mono, int]], right: Collection[tuple[Mono, int]]
+    acc: dict[int, int], left: Iterable[tuple[int, int]], right: Collection[tuple[int, int]]
 ) -> None:
     """Add every product of a term of ``left`` by a term of ``right`` into ``acc``.
 
     The one place two terms are multiplied; ``right`` is iterated once per term
     of ``left``.  A coefficient that sums to zero is deleted.
+
+    Monomials are packed ints laid out by ``_layout``: q on top, each other
+    variable in a field below it.  ``ma + mb`` is the monomial product only
+    while no field carries into the next and none borrows from it, so the
+    caller sizes every field from its operands for the largest exponent the
+    result can hold, and exponents are never negative.
     """
     get = acc.get
     for ma, ca in left:
         for mb, cb in right:
-            key = tuple(map(_add, ma, mb))
+            key = ma + mb
             s = get(key, 0) + ca * cb
             if s:
                 acc[key] = s
@@ -190,8 +253,7 @@ class Series:
 
     def coeff(self, mono: Mono) -> int:
         """Stored coefficient, or 0; raises if the query exceeds the order."""
-        if len(mono) != self.vars.arity:
-            raise ArityMismatch(f"monomial {mono} has wrong arity")
+        _check_mono(self.vars, mono)
         if mono[0] > self.order:
             raise TruncationExceeded(
                 f"q-exponent {mono[0]} beyond truncation order {self.order}"
@@ -314,8 +376,7 @@ class Series:
 
     def mul_monomial(self, mono: Mono) -> "Series":
         """Multiply by the monomial ``mono``; cheaper than a general product."""
-        if len(mono) != self.vars.arity:
-            raise ArityMismatch(f"monomial {mono} has wrong arity")
+        _check_mono(self.vars, mono)
         budget = self.order - mono[0]
         return Series._raw(self.vars, self.order, {
             mono_mul(m, mono): c for m, c in self.terms.items() if m[0] <= budget
@@ -328,19 +389,27 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        # Sort the longer factor by q-degree and cut it, for each q-degree slice
-        # of the shorter one, at the budget, so over-order products are never formed.
+        if not self.terms or not other.terms:
+            return Series.zero(self.vars, order)
+        # Field j >= 1 holds at most max_j(a) + max_j(b) in any product term.
+        shifts, masks = _layout(map(_add, _maxima(self.terms), _maxima(other.terms)))
+        top = shifts[0]
+        # Sort the longer factor by packed key (q-degree first) and cut it, for
+        # each q-degree slice of the shorter one, at the budget, so over-order
+        # products are never formed.
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        b_items = sorted(b.terms.items(), key=lambda kv: kv[0][0])
-        b_qexps = [m[0] for m, _ in b_items]
-        a_slices: dict[int, list[tuple[Mono, int]]] = {}
-        for m, c in a.terms.items():
-            if m[0] <= order:
-                a_slices.setdefault(m[0], []).append((m, c))
-        acc: dict[Mono, int] = {}
+        b_items = sorted(_pack(b.terms.items(), shifts))
+        b_keys = [m for m, _ in b_items]
+        a_slices: dict[int, list[tuple[int, int]]] = {}
+        for m, c in _pack(a.terms.items(), shifts):
+            k = m >> top
+            if k <= order:
+                a_slices.setdefault(k, []).append((m, c))
+        acc: dict[int, int] = {}
         for k, left in a_slices.items():
-            _accumulate(acc, left, b_items[:bisect_right(b_qexps, order - k)])
-        return Series._raw(self.vars, order, acc)
+            _accumulate(acc, left, b_items[:bisect_left(b_keys, (order - k + 1) << top)])
+        del a_slices, b_items, b_keys
+        return Series._raw(self.vars, order, _unpack(acc, shifts, masks))
 
     __rmul__ = __mul__
 
@@ -368,23 +437,30 @@ class Series:
                     f"non-constant monomial {m} carries no q-degree; inversion unsupported"
                 )
         order = self.order
+        # A term of b_n (n <= order) is a product of at most n terms of a, each
+        # of q-degree >= 1, so field j >= 1 holds at most order * max_j(a).
+        shifts, masks = _layout(order * e for e in _maxima(self.terms))
+        top = shifts[0]
         # tail[k]: the q-degree-k slice of -c0 * (a - c0), so b_n = sum_k tail[k] * b_{n-k}.
-        tail: list[list[tuple[Mono, int]]] = [[] for _ in range(order + 1)]
-        for m, c in self.terms.items():
-            if m != unit and m[0] <= order:
-                tail[m[0]].append((m, -c0 * c))
+        tail: list[list[tuple[int, int]]] = [[] for _ in range(order + 1)]
+        for m, c in _pack(self.terms.items(), shifts):
+            k = m >> top
+            if m and k <= order:
+                tail[k].append((m, -c0 * c))
         degrees = [k for k in range(1, order + 1) if tail[k]]
-        slices: list[dict[Mono, int]] = [{unit: c0}]
+        slices: list[dict[int, int]] = [{0: c0}]
         for n in range(1, order + 1):
-            acc: dict[Mono, int] = {}
+            acc: dict[int, int] = {}
             for k in degrees:
                 if k > n:
                     break
                 _accumulate(acc, tail[k], slices[n - k].items())
             slices.append(acc)
-        result = slices[0]
-        for piece in slices[1:]:
-            result.update(piece)
+        del tail
+        result: dict[Mono, int] = {}
+        for piece in slices:
+            result.update(_unpack(piece, shifts, masks))
+            piece.clear()
         return Series._raw(self.vars, order, result)
 
     def substitute(self, var: str, mono: Mono) -> "Series":
@@ -395,8 +471,7 @@ class Series:
         window and the result would not be exact.
         """
         vi = self.vars.index(var)
-        if len(mono) != self.vars.arity:
-            raise ArityMismatch(f"monomial {mono} has wrong arity")
+        _check_mono(self.vars, mono)
         if vi == 0 and mono[0] < 1:
             raise SeriesError("substituting the truncation variable needs q-degree >= 1")
         acc: dict[Mono, int] = {}

@@ -78,6 +78,26 @@ class TestPochFinite:
             assert left == right
 
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize(
+        "arg, step, length",
+        (
+            (QXY_VARS.m(x=1, q=1), 1, 6),  # q-degree on the argument
+            (QXY_VARS.m(y=1), 2, 5),  # no q-degree: the first factor is 1 - y
+            (QXY_VARS.m(x=1), 1, 1),  # the (-x;q)_1 of tri-single
+            (QXY_VARS.m(x=2, y=1, q=2), 3, 0),  # the empty product
+            (QXY_VARS.m(x=1, q=5), 4, 4),  # later factors pass the order
+        ),
+    )
+    def test_equals_product_of_its_factors(self, arg, step, length, sign):
+        vs, order = QXY_VARS, 12
+        reference = Series.one(vs, order)
+        for k in range(length):
+            factor_arg = (arg[0] + step * k,) + arg[1:]
+            reference = reference * Series(vs, order, [(vs.unit, 1), (factor_arg, -sign)])
+        assert poch_finite(PochSpec(arg, step, length, sign), vs, order) == reference
+
+
 class TestPochInf:
     def test_distinct_part_counts(self):
         spec = PochSpec(Q_VARS.m(q=1), 1, sign=-1)
@@ -208,6 +228,17 @@ class TestProductFormProperties:
         az = QXY_VARS.m(x=1, y=1, q=1)
         lhs = qbinom(QXY_VARS, 30, a, z, 1) * poch_inf(PochSpec(z, 1), QXY_VARS, 30)
         assert lhs == poch_inf(PochSpec(az, 1), QXY_VARS, 30)
+
+
+def test_qbinom_equals_product_side_of_binomial_factors():
+    # the product side (xyq;q)_inf / (xq;q)_inf multiplied out factor by factor
+    # with __mul__, apart from poch_finite's shift-and-subtract
+    vs, order = QXY_VARS, 30
+    num = den = Series.one(vs, order)
+    for k in range(1, order + 1):
+        num = num * Series(vs, order, [(vs.unit, 1), (vs.m(x=1, y=1, q=k), -1)])
+        den = den * Series(vs, order, [(vs.unit, 1), (vs.m(x=1, q=k), -1)])
+    assert qbinom(vs, order, vs.m(y=1), vs.m(x=1, q=1), 1) == num * den.invert()
 
 
 def test_single_sums_stay_off_the_product_route(monkeypatch):

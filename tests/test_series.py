@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qident.series import (
     ArityMismatch,
     NotInvertible,
+    Q_VARS,
     QX_VARS,
+    QXY_VARS,
     Series,
     SeriesError,
     TruncationExceeded,
@@ -409,3 +411,113 @@ def test_varset_validation():
         VarSet(("a", "b", "c", "d", "e", "f", "g"))
     with pytest.raises(SeriesError):
         VarSet(("x", "q"))
+
+
+class TestNegativeExponents:
+    """A negative exponent would corrupt a packed key, so every entry point refuses it."""
+
+    S = Series(VS, 5, [((1, 1), 1), ((0, 0), 1)])
+
+    def test_mul_monomial(self):
+        with pytest.raises(SeriesError):
+            self.S.mul_monomial((0, -3))
+
+    def test_substitute(self):
+        with pytest.raises(SeriesError):
+            self.S.substitute("x", (0, -2))
+
+    def test_coeff(self):
+        with pytest.raises(SeriesError):
+            self.S.coeff((-1, 0))
+
+
+# -- the packed product kernel ----------------------------------------------------
+
+
+def reference_mul(a: Series, b: Series) -> Series:
+    """Oracle: the truncated product by a double loop over tuple-keyed terms."""
+    order = min(a.order, b.order)
+    acc: dict[tuple[int, ...], int] = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            if key[0] <= order:
+                acc[key] = acc.get(key, 0) + ca * cb
+    return Series(a.vars, order, acc.items())
+
+
+def reference_invert(a: Series) -> Series:
+    """Oracle: 1/a = c0 * sum_k (-c0*A)^k with A = a - c0, by ``reference_mul``."""
+    c0 = a.constant_term()
+    tail = Series(a.vars, a.order, [(m, -c0 * c) for m, c in a.terms.items() if m != a.vars.unit])
+    power = total = Series.one(a.vars, a.order)
+    for _ in range(a.order):
+        power = reference_mul(power, tail)
+        total = total + power
+    return total.scale(c0)
+
+
+class TestPackedKernel:
+    def test_field_holds_the_sum_of_the_maxima(self):
+        # max_x is 7 (3 bits) in either factor; the product reaches x^8 (4 bits)
+        a = Series(VS, 3, [(VS.m(), 1), (VS.m(x=7), 1)])
+        b = Series(VS, 3, [(VS.m(), 1), (VS.m(x=1), 1)])
+        expected = Series(VS, 3, [(VS.m(), 1), (VS.m(x=1), 1), (VS.m(x=7), 1), (VS.m(x=8), 1)])
+        assert a * b == expected
+        assert (a * b).coeff(VS.m(x=8)) == 1
+
+    def test_huge_exponents_are_exact(self):
+        big = 2**40
+        a = Series(QXY_VARS, 4, [(QXY_VARS.unit, 1), ((1, big, 0), 2), ((0, 0, big), -3)])
+        b = Series(QXY_VARS, 4, [(QXY_VARS.unit, 1), ((1, big, big), 5), ((2, big - 1, 1), 1)])
+        product = a * b
+        assert product == reference_mul(a, b)
+        assert product.coeff((2, 2 * big, big)) == 10
+        assert product.coeff((1, big, 2 * big)) == -15
+
+    def test_invert_field_holds_order_times_the_maximum(self):
+        # 1/(1 - x^7 q) = sum_k x^{7k} q^k; x^63 needs 6 bits, 7 alone needs 3
+        a = Series(VS, 9, [(VS.m(), 1), (VS.m(x=7, q=1), -1)])
+        inv = a.invert()
+        assert inv == Series(VS, 9, [(VS.m(x=7 * k, q=k), 1) for k in range(10)])
+        assert inv.coeff(VS.m(x=63, q=9)) == 1
+
+    def test_univariate(self):
+        # (1 - q)(1 + q + q^2) = 1 - q^3, and 1/(1 - q - q^2) is Fibonacci
+        a = Series(Q_VARS, 6, [((0,), 1), ((1,), -1)])
+        b = Series(Q_VARS, 6, [((k,), 1) for k in range(3)])
+        assert a * b == Series(Q_VARS, 6, [((0,), 1), ((3,), -1)])
+        fib = Series(Q_VARS, 8, [((0,), 1), ((1,), -1), ((2,), -1)]).invert()
+        assert fib.q_coefficients() == [1, 1, 2, 3, 5, 8, 13, 21, 34]
+
+
+HUGE = 2**40
+
+
+@st.composite
+def huge_series(draw, invertible=False):
+    """Series over (q, x, y) with x and y exponents up to 2^40."""
+    order = draw(st.integers(0, 8))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        mono = (
+            draw(st.integers(1 if invertible else 0, 9)),
+            draw(st.integers(0, HUGE)),
+            draw(st.integers(0, HUGE)),
+        )
+        terms.append((mono, draw(st.integers(-9, 9))))
+    if invertible:
+        terms.append((VS3.unit, draw(st.sampled_from((1, -1)))))
+    return Series(VS3, order, terms)
+
+
+@given(huge_series(), huge_series())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_tuple_reference_with_huge_exponents(a, b):
+    assert a * b == reference_mul(a, b)
+
+
+@given(huge_series(invertible=True))
+@settings(max_examples=100, deadline=None)
+def test_invert_matches_tuple_reference_with_huge_exponents(a):
+    assert a.invert() == reference_invert(a)
