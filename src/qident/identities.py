@@ -31,7 +31,15 @@ from .partitions import (
     oracle_members,
     weighted_gf,
 )
-from .products import PochSpec, euler1, euler2, inv_qpoch, poch_finite, poch_inf, qbinom
+from .products import (
+    PochSpec,
+    _divide_binomial,
+    _times_binomial,
+    euler1,
+    euler2,
+    poch_inf,
+    qbinom,
+)
 from .report import IdentityReport
 from .series import Q_VARS, QUIN_VARS, QX_VARS, QXY_VARS, Series, SeriesError
 
@@ -132,31 +140,31 @@ def _qbinom_product(order: int) -> Series:
 
 def _tri_single_lhs(order: int) -> Series:
     vs = QXY_VARS
-    p1 = poch_finite(PochSpec(vs.m(x=1), 1, 1, sign=-1), vs, order) * poch_inf(
-        PochSpec(vs.m(x=1, q=1), 1, sign=-1), vs, order
-    )
-    p2 = poch_finite(PochSpec(vs.m(x=1, y=1), 1, 1), vs, order) * poch_inf(
-        PochSpec(vs.m(x=1, y=1, q=1), 1), vs, order
-    )
+    p1 = _times_binomial(poch_inf(PochSpec(vs.m(x=1, q=1), 1, sign=-1), vs, order), vs.m(x=1), -1)
+    p2 = _times_binomial(poch_inf(PochSpec(vs.m(x=1, y=1, q=1), 1), vs, order), vs.m(x=1, y=1), 1)
     p3 = poch_inf(PochSpec(vs.m(x=2, y=1, q=2), 2), vs, order).invert()
     return p1 * p2 * p3
 
 
 def _tri_single_rhs(order: int) -> Series:
+    """sum_n x^n q^C(n,2) (1 - x^2y^2q^{4n}) (xy;q)_n (y;q^2)_n / ((q;q)_n (x^2yq^2;q^2)_n).
+
+    The core (the summand without its bracket) for n is the one for n - 1
+    times x q^{n-1} (1 - xyq^{n-1}) (1 - yq^{2n-2}), divided by
+    (1 - q^n) (1 - x^2yq^{2n}); no product or inverse is formed.
+    """
     vs = QXY_VARS
     terms = []
+    core = Series.one(vs, order)
     n = 0
-    while n * (n - 1) // 2 <= order:
-        lead = vs.m(x=n, q=n * (n - 1) // 2)
-        bracket = Series(vs, order, [(vs.unit, 1), (vs.m(x=2, y=2, q=4 * n), -1)])
-        num = poch_finite(PochSpec(vs.m(x=1, y=1), 1, n), vs, order) * poch_finite(
-            PochSpec(vs.m(y=1), 2, n), vs, order
-        )
-        den = inv_qpoch(vs, order, 1, n) * poch_finite(
-            PochSpec(vs.m(x=2, y=1, q=2), 2, n), vs, order
-        ).invert()
-        terms.append((bracket * num * den).mul_monomial(lead))
+    while not core.is_zero():
+        terms.append(_times_binomial(core, vs.m(x=2, y=2, q=4 * n), 1))
         n += 1
+        core = core.mul_monomial(vs.m(x=1, q=n - 1))
+        core = _times_binomial(core, vs.m(x=1, y=1, q=n - 1), 1)
+        core = _times_binomial(core, vs.m(y=1, q=2 * n - 2), 1)
+        core = _divide_binomial(core, vs.m(q=n), 1)
+        core = _divide_binomial(core, vs.m(x=2, y=1, q=2 * n), 1)
     return Series.sum(vs, order, terms)
 
 
@@ -363,9 +371,9 @@ def _entries() -> list[Entry]:
               sides=(lambda n: euler1(QX_VARS, n, _XQ, 1), lambda n: poch_inf(PochSpec(_XQ, 1), QX_VARS, n).invert())),
         Entry("euler2", 30, 495, "triangular-exponent single sum vs (-xq;q)_inf",
               sides=(lambda n: euler2(QX_VARS, n, _XQ, 1), lambda n: poch_inf(PochSpec(_XQ, 1, sign=-1), QX_VARS, n))),
-        Entry("qbinom", 30, 105, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf",
+        Entry("qbinom", 30, 125, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf",
               sides=(lambda n: qbinom(QXY_VARS, n, QXY_VARS.m(y=1), QXY_VARS.m(x=1, q=1), 1), _qbinom_product)),
-        Entry("tri-single", 25, 65, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", sides=(_tri_single_lhs, _tri_single_rhs)),
+        Entry("tri-single", 25, 85, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", sides=(_tri_single_lhs, _tri_single_rhs)),
         Entry("quad-new", 20, 70, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", sides=(_quad_new_lhs, _quad_new_rhs)),
         Entry("quad", 20, 335, "signed quadruple sum vs (-xq;q^2)(-yq^2;q^4) products", sides=(_quad_lhs, _quad_rhs)),
         Entry("borel-bridge-lhs", 20, 30, "coefficient-boost operator maps the inverse product to the signed product",

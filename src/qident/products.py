@@ -8,15 +8,22 @@ r * (1 - sign*A) = r - sign * r*A, which for a two-term factor costs less
 than a general product (that would pack and unpack all of r).
 Infinite products require the argument to carry positive q-degree so that
 only finitely many factors differ from 1 below the truncation order.
+
+The single sums sum_n t_n are built by a forward recurrence: t_n is t_{n-1}
+times a monomial and at most one binomial, divided by 1 - q^{step*n} with
+``_divide_binomial``, which undoes shift-and-subtract in one pass over the
+terms of the quotient by increasing q-degree.  A sum side therefore never
+forms a general product or calls invert(); the product sides of the
+identities do, so the two sides stay on different routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
-from typing import Iterable, Iterator
+from operator import add as _add
+from typing import Callable
 
-from .series import Mono, Series, SeriesError, VarSet, mono_mul
+from .series import Mono, Series, SeriesError, VarSet, _check_mono, mono_mul
 
 
 class DivergentProduct(SeriesError):
@@ -45,6 +52,34 @@ def _times_binomial(r: Series, arg: Mono, sign: int) -> Series:
     """r * (1 - sign*arg) as r - sign * r*arg: one shifted copy and one sum, no product."""
     shifted = r.mul_monomial(arg)
     return Series.sum(r.vars, r.order, (r, -shifted if sign == 1 else shifted))
+
+
+def _divide_binomial(r: Series, arg: Mono, sign: int) -> Series:
+    """r / (1 - sign*arg), the inverse of ``_times_binomial``; arg needs q-degree >= 1.
+
+    The quotient s satisfies s = r + sign * s*arg, and arg raises the q-degree,
+    so one pass over q-degrees in increasing order finishes each degree before
+    it is read: every term c*m of s, once final, adds sign*c at m*arg.  The
+    cost is one step per term of s; ``r`` is not modified.
+    """
+    _check_mono(r.vars, arg)
+    if arg[0] < 1:
+        raise DivergentProduct(f"divisor argument {arg} must carry q-degree >= 1")
+    order = r.order
+    if arg[0] > order:
+        return r
+    by_degree: list[dict[Mono, int]] = [{} for _ in range(order + 1)]
+    for m, c in r.terms.items():
+        by_degree[m[0]][m] = c
+    for piece in by_degree[: order + 1 - arg[0]]:
+        for m, c in piece.items():
+            if c:
+                target = tuple(map(_add, m, arg))  # mono_mul, inlined in the hot loop
+                dest = by_degree[target[0]]
+                dest[target] = dest.get(target, 0) + sign * c
+    return Series._raw(
+        r.vars, order, {m: c for piece in by_degree for m, c in piece.items() if c}
+    )
 
 
 def poch_finite(spec: PochSpec, vars: VarSet, order: int) -> Series:
@@ -127,54 +162,50 @@ def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
 
 
 def _single_sum(
-    vars: VarSet, order: int, z: Mono, step: int, numerators: Iterable[Series]
+    vars: VarSet, order: int, z: Mono, step: int, times_ratio: Callable[[Series, int], Series]
 ) -> Series:
-    """sum_n num_n z^n / (q^step; q^step)_n, with num_n taken from ``numerators``.
+    """sum_n t_n by the forward recurrence t_0 = 1, t_n = t_{n-1} * ratio_n * z / (1 - q^{step*n}).
 
-    Each num_n divides the next, so the sum stops at the first n where z^n
-    passes the order or num_n is 0.  The denominators come from one
-    ``InvPochMemo``; nothing here calls invert().
+    ``times_ratio(t, n)`` returns t * ratio_n.  Each summand is built from the
+    one before it by a monomial shift, the ratio and one ``_divide_binomial``,
+    so (q^step; q^step)_n is never formed; the sum stops at the first summand
+    that truncates to 0 (z^n has passed the order, or the ratio vanished).
+    Nothing here forms a general product or calls invert().
     """
     if len(z) != vars.arity:
         raise SeriesError(f"argument {z} has wrong arity")
     if z[0] < 1:
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
-    memo = InvPochMemo(order)
     terms = []
-    zn = vars.unit
-    for n, num in enumerate(numerators):
-        if zn[0] > order or num.is_zero():
-            break
-        terms.append((num * memo.series(vars, step, n)).mul_monomial(zn))
-        zn = mono_mul(zn, z)
+    t = Series.one(vars, order)
+    n = 0
+    while not t.is_zero():
+        terms.append(t)
+        n += 1
+        t = _divide_binomial(times_ratio(t.mul_monomial(z), n), vars.m(q=step * n), 1)
     return Series.sum(vars, order, terms)
 
 
 def euler1(vars: VarSet, order: int, z: Mono, step: int) -> Series:
     """sum_n z^n / (q^step; q^step)_n, equal to 1/(z; q^step)_inf."""
-    return _single_sum(vars, order, z, step, repeat(Series.one(vars, order)))
+    return _single_sum(vars, order, z, step, lambda t, n: t)
 
 
 def euler2(vars: VarSet, order: int, z: Mono, step: int) -> Series:
     """sum_n z^n q^{step*binom(n,2)} / (q^step;q^step)_n = (-z; q^step)_inf."""
-    nums = (Series.monomial(vars, order, vars.m(q=step * (n * (n - 1) // 2))) for n in count())
-    return _single_sum(vars, order, z, step, nums)
+    return _single_sum(vars, order, z, step, lambda t, n: t.mul_monomial(vars.m(q=step * (n - 1))))
 
 
 def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
     """sum_n (a; q^step)_n z^n / (q^step; q^step)_n.
 
     Equals (a*z; q^step)_inf / (z; q^step)_inf; the upper argument a may carry
-    no q-degree (its Pochhammer factors are finite).
+    no q-degree (its Pochhammer factors are finite).  Summand n takes the
+    factor 1 - a q^{step(n-1)} of (a; q^step)_n by shift-and-subtract.
     """
     if len(a) != vars.arity:
         raise SeriesError(f"argument {a} has wrong arity")
-
-    def numerators() -> Iterator[Series]:
-        # (a; q^step)_n, each extending the last by the factor 1 - a q^{step n}
-        num = Series.one(vars, order)
-        for n in count():
-            yield num
-            num = _times_binomial(num, mono_mul(a, vars.m(q=step * n)), 1)
-
-    return _single_sum(vars, order, z, step, numerators())
+    return _single_sum(
+        vars, order, z, step,
+        lambda t, n: _times_binomial(t, mono_mul(a, vars.m(q=step * (n - 1))), 1),
+    )

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qident import products
+from qident import identities, products
 from qident.products import (
     DivergentProduct,
     InvPochMemo,
     PochSpec,
+    _divide_binomial,
+    _times_binomial,
     euler1,
     euler2,
     inv_qpoch,
@@ -241,6 +245,18 @@ def test_qbinom_equals_product_side_of_binomial_factors():
     assert qbinom(vs, order, vs.m(y=1), vs.m(x=1, q=1), 1) == num * den.invert()
 
 
+def _refuse_product_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum side reached the product route")
+
+    monkeypatch.setattr(Series, "invert", refuse)
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(Series, "__rmul__", refuse)
+    for name in ("poch", "poch_inf", "poch_finite", "inv_qpoch"):
+        monkeypatch.setattr(products, name, refuse)
+        monkeypatch.setattr(identities, name, refuse, raising=False)
+
+
 def test_single_sums_stay_off_the_product_route(monkeypatch):
     # Each single sum is checked against a product that is inverted or not; if
     # the sum side built products or inverted, the check would compare a route
@@ -252,19 +268,86 @@ def test_single_sums_stay_off_the_product_route(monkeypatch):
         poch_inf(PochSpec(QXY_VARS.m(x=1, y=1, q=1), 1), QXY_VARS, 30)
         * poch_inf(PochSpec(z, 1), QXY_VARS, 30).invert(),
     )
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a single sum reached the product route")
-
-    monkeypatch.setattr(Series, "invert", refuse)
-    monkeypatch.setattr(products, "poch_inf", refuse)
-    monkeypatch.setattr(products, "poch_finite", refuse)
+    _refuse_product_route(monkeypatch)
     got = (
         euler1(QXY_VARS, 30, z, 1),
         euler2(QXY_VARS, 30, z, 1),
         qbinom(QXY_VARS, 30, a, z, 1),
     )
     assert got == expected
+
+
+def test_tri_single_sum_side_stays_off_the_product_route(monkeypatch):
+    expected = identities._tri_single_lhs(30)
+    _refuse_product_route(monkeypatch)
+    assert identities._tri_single_rhs(30) == expected
+
+
+# -- division by a binomial --------------------------------------------------------
+
+
+@st.composite
+def qxy_series(draw):
+    order = draw(st.integers(0, 12))
+    terms = [
+        (
+            (draw(st.integers(0, 12)), draw(st.integers(0, 4)), draw(st.integers(0, 3))),
+            draw(st.integers(-9, 9)),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return Series(QXY_VARS, order, terms)
+
+
+# q-degree >= 1 and a nonzero x exponent, so the quotient spreads over x and y too
+divisor_args = st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(0, 3))
+
+
+@given(qxy_series(), divisor_args, st.sampled_from((1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_divide_binomial_equals_product_by_inverse(r, arg, sign):
+    binomial = Series(QXY_VARS, r.order, [(QXY_VARS.unit, 1), (arg, -sign)])
+    assert _divide_binomial(r, arg, sign) == r * binomial.invert()
+
+
+@given(qxy_series(), divisor_args, st.sampled_from((1, -1)))
+@settings(max_examples=100, deadline=None)
+def test_times_binomial_undoes_divide_binomial(r, arg, sign):
+    assert _times_binomial(_divide_binomial(r, arg, sign), arg, sign) == r
+
+
+def test_divide_binomial_leaves_its_operand_alone():
+    vs = QXY_VARS
+    r = Series(vs, 10, [(vs.unit, 1), (vs.m(q=1, y=2), -3), (vs.m(q=4, x=1), 5)])
+    before = dict(r.terms)
+    quotient = _divide_binomial(r, vs.m(q=2, x=1), 1)
+    assert r.terms == before
+    assert quotient.terms != before
+
+
+def test_divide_binomial_refuses_bad_arguments():
+    class Untouchable(dict):
+        def items(self):
+            raise AssertionError("the operand was read")
+
+        __iter__ = values = keys = items
+
+    vs = QXY_VARS
+    r = Series._raw(vs, 10, Untouchable({vs.unit: 1}))
+    with pytest.raises(DivergentProduct):
+        _divide_binomial(r, vs.m(x=1, y=1), 1)
+    with pytest.raises(SeriesError):
+        _divide_binomial(r, (1, 1), 1)
+    with pytest.raises(SeriesError):
+        _divide_binomial(r, (1, -1, 0), -1)
+
+
+def test_divide_binomial_past_the_order_is_the_identity():
+    vs = QXY_VARS
+    r = Series(vs, 6, [(vs.unit, 2), (vs.m(q=3, x=1), -1), (vs.m(q=6, y=4), 7)])
+    got = _divide_binomial(r, vs.m(q=7, x=1), -1)
+    assert got.order == r.order
+    assert got.terms == r.terms
 
 
 def test_inv_qpoch_matches_series_invert():
