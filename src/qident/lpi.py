@@ -11,7 +11,8 @@ x^length y1^r2mod4 y2^r0mod4 z^over q^size.  G_k collects the weights of all
 language members whose offset-0 block is block k; the vector of G_k satisfies
 G = W . A . G(x -> x q^T) with W the diagonal of block weights and A the 0/1
 linking incidence, which is how g_vector computes them.  F_k = sum of G_j over
-the linking set of block k (f_vector).
+the linking set of block k (f_vector), each distinct set summed once from the
+largest summed set it contains.
 """
 
 from __future__ import annotations
@@ -234,9 +235,21 @@ def g_vector(spec: LpiSpec, order: int) -> list[Series]:
 
 
 def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
-    """For each block k, the sum of vec[j] over the linking set of block k."""
+    """For each block k, the sum of vec[j] over the linking set of block k.
+
+    Each distinct linking set is summed once, smaller sets first, starting
+    from the largest set already summed that it contains and adding the
+    blocks that set lacks; a set with no summed subset is summed from
+    scratch.  Blocks with equal linking sets share one series.  The gap-4
+    sets are nested, so its seven sums add 7 series, not 31.
+    """
     vars, order = vec[0].vars, vec[0].order
-    return [Series.sum(vars, order, (vec[j] for j in link)) for link in spec.linking]
+    sums: dict[frozenset[int], Series] = {}
+    for link in sorted(set(spec.linking), key=lambda s: (len(s), sorted(s))):
+        base = max((t for t in sums if t <= link), key=len, default=frozenset())
+        start = [sums[base]] if base else []
+        sums[link] = Series.sum(vars, order, start + [vec[j] for j in sorted(link - base)])
+    return [sums[link] for link in spec.linking]
 
 
 def matrices(spec: LpiSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[Mono, ...]]:

@@ -12,7 +12,9 @@ vector ``gamma_j`` per non-q variable.  For an integer vector beta,
 Each index value multiplies in a single monomial and a univariate factor
 1/(q^{A_r};q^{A_r})_{n_r}, so evaluation walks the index tree keeping a
 (monomial, univariate series) pair and prunes any prefix whose guaranteed
-minimal q-degree already exceeds the truncation order.
+minimal q-degree already exceeds the truncation order.  Going from n_r - 1
+to n_r divides the univariate list by 1 - q^{A_r n_r}, one prefix pass over
+a copy, so the walk forms no product and inverts nothing.
 
 ``rec_step`` splits a node in two exactly as the one-coordinate recurrence
 does (raise beta_r by A_r, or absorb a monomial weight and add alpha's r-th
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .products import InvPochMemo
+from .products import _divide_q_power
 from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, mono_mul
 
 
@@ -90,44 +92,37 @@ def _check_beta(spec: MultiSumSpec, beta: tuple[int, ...]) -> None:
             )
 
 
-def _conv(u: list[int], v: list[int], limit: int) -> list[int]:
-    out = [0] * min(len(u) + len(v) - 1, limit + 1)
-    top = len(out)
-    for i, a in enumerate(u):
-        if a == 0 or i >= top:
-            continue
-        stop = min(len(v), top - i)
-        for j in range(stop):
-            if v[j]:
-                out[i + j] += a * v[j]
-    return out
-
-
 def eval_sum(
     spec: MultiSumSpec, beta: tuple[int, ...], vars: VarSet, order: int
 ) -> Series:
-    """H(beta) truncated at ``order``, with per-prefix lower-bound pruning."""
+    """H(beta) truncated at ``order``, with per-prefix lower-bound pruning.
+
+    Walking index r, child n's univariate list is child n - 1's list divided
+    by 1 - q^{A_r * n} (``products._divide_q_power``), cut to the q-degrees
+    that child can still reach; child 0 shares its parent's list.  No product
+    is formed and nothing is inverted.
+    """
     beta = tuple(beta)
     _check_beta(spec, beta)
     _check_vars(spec, vars)
     rank = spec.rank
-    memo = InvPochMemo(order)
     # Exponent increment on the non-q variables when index r advances by one.
     col_step = [(0, *(g[r] for g in spec.gammas)) for r in range(rank)]
     acc: dict[Mono, int] = {}
 
-    def emit(mono: list[int], qdeg: int, uni: list[int]) -> None:
-        for e, c in enumerate(uni):
-            if c == 0 or qdeg + e > order:
-                continue
-            k = (qdeg + e, *mono[1:])
-            s = acc.get(k, 0) + c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
+    def emit(mono: Mono, qdeg: int, uni: list[int]) -> None:
+        # uni[e] is the coefficient of q^(qdeg + e); none lies past q^order.
+        tail = mono[1:]
+        for e, c in enumerate(uni, qdeg):
+            if c:
+                k = (e, *tail)
+                s = acc.get(k, 0) + c
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
 
-    def walk(r: int, qdeg: int, mono: list[int], uni: list[int], chosen: tuple[int, ...]) -> None:
+    def walk(r: int, qdeg: int, mono: Mono, uni: list[int], chosen: tuple[int, ...]) -> None:
         if r == rank:
             emit(mono, qdeg, uni)
             return
@@ -139,14 +134,13 @@ def eval_sum(
             total = qdeg + d
             if total > order:
                 break
-            child_mono = mono if n == 0 else [
-                e + n * s for e, s in zip(mono, col_step[r])
-            ]
-            child_uni = uni if n == 0 else _conv(uni, memo.get(spec.bases[r], n), order - total)
-            walk(r + 1, total, list(child_mono), child_uni, chosen + (n,))
+            if n:
+                mono = mono_mul(mono, col_step[r])
+                uni = _divide_q_power(uni, spec.bases[r] * n, order - total + 1)
+            walk(r + 1, total, mono, uni, chosen + (n,))
             n += 1
 
-    walk(0, 0, [0] * vars.arity, [1], ())
+    walk(0, 0, vars.unit, [1], ())
     return Series._raw(vars, order, acc)
 
 
@@ -270,11 +264,19 @@ def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
     """
     spec, vars = quinvariate_spec(), QUIN_VARS
     evals: dict[tuple[int, ...], Series] = {}
+    columns: dict[int, Series] = {}
 
     def value(beta: tuple[int, ...]) -> Series:
         if beta not in evals:
             evals[beta] = eval_sum(spec, beta, vars, order)
         return evals[beta]
+
+    def column(j: int) -> Series:
+        """weight_j * H(shifted beta_j), built once for every row that reads it."""
+        if j not in columns:
+            shifted = shift_beta_for_x(spec, RELATION_BETAS[j], 4)
+            columns[j] = value(shifted).mul_monomial(RELATION_WEIGHTS[j])
+        return columns[j]
 
     for k in range(len(RELATION_BETAS)):
         row_beta = RELATION_BETAS[k]
@@ -288,11 +290,7 @@ def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
         if got != expected:
             return False, f"row {k + 1}: leaf multiset {got} != expected {expected}"
         lhs = value(row_beta)
-        rhs = Series.sum(vars, order, (
-            value(shift_beta_for_x(spec, RELATION_BETAS[j], 4)).mul_monomial(RELATION_WEIGHTS[j])
-            for j in range(7)
-            if RELATION_MATRIX[k][j]
-        ))
+        rhs = Series.sum(vars, order, (column(j) for j in range(7) if RELATION_MATRIX[k][j]))
         mm = lhs.first_mismatch(rhs, order)
         if mm is not None:
             return False, f"row {k + 1}: {mm.render(vars)}"

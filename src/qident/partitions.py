@@ -20,14 +20,15 @@ gap-constrained walk that reaches every member up to an order in one pass.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterable, Iterator, TypeVar
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .series import QUIN_VARS, Series
 
 Part = tuple[int, bool]  # (value, overlined)
-T = TypeVar("T")
 
 SET_A = "A"
 SET_A_NO_1BAR = "A-no-1bar"
@@ -322,113 +323,110 @@ def weight_monomial(st: PartStats) -> tuple[int, ...]:
     return QUIN_VARS.m(q=st.size, x=st.length, y1=st.r2mod4, y2=st.r0mod4, z=st.over)
 
 
-def _sized_walk(setid: str, order: int) -> Iterator[tuple[int, Stats]]:
-    return ((st[0], st) for _, st in _walk_gap4(setid, order))
-
-
 def weighted_gf(setid: str, order: int) -> Series:
-    """Quinvariate generating function of the named family, truncated at order."""
-    counts = tally(_sized_walk(setid, order), lambda st: st[1:])
-    return Series(QUIN_VARS, order, [(weight_monomial(PartStats(*k)), c) for k, c in counts.items()])
+    """Quinvariate generating function of the named family, truncated at order.
+
+    A member's statistics hold its size, so counting them (in C, by
+    ``Counter``) gives each monomial's coefficient.
+    """
+    counts = Counter(map(itemgetter(1), _walk_gap4(setid, order)))
+    return Series(QUIN_VARS, order, [(weight_monomial(PartStats(*st)), c) for st, c in counts.items()])
+
+
+# -- the B side of thm15, thmA1 and thmA2 ------------------------------------------
+#
+# Each family has a walk of its own, written out apart from ``_walk_gap4``: the
+# two are the two sides of those identities, so they must share no walker.
+
+
+def _walk_distinct_4regular(order: int) -> Iterator[tuple[int, int, int]]:
+    """(size, length, odd parts) of every partition into distinct parts, none
+    divisible by 4, of size <= order.
+
+    One depth-first walk over ascending parts: a node is a partition, and its
+    children add one part larger than its largest, so each partition is
+    reached once.
+    """
+    stack = [(0, 0, 0, 1)]  # size, length, odd parts, smallest part allowed next
+    while stack:
+        size, length, odd, low = stack.pop()
+        yield size, length, odd
+        for v in range(low, order - size + 1):
+            if v % 4:
+                stack.append((size + v, length + 1, odd + v % 2, v + 1))
+
+
+def _walk_odd_mult_le3(order: int) -> Iterator[tuple[int, int]]:
+    """(size, length) of every partition into odd parts, none appearing more than
+    three times, of size <= order.
+
+    One depth-first walk over ascending part values: a node's children add one
+    to three copies of an odd value larger than any it holds.
+    """
+    stack = [(0, 0, 1)]  # size, length, smallest odd value allowed next
+    while stack:
+        size, length, low = stack.pop()
+        yield size, length
+        for v in range(low, order - size + 1, 2):
+            for mult in (1, 2, 3):
+                if size + v * mult > order:
+                    break
+                stack.append((size + v * mult, length + mult, v + 2))
 
 
 # -- weighted counters ----------------------------------------------------------
 
-
-def tally(
-    pairs: Iterable[tuple[int, T]], key: Callable[[T], tuple[int, ...]]
-) -> dict[tuple[int, ...], int]:
-    """Count a stream of ``(n, item)`` pairs, keyed by ``(n, *key(item))``."""
-    out: dict[tuple[int, ...], int] = {}
-    for n, item in pairs:
-        k = (n, *key(item))
-        out[k] = out.get(k, 0) + 1
-    return out
+# Each key maps a member's statistics to its table key (n, ...), n its size.
 
 
-def _by_size(source: Callable[[int], Iterable[T]], order: int) -> Iterator[tuple[int, T]]:
-    return ((n, item) for n in range(order + 1) for item in source(n))
+def _key_A(st: Stats) -> tuple[int, int, int]:
+    size, _, odd, two, four, over = st
+    return size, odd + 2 * four, two + over
 
 
-def distinct_4regular(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into distinct parts, none divisible by 4 (ascending)."""
-    if n == 0:
-        yield ()
-        return
-    for v in range(min_val, n + 1):
-        if v % 4 == 0:
-            continue
-        for rest in distinct_4regular(n - v, v + 1):
-            yield (v,) + rest
+def _key_A1(st: Stats) -> tuple[int, int]:
+    size, length, _, _, four, over = st
+    return size, length + over + four
 
 
-def odd_parts_mult_le3(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into odd parts, no part appearing more than three times."""
-    if n == 0:
-        yield ()
-        return
-    start = min_val if min_val % 2 else min_val + 1
-    for v in range(start, n + 1, 2):
-        for mult in (1, 2, 3):
-            if v * mult > n:
-                break
-            for rest in odd_parts_mult_le3(n - v * mult, v + 2):
-                yield (v,) * mult + rest
+def _key_A2(st: Stats) -> tuple[int, int]:
+    size, _, odd, two, four, over = st
+    return size, odd + 2 * over + 2 * two + 2 * four
 
 
-def _key_A(st: Stats) -> tuple[int, int]:
-    _, _, odd, two, four, over = st
-    return odd + 2 * four, two + over
+def _count_avee(order: int, key: Callable[[Stats], tuple[int, ...]]) -> Counter:
+    return Counter(map(key, map(itemgetter(1), _walk_gap4(SET_AVEE, order))))
 
 
-def _key_A1(st: Stats) -> tuple[int]:
-    _, length, _, _, four, over = st
-    return (length + over + four,)
-
-
-def _key_A2(st: Stats) -> tuple[int]:
-    _, _, odd, two, four, over = st
-    return (odd + 2 * over + 2 * two + 2 * four,)
-
-
-def _key_B(parts: tuple[int, ...]) -> tuple[int, int]:
-    odd = sum(1 for v in parts if v % 2)
-    return odd, len(parts) - odd
-
-
-def _key_length(parts: tuple[int, ...]) -> tuple[int]:
-    return (len(parts),)
-
-
-# table_X tallies every size up to the order in one sweep.  The A side reads
-# one walk of Avee to the order, the B side the per-size partition generators.
+# table_X counts every size up to the order in one walk, in C (``Counter``).
+# The A side reads the gap-4 walk of Avee, the B side the walk of its family.
 
 
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
     """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell."""
-    return tally(_sized_walk(SET_AVEE, order), _key_A)
+    return _count_avee(order, _key_A)
 
 
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
     """(n, m, ell) -> distinct 4-regular partitions of n, m odd parts and ell even parts."""
-    return tally(_by_size(distinct_4regular, order), _key_B)
+    return Counter((n, odd, length - odd) for n, length, odd in _walk_distinct_4regular(order))
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> Avee members of n of weight m: overlined parts or parts = 0 mod 4 count double."""
-    return tally(_sized_walk(SET_AVEE, order), _key_A1)
+    return _count_avee(order, _key_A1)
 
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> distinct 4-regular partitions of n into m parts."""
-    return tally(_by_size(distinct_4regular, order), _key_length)
+    return Counter(map(itemgetter(0, 1), _walk_distinct_4regular(order)))
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> Avee members of n of weight m: overlined parts triple, even parts double."""
-    return tally(_sized_walk(SET_AVEE, order), _key_A2)
+    return _count_avee(order, _key_A2)
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> partitions of n into m odd parts, none appearing more than three times."""
-    return tally(_by_size(odd_parts_mult_le3, order), _key_length)
+    return Counter(_walk_odd_mult_le3(order))

@@ -122,11 +122,28 @@ def poch(spec: PochSpec, vars: VarSet, order: int) -> Series:
     return poch_finite(spec, vars, order)
 
 
+def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:
+    """The univariate series ``coeffs`` divided by 1 - q^step, to ``length`` coefficients.
+
+    A copy of ``coeffs``, truncated or zero-padded to ``length`` entries, takes
+    one prefix pass c[j] += c[j - step] in increasing j; each c[j - step] is
+    final when it is read.  ``coeffs`` is not modified, and step must be >= 1.
+    The one knapsack for 1/(q^b;q^b)_n: ``InvPochMemo`` extends its lists by it
+    and ``multisum.eval_sum`` divides its child lists by it.
+    """
+    out = coeffs[:length]
+    out += [0] * (length - len(out))
+    for j in range(step, length):
+        out[j] += out[j - step]
+    return out
+
+
 class InvPochMemo:
     """Coefficient lists of 1/(q^base; q^base)_n to q^order, by knapsack extension.
 
-    Entry e counts the partitions of e/base into parts <= n; the list for n
-    extends the one for n - 1, and nothing here calls invert().
+    Entry e counts the partitions of e/base into parts <= n; the list for n is
+    the one for n - 1 divided by 1 - q^{base*n} (``_divide_q_power``), and
+    nothing here calls invert().
     """
 
     def __init__(self, order: int):
@@ -140,11 +157,7 @@ class InvPochMemo:
         if lists is None:
             lists = self._lists[base] = [[1] + [0] * self.order]
         while len(lists) <= n:
-            lst = list(lists[-1])
-            part = base * len(lists)
-            for j in range(part, self.order + 1):
-                lst[j] += lst[j - part]
-            lists.append(lst)
+            lists.append(_divide_q_power(lists[-1], base * len(lists), self.order + 1))
         return lists[n]
 
     def series(self, vars: VarSet, base: int, n: int) -> Series:
@@ -156,7 +169,8 @@ class InvPochMemo:
 def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     """1 / (q^step; q^step)_n by counting partitions into at most n part sizes.
 
-    The knapsack of ``InvPochMemo``; fully independent of invert().
+    The knapsack of ``InvPochMemo``, one ``_divide_q_power`` per factor;
+    fully independent of invert().
     """
     return InvPochMemo(order).series(vars, step, n)
 

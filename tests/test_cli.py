@@ -109,14 +109,15 @@ class TestVerify:
         assert pools == [{"max_workers": 2}]
 
     def test_prefix_over_any_budget_exit_two_before_any_work(self, capsys, monkeypatch):
-        # thm51-a..d allow order 85; thm15 (budget 80) must stop the group first.
+        # The Andrews-Gordon ladder allows order 95; avee-split (budget 90),
+        # last in the group, must stop it first.
         ran = []
         monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
         for jobs in ((), ("--jobs", "1")):
-            code, out, err = run(capsys, "verify", "thm", "--order", "85", *jobs)
+            code, out, err = run(capsys, "verify", "a", "--order", "95", *jobs)
             assert code == 2
             assert out == ""
-            assert err == "thm15: order 85 exceeds the resource budget 80\n"
+            assert err == "avee-split: order 95 exceeds the resource budget 90\n"
         assert ran == []
 
     def test_prefix_honours_jobs(self, capsys, monkeypatch):

@@ -1,0 +1,118 @@
+"""Mutants of the kernels that build each route's values from one it already has.
+
+Each mutant changes one piece of text in one function: the exponent of the
+division in ``eval_sum``, the part rule or the multiplicity cap of a B-side
+walk, or the containment test of ``f_vector``'s base.  The mutant replaces the
+function wherever the package binds it, and every registry entry named for it
+must then fail at its default order with a witness.  A mutant that no entry
+can see is listed in ``EQUIVALENT`` with the reason, and a test of its own
+must kill it.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+import textwrap
+from dataclasses import replace
+
+from qident import identities, lpi, multisum, partitions
+from qident.identities import REGISTRY, verify
+from qident.series import QUIN_VARS, Series
+
+# The entries whose other side is built without eval_sum: products for rr1,
+# rr2, the AG ladder, quad and quad-new, the gap-4 walk for thm51-a..d, and
+# the leaf multisets for h-matrix.  borel-bridge-rhs builds both sides by
+# eval_sum and is not listed.
+_EVAL_SUM_ENTRIES = (
+    "rr1", "rr2",
+    *(f"andrews-gordon-k{k}-i{i}" for k in (2, 3, 4) for i in range(1, k + 1)),
+    "quad", "quad-new", "thm51-a", "thm51-b", "thm51-c", "thm51-d", "h-matrix",
+)
+
+# label -> (module, function, old text, new text, modules that bind it, entries)
+KERNEL_MUTANTS = {
+    "eval_sum divides by 1 - q^(A(n+1))": (
+        multisum, "eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n + 1),",
+        (multisum, identities), _EVAL_SUM_ENTRIES,
+    ),
+    "eval_sum divides by 1 - q^(A(n-1))": (
+        multisum, "eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n - 1),",
+        (multisum, identities), _EVAL_SUM_ENTRIES,
+    ),
+    "4-regular rule v % 4 -> v % 2": (
+        partitions, "_walk_distinct_4regular", "if v % 4:", "if v % 2:",
+        (partitions,), ("thm15", "thmA1"),
+    ),
+    "multiplicity cap 3 -> 2": (
+        partitions, "_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2)", (partitions,), ("thmA2",),
+    ),
+    "multiplicity cap 3 -> 4": (
+        partitions, "_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)", (partitions,), ("thmA2",),
+    ),
+    "f_vector base not a subset": (
+        lpi, "f_vector", " if t <= link", "", (lpi, identities), ("g-system", "f-system"),
+    ),
+}
+
+EQUIVALENT = {
+    "f_vector base not a subset": (
+        "the gap-4 linking sets form a chain, and sets are summed smaller first, "
+        "so every set already summed is a subset of the next one; "
+        "test_f_vector_base_mutant_fails_on_sets_that_are_not_nested kills it"
+    ),
+}
+
+
+def _mutant(module, name: str, old: str, new: str):
+    """``module.name`` rebuilt from its source with ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    code = compile(
+        source.replace(old, new), module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[name]
+
+
+def _install(monkeypatch, label: str) -> tuple[str, ...]:
+    module, name, old, new, binders, entries = KERNEL_MUTANTS[label]
+    fn = _mutant(module, name, old, new)
+    for binder in binders:
+        monkeypatch.setattr(binder, name, fn)
+    return entries
+
+
+def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
+    killed, survivors = [], []
+    for label in KERNEL_MUTANTS:
+        with monkeypatch.context() as patch:
+            entries = _install(patch, label)
+            seen = []
+            for identity in entries:
+                report = verify(identity)
+                assert report.order == REGISTRY[identity].default_order
+                if not report.passed and report.witness:
+                    seen.append(identity)
+        (killed if seen == list(entries) else survivors).append((label, seen))
+    print(
+        f"kernel mutants killed at default orders: {len(killed)}/{len(KERNEL_MUTANTS)}; "
+        f"equivalent there: {sorted(EQUIVALENT)}"
+    )
+    assert [label for label, seen in survivors if not seen] == sorted(EQUIVALENT)
+    assert not [s for s in survivors if s[1]], "a mutant failed only some of its entries"
+
+
+def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
+    # Block 1 links {0, 1, 2}, block 2 links {0, 3}: neither contains the other,
+    # so the mutant starts {0, 1, 2} from {0, 3} and counts block 3 in it.
+    ideal = lpi.gap4_ideal()
+    linking = (ideal.linking[0], frozenset({0, 1, 2}), frozenset({0, 3}), *[frozenset({0})] * 4)
+    spec = replace(ideal, linking=linking)
+    vec = [Series.monomial(QUIN_VARS, 4, QUIN_VARS.m(x=j)) for j in range(spec.size)]
+    expected = [Series.sum(QUIN_VARS, 4, (vec[j] for j in link)) for link in linking]
+    assert lpi.f_vector(spec, vec) == expected
+    _install(monkeypatch, "f_vector base not a subset")
+    assert lpi.f_vector(spec, vec) != expected

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qident.lpi import (
     LinkingViolation,
@@ -199,6 +202,34 @@ class TestGandF:
         f = f_vector(IDEAL, g_vector(IDEAL, order))
         for k, beta in enumerate(betas):
             assert f[k] == eval_sum(spec, beta, V, order)
+
+
+@st.composite
+def linked_vectors(draw):
+    """Gap-4 blocks with random valid linking sets, and one small series per block."""
+    linking = [frozenset(range(IDEAL.size))] + [
+        frozenset({0}) | draw(st.frozensets(st.integers(1, IDEAL.size - 1)))
+        for _ in range(IDEAL.size - 1)
+    ]
+    spec = replace(IDEAL, linking=tuple(linking))
+    vec = [
+        Series(V, draw(st.integers(0, 4)), [
+            (V.m(q=draw(st.integers(0, 4)), x=draw(st.integers(0, 2)), z=draw(st.integers(0, 1))),
+             draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(0, 4)))
+        ])
+        for _ in range(IDEAL.size)
+    ]
+    return spec, vec
+
+
+@given(linked_vectors())
+def test_f_vector_is_the_sum_over_each_linking_set(case):
+    # The sets are not nested in general, so a base summed for one set need
+    # not be contained in the next; the result must not depend on that.
+    spec, vec = case
+    expected = [Series.sum(V, vec[0].order, (vec[j] for j in link)) for link in spec.linking]
+    assert f_vector(spec, vec) == expected
 
 
 class TestJson:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from qident import multisum
+from qident import identities, multisum
 from qident.multisum import (
     MultiSumSpec,
     NonTerminatingSum,
@@ -84,6 +84,21 @@ class TestEvalSum:
         hi = eval_sum(SPEC, (1, 1, 2, 4), V, 18)
         lo = eval_sum(SPEC, (1, 1, 2, 4), V, 11)
         assert hi.truncate(11) == lo
+
+
+def test_sum_sides_stay_off_the_product_route(refuse_product_route):
+    # The multi-sum sides of rr1/rr2, the AG ladder, quad, quad-new and thm51
+    # are checked against products or enumerations; they must build on neither.
+    sides = {
+        "quad-rhs": lambda: identities._quad_rhs(30),
+        "quad-new-rhs": lambda: identities._quad_new_rhs(30),
+        **{f"ag-k4-i{i}": (lambda i=i: identities._ag_sides(4, i)[1](60)) for i in range(1, 5)},
+        "h(1,1,2,4)": lambda: eval_sum(SPEC, (1, 1, 2, 4), V, 30),
+    }
+    expected = {name: build() for name, build in sides.items()}
+    refuse_product_route()
+    for name, build in sides.items():
+        assert build() == expected[name], name
 
 
 class TestRecStep:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import product
 from typing import Callable, Iterator
 
@@ -403,6 +404,74 @@ class TestCounts:
             (QXY_VARS.m(q=n, x=m, y=l), c) for (n, m, l), c in table_B(order).items()
         ]
         assert Series(QXY_VARS, order, terms) == prod
+
+
+# -- reference generators for the B side: each size generated from scratch -------
+
+
+def reference_distinct_4regular(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into distinct parts, none divisible by 4 (ascending)."""
+    if n == 0:
+        yield ()
+        return
+    for v in range(min_val, n + 1):
+        if v % 4 == 0:
+            continue
+        for rest in reference_distinct_4regular(n - v, v + 1):
+            yield (v,) + rest
+
+
+def reference_odd_parts_mult_le3(n: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into odd parts, no part appearing more than three times."""
+    if n == 0:
+        yield ()
+        return
+    start = min_val if min_val % 2 else min_val + 1
+    for v in range(start, n + 1, 2):
+        for mult in (1, 2, 3):
+            if v * mult > n:
+                break
+            for rest in reference_odd_parts_mult_le3(n - v * mult, v + 2):
+                yield (v,) * mult + rest
+
+
+@cache
+def reference_by_size(source: Callable[[int], Iterator[tuple[int, ...]]], n: int) -> tuple:
+    """The partitions ``source`` generates at size n, kept for every order that reads them."""
+    return tuple(source(n))
+
+
+def reference_key_B(parts: tuple[int, ...]) -> tuple[int, int]:
+    odd = sum(1 for v in parts if v % 2)
+    return odd, len(parts) - odd
+
+
+def reference_key_length(parts: tuple[int, ...]) -> tuple[int]:
+    return (len(parts),)
+
+
+B_REFERENCES = {
+    table_B: (reference_distinct_4regular, reference_key_B),
+    table_B1: (reference_distinct_4regular, reference_key_length),
+    table_B2: (reference_odd_parts_mult_le3, reference_key_length),
+}
+
+
+def reference_b_tally(table, order: int) -> dict:
+    """Count the reference partitions of every size <= order by ``(n, *key(parts))``."""
+    source, key = B_REFERENCES[table]
+    out: dict = {}
+    for n in range(order + 1):
+        for parts in reference_by_size(source, n):
+            k = (n, *key(parts))
+            out[k] = out.get(k, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("table", list(B_REFERENCES), ids=lambda t: t.__name__)
+def test_b_tables_equal_the_per_size_reference(table):
+    for order in [*range(41), 80]:
+        assert table(order) == reference_b_tally(table, order), order
 
 
 def reference_gen_gap4(

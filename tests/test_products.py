@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import identities, products
+from qident import identities, multisum
 from qident.products import (
     DivergentProduct,
     InvPochMemo,
     PochSpec,
     _divide_binomial,
+    _divide_q_power,
     _times_binomial,
     euler1,
     euler2,
@@ -19,7 +20,7 @@ from qident.products import (
     poch_inf,
     qbinom,
 )
-from qident.series import Q_VARS, QX_VARS, QXY_VARS, Series, SeriesError, varset
+from qident.series import Q_VARS, QUIN_VARS, QX_VARS, QXY_VARS, Series, SeriesError, varset
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -245,19 +246,7 @@ def test_qbinom_equals_product_side_of_binomial_factors():
     assert qbinom(vs, order, vs.m(y=1), vs.m(x=1, q=1), 1) == num * den.invert()
 
 
-def _refuse_product_route(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sum side reached the product route")
-
-    monkeypatch.setattr(Series, "invert", refuse)
-    monkeypatch.setattr(Series, "__mul__", refuse)
-    monkeypatch.setattr(Series, "__rmul__", refuse)
-    for name in ("poch", "poch_inf", "poch_finite", "inv_qpoch"):
-        monkeypatch.setattr(products, name, refuse)
-        monkeypatch.setattr(identities, name, refuse, raising=False)
-
-
-def test_single_sums_stay_off_the_product_route(monkeypatch):
+def test_single_sums_stay_off_the_product_route(refuse_product_route):
     # Each single sum is checked against a product that is inverted or not; if
     # the sum side built products or inverted, the check would compare a route
     # with itself.
@@ -268,7 +257,7 @@ def test_single_sums_stay_off_the_product_route(monkeypatch):
         poch_inf(PochSpec(QXY_VARS.m(x=1, y=1, q=1), 1), QXY_VARS, 30)
         * poch_inf(PochSpec(z, 1), QXY_VARS, 30).invert(),
     )
-    _refuse_product_route(monkeypatch)
+    refuse_product_route()
     got = (
         euler1(QXY_VARS, 30, z, 1),
         euler2(QXY_VARS, 30, z, 1),
@@ -277,9 +266,9 @@ def test_single_sums_stay_off_the_product_route(monkeypatch):
     assert got == expected
 
 
-def test_tri_single_sum_side_stays_off_the_product_route(monkeypatch):
+def test_tri_single_sum_side_stays_off_the_product_route(refuse_product_route):
     expected = identities._tri_single_lhs(30)
-    _refuse_product_route(monkeypatch)
+    refuse_product_route()
     assert identities._tri_single_rhs(30) == expected
 
 
@@ -348,6 +337,57 @@ def test_divide_binomial_past_the_order_is_the_identity():
     got = _divide_binomial(r, vs.m(q=7, x=1), -1)
     assert got.order == r.order
     assert got.terms == r.terms
+
+
+# -- the prefix pass of the knapsack -----------------------------------------------
+
+
+def _check_input_unchanged(divide) -> None:
+    """Run ``divide`` on one list with truncating, equal and padding lengths."""
+    coeffs = [1, 2, 0, -3, 5, 7]
+    kept = list(coeffs)
+    for step, length in ((1, 6), (2, 4), (3, 9), (7, 10)):
+        divide(coeffs, step, length)
+        assert coeffs == kept, (step, length)
+
+
+def _divide_in_place(coeffs, step, length):
+    """The prefix pass run on the caller's list instead of on a copy."""
+    del coeffs[length:]
+    coeffs += [0] * (length - len(coeffs))
+    for j in range(step, length):
+        coeffs[j] += coeffs[j - step]
+    return coeffs
+
+
+def test_prefix_pass_leaves_its_input_unchanged():
+    _check_input_unchanged(_divide_q_power)
+    with pytest.raises(AssertionError):
+        _check_input_unchanged(_divide_in_place)
+
+
+def test_a_pass_that_changes_its_input_corrupts_eval_sum(monkeypatch):
+    # eval_sum hands one child's list to the next child and to every node
+    # below it, so a pass that changed its input would corrupt the walk.
+    spec, beta = multisum.quinvariate_spec(), (1, 1, 2, 4)
+    expected = multisum.eval_sum(spec, beta, QUIN_VARS, 20)
+    monkeypatch.setattr(multisum, "_divide_q_power", _divide_in_place)
+    assert multisum.eval_sum(spec, beta, QUIN_VARS, 20) != expected
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+    st.integers(1, 6),
+    st.integers(0, 14),
+)
+def test_prefix_pass_is_division_by_a_binomial(coeffs, step, length):
+    # The same quotient as _divide_binomial, which divides a multivariate series.
+    vs = Q_VARS
+    got = _divide_q_power(coeffs, step, length)
+    assert len(got) == length
+    if length:
+        r = Series(vs, length - 1, [(vs.m(q=e), c) for e, c in enumerate(coeffs)])
+        assert got == _divide_binomial(r, vs.m(q=step), 1).q_coefficients()
 
 
 def test_inv_qpoch_matches_series_invert():
