@@ -58,6 +58,7 @@ from .products import (
 from .report import IdentityReport
 from .series import (
     ArityMismatch,
+    ExponentOverflow,
     Mismatch,
     NotInvertible,
     Q_VARS,

@@ -9,19 +9,22 @@ multiplication by pure q-powers, but it is not multiplicative.
 
 from __future__ import annotations
 
-from .series import Series, SeriesError
+from .series import FIELD, Series, SeriesError, _check_keys
 
 
 def borel_apply(a: Series) -> Series:
     if set(a.vars.names) != {"q", "x", "y"}:
         raise SeriesError(f"operator needs variables q, x, y; got {a.vars.names}")
-    xi = a.vars.index("x")
-    yi = a.vars.index("y")
+    vars = a.vars
+    top = vars.shifts[0]
+    xs, ys = vars.shifts[vars.index("x")], vars.shifts[vars.index("y")]
+    limit = (a.order + 1) << top
     acc = {}
-    for mono, c in a.terms.items():
-        m, n = mono[xi], mono[yi]
-        boost = m * (m - 1) + 2 * n * (n - 1)  # 2*binom(m,2) + 4*binom(n,2)
-        e = mono[0] + boost
-        if e <= a.order:
-            acc[(e, *mono[1:])] = c
-    return Series._raw(a.vars, a.order, acc)
+    for key, c in a._terms.items():
+        m, n = key >> xs & FIELD, key >> ys & FIELD
+        # Only q moves: 2*binom(m,2) + 4*binom(n,2) is added to its exponent.
+        new = key + ((m * (m - 1) + 2 * n * (n - 1)) << top)
+        if new < limit:
+            acc[new] = c
+    _check_keys(vars, acc)
+    return Series._raw(vars, a.order, acc)

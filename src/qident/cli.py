@@ -97,12 +97,14 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    rows = sorted(series.terms.items())
+    rows = list(series.items())
     names = series.vars.names
     if args.format == "csv":
-        print(",".join(names) + ",coeff")
-        for mono, coeff in rows:
-            print(",".join(str(e) for e in mono) + f",{coeff}")
+        row = ",".join(["%d"] * (len(names) + 1))
+        lines = [",".join(names) + ",coeff"]
+        lines += [row % (*mono, coeff) for mono, coeff in rows]
+        lines.append("")
+        sys.stdout.write("\n".join(lines))
     else:
         doc = {
             "series": args.series,

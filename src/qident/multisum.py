@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .products import _divide_q_power
-from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, mono_mul
+from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
 
 
 class NonTerminatingSum(SeriesError):
@@ -100,29 +100,33 @@ def eval_sum(
     Walking index r, child n's univariate list is child n - 1's list divided
     by 1 - q^{A_r * n} (``products._divide_q_power``), cut to the q-degrees
     that child can still reach; child 0 shares its parent's list.  No product
-    is formed and nothing is inverted.
+    is formed and nothing is inverted.  The walk carries the non-q monomial
+    as a packed key, checked against the layout's limit at each node, and
+    each leaf adds its list at that key plus one q-step per entry.
     """
     beta = tuple(beta)
     _check_beta(spec, beta)
     _check_vars(spec, vars)
     rank = spec.rank
-    # Exponent increment on the non-q variables when index r advances by one.
-    col_step = [(0, *(g[r] for g in spec.gammas)) for r in range(rank)]
-    acc: dict[Mono, int] = {}
+    top = vars.shifts[0]
+    one_q = 1 << top
+    # Packed increment of the non-q variables when index r advances by one.
+    col_step = [vars.pack((0, *(g[r] for g in spec.gammas))) for r in range(rank)]
+    acc: dict[int, int] = {}
 
-    def emit(mono: Mono, qdeg: int, uni: list[int]) -> None:
+    def emit(mono: int, qdeg: int, uni: list[int]) -> None:
         # uni[e] is the coefficient of q^(qdeg + e); none lies past q^order.
-        tail = mono[1:]
-        for e, c in enumerate(uni, qdeg):
+        key = mono + (qdeg << top)
+        for c in uni:
             if c:
-                k = (e, *tail)
-                s = acc.get(k, 0) + c
+                s = acc.get(key, 0) + c
                 if s:
-                    acc[k] = s
+                    acc[key] = s
                 else:
-                    del acc[k]
+                    del acc[key]
+            key += one_q
 
-    def walk(r: int, qdeg: int, mono: Mono, uni: list[int], chosen: tuple[int, ...]) -> None:
+    def walk(r: int, qdeg: int, mono: int, uni: list[int], chosen: tuple[int, ...]) -> None:
         if r == rank:
             emit(mono, qdeg, uni)
             return
@@ -135,12 +139,13 @@ def eval_sum(
             if total > order:
                 break
             if n:
-                mono = mono_mul(mono, col_step[r])
+                mono += col_step[r]
+                _check_keys(vars, (mono,))
                 uni = _divide_q_power(uni, spec.bases[r] * n, order - total + 1)
             walk(r + 1, total, mono, uni, chosen + (n,))
             n += 1
 
-    walk(0, 0, vars.unit, [1], ())
+    walk(0, 0, 0, [1], ())
     return Series._raw(vars, order, acc)
 
 

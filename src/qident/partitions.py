@@ -26,7 +26,7 @@ from itertools import product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .series import QUIN_VARS, Series
+from .series import QUIN_VARS, Series, _check_keys
 
 Part = tuple[int, bool]  # (value, overlined)
 
@@ -274,14 +274,22 @@ def _plain_parts_spread(partition: tuple[tuple[int, int], ...]) -> bool:
 # (size, length, r1mod2, r2mod4, r0mod4, over).
 Stats = tuple[int, int, int, int, int, int]
 
+# A node of the gap-4 walk: (key, tight, part, parent).  ``key`` is the
+# member's weight monomial x^length y1^r2mod4 y2^r0mod4 z^over q^size packed
+# over QUIN_VARS, ``tight`` its largest part plus 4 (0 for the empty member),
+# ``part`` its largest part and ``parent`` the node it extends (both None at
+# the root).
+Node = tuple[int, int, "Part | None", "Node | None"]
 
-def _walk_gap4(setid: str, order: int) -> Iterator[tuple[tuple[Part, ...], Stats]]:
-    """Every member of the named family with size <= order, with its statistics.
+
+def _walk_gap4(setid: str, order: int) -> Iterator[Node]:
+    """Every member of the named family with size <= order, as a walk node.
 
     One depth-first walk over ascending parts, with the gap rule written out
     here, apart from the oracle's predicates.  Every prefix of a member is a
-    member, so each node is yielded, before its extensions, with statistics
-    carried down from its parent.  Members of one size come out in
+    member, so each node is yielded, before its extensions.  A child's key is
+    its parent's plus one delta per part, precomputed for each part value,
+    and no parts tuple is built.  Members of one size come out in
     lexicographic order of their parts, a plain part before its overlined copy.
     """
     if setid == SET_AVEE:
@@ -290,32 +298,76 @@ def _walk_gap4(setid: str, order: int) -> Iterator[tuple[tuple[Part, ...], Stats
         forbidden, min_overlined, avee = _FORBIDDEN[setid], 1, False
     else:
         raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
-    stack: list[tuple[tuple[Part, ...], Stats]] = [((), (0, 0, 0, 0, 0, 0))]
+    top = QUIN_VARS.shifts[0]
+
+    def child(part: Part) -> tuple[int, int, Part]:
+        # The key delta of a part is the packed weight of the member holding only it.
+        delta = QUIN_VARS.pack(weight_monomial(stats(Overpartition((part,)))))
+        return delta, part[0] + 4, part
+
+    # The children a part value v can make, (delta, v + 4, part) in push order:
+    # larger values first and, for one value, the overlined copy before the
+    # plain part, so that smaller and plain parts are walked first.  ``loose``
+    # lists them for v above the node's tight value; ``at_tight[v]`` for v
+    # equal to it, where a part must be plain and not divisible by 4, except
+    # that in Avee an overlined 5 may follow a 1.
+    loose: list[tuple[int, int, Part]] = []
+    at_tight: list[list[tuple[int, int, Part]]] = [[] for _ in range(order + 1)]
+    above = [0] * (order + 1)  # above[v]: how many entries of ``loose`` have a value above v
+    for v in range(order, 0, -1):
+        r = v % 4
+        if r % 2 and v >= min_overlined and (v, True) not in forbidden:
+            loose.append(child((v, True)))
+            if avee and v == 5:
+                at_tight[v].append(loose[-1])
+        if (v, False) not in forbidden:
+            loose.append(child((v, False)))
+            if r:
+                at_tight[v].append(loose[-1])
+        above[v - 1] = len(loose)
+    stack: list[Node] = [(0, 0, None, None)]
+    push = stack.append
     while stack:
-        parts, st = stack.pop()
-        yield parts, st
-        size, length, odd, two, four, over = st
-        # A part exactly 4 above the previous one (v == tight) must be plain and
-        # not divisible by 4, except that in Avee an overlined 5 may follow a 1.
-        tight = parts[-1][0] + 4 if parts else 0
-        # Larger parts are pushed first, so that smaller ones are walked first.
-        for v in range(order - size, max(tight, 1) - 1, -1):
-            r = v % 4
-            if r % 2 and v >= min_overlined and (v, True) not in forbidden and (
-                v != tight or (avee and v == 5)
-            ):
-                overlined = (size + v, length + 1, odd + 1, two, four, over + 1)
-                stack.append((parts + ((v, True),), overlined))
-            if (v, False) not in forbidden and (r or v != tight):
-                plain = (size + v, length + 1, odd + r % 2, two + (r == 2), four + (r == 0), over)
-                stack.append((parts + ((v, False),), plain))
+        node = stack.pop()
+        yield node
+        key, tight = node[0], node[1]
+        room = order - (key >> top)
+        if tight > room:
+            continue
+        for delta, nxt, part in loose[above[room]:above[tight]]:
+            push((key + delta, nxt, part, node))
+        if tight:
+            for delta, nxt, part in at_tight[tight]:
+                push((key + delta, nxt, part, node))
+
+
+def _parts_of(node: Node) -> tuple[Part, ...]:
+    """The parts of a walk node's member, smallest first, read up its parent links."""
+    parts = []
+    while node[2] is not None:
+        parts.append(node[2])
+        node = node[3]
+    return tuple(reversed(parts))
+
+
+def _walk_keys(setid: str, order: int) -> Counter:
+    """Packed weight monomial -> members of the named family with that weight, size <= order.
+
+    A part adds at most 1 to each non-q field, and every node is counted, so
+    a field that reached ``LIMIT`` would be counted, and refused here, before
+    it could carry.
+    """
+    counts = Counter(map(itemgetter(0), _walk_gap4(setid, order)))
+    _check_keys(QUIN_VARS, counts)
+    return counts
 
 
 def enum_set(setid: str, n: int) -> list[Overpartition]:
     """Members of the named family with size exactly n, in the order of the gap-4 walk."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [Overpartition(parts) for parts, st in _walk_gap4(setid, n) if st[0] == n]
+    least = n << QUIN_VARS.shifts[0]  # the least key of size n
+    return [Overpartition(_parts_of(node)) for node in _walk_gap4(setid, n) if node[0] >= least]
 
 
 def weight_monomial(st: PartStats) -> tuple[int, ...]:
@@ -326,11 +378,10 @@ def weight_monomial(st: PartStats) -> tuple[int, ...]:
 def weighted_gf(setid: str, order: int) -> Series:
     """Quinvariate generating function of the named family, truncated at order.
 
-    A member's statistics hold its size, so counting them (in C, by
-    ``Counter``) gives each monomial's coefficient.
+    A walk node's key is its member's weight monomial, so counting the keys
+    (in C, by ``Counter``) gives the series' terms as they are stored.
     """
-    counts = Counter(map(itemgetter(1), _walk_gap4(setid, order)))
-    return Series(QUIN_VARS, order, [(weight_monomial(PartStats(*st)), c) for st, c in counts.items()])
+    return Series._raw(QUIN_VARS, order, dict(_walk_keys(setid, order)))
 
 
 # -- the B side of thm15, thmA1 and thmA2 ------------------------------------------
@@ -395,10 +446,19 @@ def _key_A2(st: Stats) -> tuple[int, int]:
 
 
 def _count_avee(order: int, key: Callable[[Stats], tuple[int, ...]]) -> Counter:
-    return Counter(map(key, map(itemgetter(1), _walk_gap4(SET_AVEE, order))))
+    """Avee members of size <= order counted by ``key`` of their statistics.
+
+    The walk's keys are counted first, and each distinct key is unpacked and
+    mapped to its table key once; r1mod2 is length - r2mod4 - r0mod4.
+    """
+    out: Counter = Counter()
+    for packed, c in _walk_keys(SET_AVEE, order).items():
+        size, length, two, four, over = QUIN_VARS.unpack(packed)
+        out[key((size, length, length - two - four, two, four, over))] += c
+    return out
 
 
-# table_X counts every size up to the order in one walk, in C (``Counter``).
+# table_X counts every size up to the order in one walk.
 # The A side reads the gap-4 walk of Avee, the B side the walk of its family.
 
 

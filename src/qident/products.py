@@ -20,10 +20,9 @@ identities do, so the two sides stay on different routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _add
 from typing import Callable
 
-from .series import Mono, Series, SeriesError, VarSet, _check_mono, mono_mul
+from .series import Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
 
 
 class DivergentProduct(SeriesError):
@@ -59,26 +58,32 @@ def _divide_binomial(r: Series, arg: Mono, sign: int) -> Series:
 
     The quotient s satisfies s = r + sign * s*arg, and arg raises the q-degree,
     so one pass over q-degrees in increasing order finishes each degree before
-    it is read: every term c*m of s, once final, adds sign*c at m*arg.  The
+    it is read: every term c*m of s, once final, adds sign*c at m*arg, one
+    key addition.  Each degree's keys are checked before they are read.  The
     cost is one step per term of s; ``r`` is not modified.
     """
-    _check_mono(r.vars, arg)
+    vars = r.vars
+    step = vars.pack(arg)
     if arg[0] < 1:
         raise DivergentProduct(f"divisor argument {arg} must carry q-degree >= 1")
     order = r.order
     if arg[0] > order:
         return r
-    by_degree: list[dict[Mono, int]] = [{} for _ in range(order + 1)]
-    for m, c in r.terms.items():
-        by_degree[m[0]][m] = c
-    for piece in by_degree[: order + 1 - arg[0]]:
+    top = vars.shifts[0]
+    by_degree: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for m, c in r._terms.items():
+        by_degree[m >> top][m] = c
+    for d, piece in enumerate(by_degree):
+        _check_keys(vars, piece)
+        if d + arg[0] > order:
+            continue
         for m, c in piece.items():
             if c:
-                target = tuple(map(_add, m, arg))  # mono_mul, inlined in the hot loop
-                dest = by_degree[target[0]]
+                target = m + step
+                dest = by_degree[target >> top]
                 dest[target] = dest.get(target, 0) + sign * c
     return Series._raw(
-        r.vars, order, {m: c for piece in by_degree for m, c in piece.items() if c}
+        vars, order, {m: c for piece in by_degree for m, c in piece.items() if c}
     )
 
 
@@ -162,7 +167,8 @@ class InvPochMemo:
 
     def series(self, vars: VarSet, base: int, n: int) -> Series:
         """1/(q^base; q^base)_n over ``vars``, truncated at the memo's order."""
-        terms = {vars.m(q=e): c for e, c in enumerate(self.get(base, n)) if c}
+        top = vars.shifts[0]
+        terms = {e << top: c for e, c in enumerate(self.get(base, n)) if c}
         return Series._raw(vars, self.order, terms)
 
 

@@ -9,35 +9,47 @@ Values are immutable once constructed; every operation returns a fresh
 Series.  Nothing here mutates shared state, so series may be freely shared
 across threads.
 
-Exponents are non-negative: a monomial with a negative entry raises
-``SeriesError`` wherever one is taken (construction, ``coeff``,
-``mul_monomial``, ``substitute``), checked once per call.
+Every monomial is stored packed into one int key (Kronecker substitution;
+the packed exponents of Monagan and Pearce, CASC 2007), so that multiplying
+two monomials is one int addition.  The layout is fixed per ``VarSet``:
+each variable after q has a field of ``W`` bits, variable 1 the most
+significant of them and the last variable at bit 0, and q sits on top with no width limit.
+Int order of the keys is therefore lexicographic order of the exponent
+vectors, and a key's q-exponent is ``key >> top``.
 
-Inside ``__mul__`` and ``invert`` only, each monomial is packed into one int
-(Kronecker substitution; the packed exponents of Monagan and Pearce, CASC
-2007), so that multiplying two monomials is one int addition in
-``_accumulate``.  Variable j >= 1 gets a bit field of its own; q sits above
-them all, with no width limit, so int order of packed keys is q order first.
-The fields are sized from the operands, never fixed: wide enough for the
-largest exponent any product term can reach, so no field carries into its
-neighbour whatever the exponents (an x of 2**40, or an x with no q-degree).
-A negative exponent would borrow from its neighbour instead, which is why
-the contract above is enforced.  Operands are packed on entry and the result
-unpacked on exit; every other method, and everything outside this module,
-sees exponent tuples.
+Every stored non-q exponent stays below ``2**(W - 1)``, so the sum of two
+stored keys never carries from one field into the next.  Each operation that
+makes new keys checks them against a guard mask (the top bit of every
+non-q field) and raises ``ExponentOverflow``, naming the variable, rather
+than let a key wrap.  Exponents are non-negative: a monomial with a negative
+entry raises ``SeriesError`` wherever one is taken (construction, ``coeff``,
+``mul_monomial``, ``substitute``), since it would borrow from its neighbour.
+
+Exponent tuples appear only at the boundary: monomial arguments, ``items``,
+``coeff``, witnesses and the read-only ``terms`` view.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from operator import add as _add
 from operator import lshift as _lshift
-from typing import Collection, Iterable, Iterator
+from operator import or_ as _or
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping
 
 Mono = tuple[int, ...]
 
 MAX_VARS = 6
+
+# Bits per non-q field of a packed key.  Every stored non-q exponent is below
+# LIMIT = 2**(W - 1); W = 12 keeps the (q, x, y) keys of the product sides in
+# one 30-bit int digit up to q^63.
+W = 12
+LIMIT = 1 << (W - 1)
+FIELD = (1 << W) - 1
 
 
 class SeriesError(ValueError):
@@ -60,11 +72,26 @@ class NotInvertible(SeriesError):
     """Inversion precondition failed (unit constant term, positive q-degree)."""
 
 
+class ExponentOverflow(SeriesError):
+    """A non-q exponent reaches ``LIMIT``, past what a packed field holds."""
+
+
+def _field_shifts(arity: int) -> tuple[int, ...]:
+    """Bit offset of each variable's field: q on top, then variable 1, ..., the last at bit 0."""
+    return tuple(W * (arity - 1 - j) for j in range(arity))
+
+
 @dataclass(frozen=True)
 class VarSet:
-    """Ordered variable names; the first is the truncation variable ``q``."""
+    """Ordered variable names; the first is the truncation variable ``q``.
+
+    ``shifts[j]`` is the bit offset of variable j in a packed key (``shifts[0]``
+    is q's, the top), and ``guard`` has the top bit of every non-q field set.
+    """
 
     names: tuple[str, ...]
+    shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    guard: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.names or len(self.names) > MAX_VARS:
@@ -73,6 +100,9 @@ class VarSet:
             raise SeriesError(f"duplicate variable names in {self.names}")
         if self.names[0] != "q":
             raise SeriesError(f"the first variable must be q, got {self.names}")
+        shifts = _field_shifts(len(self.names))
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "guard", sum(LIMIT << s for s in shifts[1:]))
 
     @property
     def arity(self) -> int:
@@ -97,6 +127,27 @@ class VarSet:
     def unit(self) -> Mono:
         return (0,) * self.arity
 
+    def pack(self, mono: Mono) -> int:
+        """The packed key of an exponent vector.
+
+        Raises on a wrong arity, a negative exponent or a non-q exponent of
+        ``LIMIT`` or more, any of which would corrupt the key.
+        """
+        if len(mono) != self.arity:
+            raise ArityMismatch(f"monomial {mono} has arity {len(mono)}, expected {self.arity}")
+        if min(mono) < 0:
+            raise SeriesError(f"negative exponent in monomial {mono}")
+        if max(mono) >= LIMIT:
+            for name, e in zip(self.names[1:], mono[1:]):
+                if e >= LIMIT:
+                    raise ExponentOverflow(f"exponent {e} of {name} in {mono} is not below {LIMIT}")
+        return sum(map(_lshift, mono, self.shifts))
+
+    def unpack(self, key: int) -> Mono:
+        """The exponent vector of a packed key."""
+        top, *rest = self.shifts
+        return (key >> top, *[key >> s & FIELD for s in rest])
+
 
 def varset(*names: str) -> VarSet:
     """Convenience VarSet factory: ``varset("q", "x")``."""
@@ -107,12 +158,17 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(_add, a, b))
 
 
-def _check_mono(vars: VarSet, mono: Mono) -> None:
-    """A monomial argument must have the variable set's arity and no negative exponent."""
-    if len(mono) != vars.arity:
-        raise ArityMismatch(f"monomial {mono} has wrong arity")
-    if min(mono) < 0:
-        raise SeriesError(f"negative exponent in monomial {mono}")
+def _check_keys(vars: VarSet, keys: Iterable[int]) -> None:
+    """Raise ``ExponentOverflow`` if a key holds a non-q exponent of ``LIMIT`` or more.
+
+    One OR over the keys and one AND against the guard mask.  Callers check
+    every key they make from stored keys before it is stored or added to
+    again, so a field is caught below ``2**W`` and never carries.
+    """
+    bad = reduce(_or, keys, 0) & vars.guard
+    if bad:
+        name = vars.names[vars.arity - 1 - (bad.bit_length() - W) // W]
+        raise ExponentOverflow(f"an exponent of {name} reaches {LIMIT}, past its packed field")
 
 
 def format_monomial(vars: VarSet, mono: Mono) -> str:
@@ -125,50 +181,15 @@ def format_monomial(vars: VarSet, mono: Mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _layout(limits: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Shifts and masks of a packed layout whose field j >= 1 holds 0..limits[j].
-
-    Field 1 sits at bit 0 and each later field just above the one before; q,
-    field 0, sits on top with no width limit (limits[0] is ignored), so int
-    order of the packed keys is q order first.
-    """
-    shifts, masks, at = [0], [-1], 0
-    for limit in list(limits)[1:]:
-        width = limit.bit_length()
-        shifts.append(at)
-        masks.append((1 << width) - 1)
-        at += width
-    shifts[0] = at
-    return shifts, masks
-
-
-def _maxima(monos: Iterable[Mono]) -> Iterator[int]:
-    """The largest exponent of each variable over ``monos`` (which must not be empty)."""
-    return map(max, zip(*monos))
-
-
-def _pack(terms: Iterable[tuple[Mono, int]], shifts: list[int]) -> list[tuple[int, int]]:
-    return [(sum(map(_lshift, m, shifts)), c) for m, c in terms]
-
-
-def _unpack(packed: dict[int, int], shifts: list[int], masks: list[int]) -> dict[Mono, int]:
-    fields = list(zip(shifts, masks))
-    return {tuple([k >> s & mk for s, mk in fields]): c for k, c in packed.items()}
-
-
 def _accumulate(
     acc: dict[int, int], left: Iterable[tuple[int, int]], right: Collection[tuple[int, int]]
 ) -> None:
     """Add every product of a term of ``left`` by a term of ``right`` into ``acc``.
 
     The one place two terms are multiplied; ``right`` is iterated once per term
-    of ``left``.  A coefficient that sums to zero is deleted.
-
-    Monomials are packed ints laid out by ``_layout``: q on top, each other
-    variable in a field below it.  ``ma + mb`` is the monomial product only
-    while no field carries into the next and none borrows from it, so the
-    caller sizes every field from its operands for the largest exponent the
-    result can hold, and exponents are never negative.
+    of ``left``.  A coefficient that sums to zero is deleted.  ``ma + mb`` is
+    the monomial product because no stored field reaches ``LIMIT``; the
+    caller checks the keys of ``acc`` before it stores them.
     """
     get = acc.get
     for ma, ca in left:
@@ -194,40 +215,38 @@ class Mismatch:
 
 
 class Series:
-    """Sparse truncated power series: exponent vector -> nonzero int coefficient."""
+    """Sparse truncated power series: packed monomial key -> nonzero int coefficient."""
 
-    __slots__ = ("vars", "order", "terms")
+    __slots__ = ("vars", "order", "_terms")
 
     def __init__(self, vars: VarSet, order: int, terms: Iterable[tuple[Mono, int]] = ()):
         if order < 0:
             raise SeriesError("truncation order must be >= 0")
-        arity = vars.arity
-        acc: dict[Mono, int] = {}
+        pack = vars.pack
+        limit = (order + 1) << vars.shifts[0]
+        acc: dict[int, int] = {}
         for mono, coeff in terms:
-            if len(mono) != arity:
-                raise ArityMismatch(f"monomial {mono} has arity {len(mono)}, expected {arity}")
-            if any(e < 0 for e in mono):
-                raise SeriesError(f"negative exponent in monomial {mono}")
-            if mono[0] > order or coeff == 0:
+            key = pack(mono)
+            if key >= limit or coeff == 0:
                 continue
-            mono = tuple(mono)
-            c = acc.get(mono, 0) + coeff
+            c = acc.get(key, 0) + coeff
             if c:
-                acc[mono] = c
+                acc[key] = c
             else:
-                del acc[mono]
+                del acc[key]
         self.vars = vars
         self.order = order
-        self.terms = acc
+        self._terms = acc
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _raw(cls, vars: VarSet, order: int, terms: dict[Mono, int]) -> "Series":
+    def _raw(cls, vars: VarSet, order: int, terms: dict[int, int]) -> "Series":
+        """A series over ``terms`` as given: packed keys within the order, nonzero coefficients."""
         s = cls.__new__(cls)
         s.vars = vars
         s.order = order
-        s.terms = terms
+        s._terms = terms
         return s
 
     @classmethod
@@ -236,7 +255,7 @@ class Series:
 
     @classmethod
     def const(cls, vars: VarSet, order: int, c: int) -> "Series":
-        return cls._raw(vars, order, {vars.unit: c} if c else {})
+        return cls._raw(vars, order, {0: c} if c else {})
 
     @classmethod
     def one(cls, vars: VarSet, order: int) -> "Series":
@@ -248,24 +267,38 @@ class Series:
 
     # -- basic queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Mono, int]:
+        """Read-only view keyed by exponent tuples, built on each access."""
+        unpack = self.vars.unpack
+        return MappingProxyType({unpack(k): c for k, c in self._terms.items()})
+
+    def _limit(self, order: int) -> int:
+        """The least key whose q-exponent exceeds ``order``."""
+        return (order + 1) << self.vars.shifts[0]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coeff(self, mono: Mono) -> int:
         """Stored coefficient, or 0; raises if the query exceeds the order."""
-        _check_mono(self.vars, mono)
+        key = self.vars.pack(mono)
         if mono[0] > self.order:
             raise TruncationExceeded(
                 f"q-exponent {mono[0]} beyond truncation order {self.order}"
             )
-        return self.terms.get(tuple(mono), 0)
+        return self._terms.get(key, 0)
 
     def constant_term(self) -> int:
-        return self.terms.get(self.vars.unit, 0)
+        return self._terms.get(0, 0)
 
     def items(self) -> Iterator[tuple[Mono, int]]:
-        """Terms in canonical (lexicographic exponent) order."""
-        return iter(sorted(self.terms.items()))
+        """Terms in canonical (lexicographic exponent) order: keys sorted, each unpacked once."""
+        terms = self._terms
+        keys = sorted(terms)
+        top, *rest = self.vars.shifts
+        columns = [[k >> top for k in keys]] + [[k >> s & FIELD for k in keys] for s in rest]
+        return zip(zip(*columns), map(terms.__getitem__, keys))
 
     def q_coefficients(self, upto: int | None = None) -> list[int]:
         """Coefficient of q^0..q^upto, summing over all other variables.
@@ -275,10 +308,12 @@ class Series:
         n = self.order if upto is None else upto
         if n > self.order:
             raise TruncationExceeded(f"order {n} beyond truncation {self.order}")
+        top = self.vars.shifts[0]
         out = [0] * (n + 1)
-        for mono, c in self.terms.items():
-            if mono[0] <= n:
-                out[mono[0]] += c
+        for key, c in self._terms.items():
+            d = key >> top
+            if d <= n:
+                out[d] += c
         return out
 
     # -- equality --------------------------------------------------------------
@@ -289,7 +324,7 @@ class Series:
         return (
             self.vars == other.vars
             and self.order == other.order
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):  # dict-backed, deliberately unhashable
@@ -302,18 +337,14 @@ class Series:
             raise TruncationExceeded(
                 f"comparison order {upto} exceeds truncation ({self.order}, {other.order})"
             )
-        witness: Mono | None = None
-        for mono, c in self.terms.items():
-            if mono[0] <= upto and other.terms.get(mono, 0) != c:
-                if witness is None or mono < witness:
-                    witness = mono
-        for mono, c in other.terms.items():
-            if mono[0] <= upto and mono not in self.terms:
-                if witness is None or mono < witness:
-                    witness = mono
-        if witness is None:
+        limit = self._limit(upto)
+        a, b = self._terms, other._terms
+        differ = [k for k, c in a.items() if k < limit and b.get(k, 0) != c]
+        differ += [k for k in b if k < limit and k not in a]
+        if not differ:
             return None
-        return Mismatch(witness, self.terms.get(witness, 0), other.terms.get(witness, 0))
+        witness = min(differ)
+        return Mismatch(self.vars.unpack(witness), a.get(witness, 0), b.get(witness, 0))
 
     # -- ring operations -------------------------------------------------------
 
@@ -327,12 +358,11 @@ class Series:
             if order == self.order:
                 return self
             raise TruncationExceeded(f"cannot extend order {self.order} to {order}")
-        return Series._raw(
-            self.vars, order, {m: c for m, c in self.terms.items() if m[0] <= order}
-        )
+        limit = self._limit(order)
+        return Series._raw(self.vars, order, {k: c for k, c in self._terms.items() if k < limit})
 
     def __neg__(self) -> "Series":
-        return Series._raw(self.vars, self.order, {m: -c for m, c in self.terms.items()})
+        return Series._raw(self.vars, self.order, {k: -c for k, c in self._terms.items()})
 
     @classmethod
     def sum(cls, vars: VarSet, order: int, parts: Iterable["Series"]) -> "Series":
@@ -343,24 +373,31 @@ class Series:
         with more terms than the accumulator is copied, and the accumulator is
         added into the copy instead.
         """
-        acc: dict[Mono, int] = {}
+        top = vars.shifts[0]
+        limit = (order + 1) << top
+        acc: dict[int, int] = {}
         for p in parts:
             if p.vars != vars:
                 raise VarSetMismatch(f"{vars.names} vs {p.vars.names}")
             if p.order < order:
                 order = p.order
-                acc = {m: c for m, c in acc.items() if m[0] <= order}
-            small = p.terms
+                limit = (order + 1) << top
+                acc = {k: c for k, c in acc.items() if k < limit}
+            small = p._terms
             if len(small) > len(acc):
-                acc, small = {m: c for m, c in small.items() if m[0] <= order}, acc
-            for m, c in small.items():
-                if m[0] > order:
-                    continue
-                s = acc.get(m, 0) + c
-                if s:
-                    acc[m] = s
+                if p.order == order:
+                    acc, small = dict(small), acc
                 else:
-                    acc.pop(m, None)
+                    acc, small = {k: c for k, c in small.items() if k < limit}, acc
+            get = acc.get
+            for k, c in small.items():
+                if k >= limit:
+                    continue
+                s = get(k, 0) + c
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
         return cls._raw(vars, order, acc)
 
     def __add__(self, other: "Series") -> "Series":
@@ -372,15 +409,17 @@ class Series:
     def scale(self, c: int) -> "Series":
         if c == 0:
             return Series.zero(self.vars, self.order)
-        return Series._raw(self.vars, self.order, {m: c * v for m, v in self.terms.items()})
+        return Series._raw(self.vars, self.order, {k: c * v for k, v in self._terms.items()})
 
     def mul_monomial(self, mono: Mono) -> "Series":
-        """Multiply by the monomial ``mono``; cheaper than a general product."""
-        _check_mono(self.vars, mono)
-        budget = self.order - mono[0]
-        return Series._raw(self.vars, self.order, {
-            mono_mul(m, mono): c for m, c in self.terms.items() if m[0] <= budget
-        })
+        """Multiply by the monomial ``mono``: one key addition per term within the order."""
+        step = self.vars.pack(mono)
+        if not step:
+            return self
+        bound = self._limit(self.order) - step
+        out = {k + step: c for k, c in self._terms.items() if k < bound}
+        _check_keys(self.vars, out)
+        return Series._raw(self.vars, self.order, out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -389,27 +428,25 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        if not self.terms or not other.terms:
+        if not self._terms or not other._terms:
             return Series.zero(self.vars, order)
-        # Field j >= 1 holds at most max_j(a) + max_j(b) in any product term.
-        shifts, masks = _layout(map(_add, _maxima(self.terms), _maxima(other.terms)))
-        top = shifts[0]
-        # Sort the longer factor by packed key (q-degree first) and cut it, for
-        # each q-degree slice of the shorter one, at the budget, so over-order
+        top = self.vars.shifts[0]
+        # Sort the longer factor by key (q-degree first) and cut it, for each
+        # q-degree slice of the shorter one, at the budget, so over-order
         # products are never formed.
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        b_items = sorted(_pack(b.terms.items(), shifts))
-        b_keys = [m for m, _ in b_items]
+        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        b_items = sorted(b._terms.items())
+        b_keys = [k for k, _ in b_items]
         a_slices: dict[int, list[tuple[int, int]]] = {}
-        for m, c in _pack(a.terms.items(), shifts):
-            k = m >> top
-            if k <= order:
-                a_slices.setdefault(k, []).append((m, c))
+        for k, c in a._terms.items():
+            d = k >> top
+            if d <= order:
+                a_slices.setdefault(d, []).append((k, c))
         acc: dict[int, int] = {}
-        for k, left in a_slices.items():
-            _accumulate(acc, left, b_items[:bisect_left(b_keys, (order - k + 1) << top)])
-        del a_slices, b_items, b_keys
-        return Series._raw(self.vars, order, _unpack(acc, shifts, masks))
+        for d, left in a_slices.items():
+            _accumulate(acc, left, b_items[:bisect_left(b_keys, (order - d + 1) << top)])
+        _check_keys(self.vars, acc)
+        return Series._raw(self.vars, order, acc)
 
     __rmul__ = __mul__
 
@@ -425,28 +462,25 @@ class Series:
             b_0 = c0,    b_n = -c0 * sum_{k=1..n} a_k * b_{n-k}    (n = 1..order).
 
         Every slice product is formed once, so the cost is about that of one
-        product of ``a`` by the result.
+        product of ``a`` by the result.  Each slice's keys are checked before
+        a later slice adds to them.
         """
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise NotInvertible(f"constant term {c0} is not a unit")
-        unit = self.vars.unit
-        for m in self.terms:
-            if m != unit and m[0] == 0:
+        vars, order = self.vars, self.order
+        top = vars.shifts[0]
+        for k in self._terms:
+            if 0 < k < 1 << top:
                 raise NotInvertible(
-                    f"non-constant monomial {m} carries no q-degree; inversion unsupported"
+                    f"non-constant monomial {vars.unpack(k)} carries no q-degree; "
+                    "inversion unsupported"
                 )
-        order = self.order
-        # A term of b_n (n <= order) is a product of at most n terms of a, each
-        # of q-degree >= 1, so field j >= 1 holds at most order * max_j(a).
-        shifts, masks = _layout(order * e for e in _maxima(self.terms))
-        top = shifts[0]
         # tail[k]: the q-degree-k slice of -c0 * (a - c0), so b_n = sum_k tail[k] * b_{n-k}.
         tail: list[list[tuple[int, int]]] = [[] for _ in range(order + 1)]
-        for m, c in _pack(self.terms.items(), shifts):
-            k = m >> top
-            if m and k <= order:
-                tail[k].append((m, -c0 * c))
+        for m, c in self._terms.items():
+            if m:
+                tail[m >> top].append((m, -c0 * c))
         degrees = [k for k in range(1, order + 1) if tail[k]]
         slices: list[dict[int, int]] = [{0: c0}]
         for n in range(1, order + 1):
@@ -455,54 +489,67 @@ class Series:
                 if k > n:
                     break
                 _accumulate(acc, tail[k], slices[n - k].items())
+            _check_keys(vars, acc)
             slices.append(acc)
         del tail
-        result: dict[Mono, int] = {}
+        result: dict[int, int] = {}
         for piece in slices:
-            result.update(_unpack(piece, shifts, masks))
+            result.update(piece)
             piece.clear()
-        return Series._raw(self.vars, order, result)
+        return Series._raw(vars, order, result)
 
     def substitute(self, var: str, mono: Mono) -> "Series":
         """Replace every occurrence of ``var``**e by ``mono``**e, re-truncated.
 
         Substituting q itself requires the replacement to carry q-degree >= 1,
         otherwise previously discarded terms could re-enter the truncation
-        window and the result would not be exact.
+        window and the result would not be exact.  A term's key moves by
+        e * (key(mono) - key(var)); ``e * mono`` is checked against ``LIMIT``
+        for the largest e first, so that product carries nowhere either.
         """
-        vi = self.vars.index(var)
-        _check_mono(self.vars, mono)
+        vars = self.vars
+        vi = vars.index(var)
+        step = vars.pack(mono)
         if vi == 0 and mono[0] < 1:
             raise SeriesError("substituting the truncation variable needs q-degree >= 1")
-        acc: dict[Mono, int] = {}
-        for m, c in self.terms.items():
-            e = m[vi]
-            new = tuple(
-                (0 if j == vi else m[j]) + e * mono[j] for j in range(self.vars.arity)
-            )
-            if new[0] > self.order:
+        shift = vars.shifts[vi]
+        mask = -1 if vi == 0 else FIELD
+        terms = self._terms
+        e_max = max((k >> shift & mask for k in terms), default=0)
+        for name, e in zip(vars.names[1:], mono[1:]):
+            if e_max * e >= LIMIT:
+                raise ExponentOverflow(f"{var}^{e_max} -> {name}^{e_max * e} is not below {LIMIT}")
+        delta = step - (1 << shift)
+        limit = self._limit(self.order)
+        acc: dict[int, int] = {}
+        for k, c in terms.items():
+            new = k + (k >> shift & mask) * delta
+            if new >= limit:
                 continue
             s = acc.get(new, 0) + c
             if s:
                 acc[new] = s
             else:
                 del acc[new]
-        return Series._raw(self.vars, self.order, acc)
+        _check_keys(vars, acc)
+        return Series._raw(vars, self.order, acc)
 
     def set_var_zero(self, var: str) -> "Series":
         """Evaluate at var = 0: keep only terms with exponent 0 in ``var``."""
         vi = self.vars.index(var)
+        shift = self.vars.shifts[vi]
+        mask = -1 if vi == 0 else FIELD
         return Series._raw(
-            self.vars, self.order, {m: c for m, c in self.terms.items() if m[vi] == 0}
+            self.vars, self.order, {k: c for k, c in self._terms.items() if not k >> shift & mask}
         )
 
     # -- rendering ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return f"<0 (order {self.order})>"
         parts = []
-        for mono, c in sorted(self.terms.items()):
+        for mono, c in self.items():
             txt = format_monomial(self.vars, mono)
             if txt == "1":
                 parts.append(str(c))

@@ -7,6 +7,11 @@ function wherever the package binds it, and every registry entry named for it
 must then fail at its default order with a witness.  A mutant that no entry
 can see is listed in ``EQUIVALENT`` with the reason, and a test of its own
 must kill it.
+
+Two more mutants change the packed layout of ``Series`` keys, which no entry
+can see, since both sides of an identity share one layout: the x and y1
+fields swapped, and the guard check dropped.  ``_layout_holds`` must fail
+under each.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import inspect
 import textwrap
 from dataclasses import replace
 
-from qident import identities, lpi, multisum, partitions
+from qident import borel, identities, lpi, multisum, partitions, products, series
 from qident.identities import REGISTRY, verify
-from qident.series import QUIN_VARS, Series
+from qident.series import LIMIT, QUIN_VARS, ExponentOverflow, Series, varset
 
 # The entries whose other side is built without eval_sum: products for rr1,
 # rr2, the AG ladder, quad and quad-new, the gap-4 walk for thm51-a..d, and
@@ -116,3 +121,40 @@ def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     assert lpi.f_vector(spec, vec) == expected
     _install(monkeypatch, "f_vector base not a subset")
     assert lpi.f_vector(spec, vec) != expected
+
+
+# label -> (module, function, old text, new text, modules that bind it)
+LAYOUT_MUTANTS = {
+    "x and y1 fields swapped": (
+        series, "_field_shifts", "for j in range(arity)", "for j in (0, 2, 1, *range(3, arity))",
+        (series,),
+    ),
+    "guard check dropped": (
+        series, "_check_keys", "& vars.guard", "& 0",
+        (series, products, multisum, borel, partitions),
+    ),
+}
+
+
+def _layout_holds() -> bool:
+    """Whether a layout built now keeps tuple order and refuses a field at LIMIT."""
+    vs = varset(*QUIN_VARS.names)
+    monos = [vs.m(q=1, x=1), vs.m(y1=LIMIT - 1), vs.m(x=1), vs.m(z=2), vs.unit]
+    s = Series(vs, 1, [(m, 1) for m in monos])
+    if [m for m, _ in s.items()] != sorted(monos):
+        return False
+    try:
+        s.mul_monomial(vs.m(y1=1))
+    except ExponentOverflow:
+        return True
+    return False
+
+
+def test_every_layout_mutant_is_killed(monkeypatch):
+    assert _layout_holds()
+    for label, (module, name, old, new, binders) in LAYOUT_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            fn = _mutant(module, name, old, new)
+            for binder in binders:
+                patch.setattr(binder, name, fn)
+            assert not _layout_holds(), label

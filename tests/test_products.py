@@ -322,7 +322,7 @@ def test_divide_binomial_refuses_bad_arguments():
         __iter__ = values = keys = items
 
     vs = QXY_VARS
-    r = Series._raw(vs, 10, Untouchable({vs.unit: 1}))
+    r = Series._raw(vs, 10, Untouchable({0: 1}))
     with pytest.raises(DivergentProduct):
         _divide_binomial(r, vs.m(x=1, y=1), 1)
     with pytest.raises(SeriesError):

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident.borel import borel_apply
+from qident.multisum import MultiSumSpec, eval_sum
+from qident.products import _divide_binomial
 from qident.series import (
+    LIMIT,
+    QUIN_VARS,
+    W,
     ArityMismatch,
+    ExponentOverflow,
     NotInvertible,
     Q_VARS,
     QX_VARS,
@@ -293,6 +300,12 @@ class TestSum:
             assert total == Series(VS, 5, [(VS.m(), 1), (VS.m(q=5), 3)])
         assert Series.sum(VS, 3, [a, b]) == Series.one(VS, 3)
 
+    def test_small_part_of_higher_order_is_cut_at_the_sum_order(self):
+        # a is added term by term into b's copy; its q^6 is the least key past order 5
+        b = Series(VS, 5, [(VS.m(q=k), 1) for k in range(6)])
+        a = Series(VS, 8, [(VS.m(q=6), 7)])
+        assert Series.sum(VS, 5, [b, a]) == b
+
     def test_cancelling_parts_give_zero(self):
         p = Series(VS, 6, [(VS.m(q=1, x=1), 4), (VS.m(q=6), -1)])
         total = Series.sum(VS, 6, [p, -p, p.scale(2), p.scale(-2)])
@@ -431,30 +444,46 @@ class TestNegativeExponents:
             self.S.coeff((-1, 0))
 
 
-# -- the packed product kernel ----------------------------------------------------
+# -- the packed kernel and its layout ----------------------------------------------
 
 
-def reference_mul(a: Series, b: Series) -> Series:
-    """Oracle: the truncated product by a double loop over tuple-keyed terms."""
-    order = min(a.order, b.order)
+def reference_mul_terms(a: dict, b: dict, order: int) -> dict:
+    """Oracle: the truncated product of two tuple-keyed term dicts by a double loop."""
     acc: dict[tuple[int, ...], int] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             key = tuple(x + y for x, y in zip(ma, mb))
             if key[0] <= order:
                 acc[key] = acc.get(key, 0) + ca * cb
-    return Series(a.vars, order, acc.items())
+    return {m: c for m, c in acc.items() if c}
 
 
-def reference_invert(a: Series) -> Series:
-    """Oracle: 1/a = c0 * sum_k (-c0*A)^k with A = a - c0, by ``reference_mul``."""
+def reference_invert_terms(a: Series) -> dict:
+    """Oracle: 1/a = c0 * sum_k (-c0*A)^k with A = a - c0, on tuple-keyed term dicts."""
     c0 = a.constant_term()
-    tail = Series(a.vars, a.order, [(m, -c0 * c) for m, c in a.terms.items() if m != a.vars.unit])
-    power = total = Series.one(a.vars, a.order)
+    unit = a.vars.unit
+    tail = {m: -c0 * c for m, c in a.terms.items() if m != unit}
+    power, total = {unit: 1}, {unit: 1}
     for _ in range(a.order):
-        power = reference_mul(power, tail)
-        total = total + power
-    return total.scale(c0)
+        power = reference_mul_terms(power, tail, a.order)
+        for m, c in power.items():
+            total[m] = total.get(m, 0) + c
+    return {m: c0 * c for m, c in total.items() if c}
+
+
+def reference_mul(a: Series, b: Series) -> Series:
+    order = min(a.order, b.order)
+    return Series(a.vars, order, reference_mul_terms(dict(a.terms), dict(b.terms), order).items())
+
+
+def assert_matches_reference(build, vars, order: int, expected: dict) -> None:
+    """``build()`` gives the ``expected`` terms, or raises ExponentOverflow exactly
+    when one of them holds a non-q exponent of LIMIT or more."""
+    if any(e >= LIMIT for m in expected for e in m[1:]):
+        with pytest.raises(ExponentOverflow):
+            build()
+    else:
+        assert build() == Series(vars, order, expected.items())
 
 
 class TestPackedKernel:
@@ -467,7 +496,8 @@ class TestPackedKernel:
         assert (a * b).coeff(VS.m(x=8)) == 1
 
     def test_huge_exponents_are_exact(self):
-        big = 2**40
+        # the products reach 2 * big = LIMIT - 2, the largest even exponent a field holds
+        big = LIMIT // 2 - 1
         a = Series(QXY_VARS, 4, [(QXY_VARS.unit, 1), ((1, big, 0), 2), ((0, 0, big), -3)])
         b = Series(QXY_VARS, 4, [(QXY_VARS.unit, 1), ((1, big, big), 5), ((2, big - 1, 1), 1)])
         product = a * b
@@ -491,19 +521,16 @@ class TestPackedKernel:
         assert fib.q_coefficients() == [1, 1, 2, 3, 5, 8, 13, 21, 34]
 
 
-HUGE = 2**40
-
-
 @st.composite
-def huge_series(draw, invertible=False):
-    """Series over (q, x, y) with x and y exponents up to 2^40."""
+def huge_series(draw, invertible=False, largest=LIMIT - 1):
+    """Series over (q, x, y) with x and y exponents up to ``largest``, below the field limit."""
     order = draw(st.integers(0, 8))
     terms = []
     for _ in range(draw(st.integers(0, 6))):
         mono = (
             draw(st.integers(1 if invertible else 0, 9)),
-            draw(st.integers(0, HUGE)),
-            draw(st.integers(0, HUGE)),
+            draw(st.integers(0, largest)),
+            draw(st.integers(0, largest)),
         )
         terms.append((mono, draw(st.integers(-9, 9))))
     if invertible:
@@ -514,10 +541,74 @@ def huge_series(draw, invertible=False):
 @given(huge_series(), huge_series())
 @settings(max_examples=100, deadline=None)
 def test_mul_matches_tuple_reference_with_huge_exponents(a, b):
-    assert a * b == reference_mul(a, b)
+    order = min(a.order, b.order)
+    expected = reference_mul_terms(dict(a.terms), dict(b.terms), order)
+    assert_matches_reference(lambda: a * b, VS3, order, expected)
 
 
-@given(huge_series(invertible=True))
+# A quarter of the limit: products of up to four terms fit, longer ones overflow.
+@given(huge_series(invertible=True, largest=(LIMIT - 1) // 4))
 @settings(max_examples=100, deadline=None)
 def test_invert_matches_tuple_reference_with_huge_exponents(a):
-    assert a.invert() == reference_invert(a)
+    assert_matches_reference(a.invert, VS3, a.order, reference_invert_terms(a))
+
+
+QUIN = QUIN_VARS
+quin_monos = st.tuples(
+    st.integers(0, 10**6), *[st.integers(0, LIMIT - 1) for _ in QUIN.names[1:]]
+)
+
+
+@given(st.lists(quin_monos, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_key_order_is_tuple_order(monos):
+    keys = [QUIN.pack(m) for m in monos]
+    assert [QUIN.unpack(k) for k in keys] == monos
+    assert [QUIN.unpack(k) for k in sorted(keys)] == sorted(monos)
+    series = Series(QUIN, 10**6, [(m, 1) for m in monos])
+    assert [m for m, _ in series.items()] == sorted(set(monos))
+
+
+def test_layout_puts_q_on_top_and_x_above_the_rest():
+    assert QUIN.shifts == (4 * W, 3 * W, 2 * W, W, 0)
+    assert QUIN.pack(QUIN.m(z=1)) == 1
+    assert QUIN.pack(QUIN.m(q=1)) == 1 << 4 * W
+    assert Q_VARS.shifts == (0,) and Q_VARS.guard == 0
+
+
+# One call per operation that makes keys, each reaching an exponent of LIMIT
+# in the variable named.  borel_apply only moves q, so the one way to hand it
+# a field at LIMIT is a key stored as given by _raw, and x^LIMIT is boosted
+# by q^(LIMIT(LIMIT-1)), hence the order.
+OVERFLOWS = {
+    "__init__": ("x", lambda: Series(VS, 5, [((0, LIMIT), 1)])),
+    "mul_monomial": ("x", lambda: Series(VS, 5, [((0, LIMIT - 1), 1)]).mul_monomial((1, 1))),
+    "__mul__": (
+        "y", lambda: Series(VS3, 5, [((0, 1, LIMIT // 2), 1)]) * Series(VS3, 5, [((1, 0, LIMIT // 2), 1)])
+    ),
+    "invert": ("x", lambda: Series(VS, 8, [((0, 0), 1), ((2, LIMIT // 4), 1)]).invert()),
+    # x^4 -> x^(2 LIMIT) would carry into q; the check of e_max * mono_j catches it first
+    "substitute": ("x", lambda: Series(VS, 5, [((1, 4), 1)]).substitute("x", (0, LIMIT // 2))),
+    "substitute into a filled field": (
+        "x", lambda: Series(VS3, 5, [((0, LIMIT - 1, 1), 1)]).substitute("y", (0, 1, 0))
+    ),
+    "borel_apply": ("x", lambda: borel_apply(Series._raw(VS3, LIMIT**2, {LIMIT << VS3.shifts[1]: 1}))),
+    "_divide_binomial": ("x", lambda: _divide_binomial(Series(VS, 6, [((0, LIMIT - 3), 1)]), (1, 1), 1)),
+    "eval_sum": (
+        "x", lambda: eval_sum(MultiSumSpec(((2,),), (1,), ((LIMIT // 2,),)), (1,), VS, 10)
+    ),
+}
+
+
+@pytest.mark.parametrize("op", list(OVERFLOWS))
+def test_exponent_at_the_limit_raises(op):
+    name, call = OVERFLOWS[op]
+    with pytest.raises(ExponentOverflow, match=rf"\b{name}\b"):
+        call()
+
+
+def test_exponent_below_the_limit_is_kept():
+    s = Series(VS, 5, [((0, LIMIT - 2), 1)]).mul_monomial((1, 1))
+    assert s.coeff((1, LIMIT - 1)) == 1
+    assert s.substitute("x", (1, 1)).is_zero()  # x^(LIMIT-1) q^LIMIT is past the order
+    assert s.substitute("q", (1, 0)) == s
