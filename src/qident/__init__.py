@@ -46,6 +46,7 @@ from .partitions import (
 )
 from .products import (
     DivergentProduct,
+    InexactDivision,
     PochSpec,
     euler1,
     euler2,
@@ -53,6 +54,7 @@ from .products import (
     poch,
     poch_finite,
     poch_inf,
+    poch_inverse,
     qbinom,
 )
 from .report import IdentityReport

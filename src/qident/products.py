@@ -9,24 +9,46 @@ than a general product (that would pack and unpack all of r).
 Infinite products require the argument to carry positive q-degree so that
 only finitely many factors differ from 1 below the truncation order.
 
+An inverted product 1 / prod_i (s_i A_i; q^{step_i})_inf is built by
+``poch_inverse``, Euler's logarithmic-derivative recurrence over q-degree
+slices (Andrews, The Theory of Partitions, 1.3; Apostol, Introduction to
+Analytic Number Theory, Thm 14.8): it forms neither the product nor a
+general inverse.  Numerators stay on shift-and-subtract.
+
 The single sums sum_n t_n are built by a forward recurrence: t_n is t_{n-1}
 times a monomial and at most one binomial, divided by 1 - q^{step*n} with
 ``_divide_binomial``, which undoes shift-and-subtract in one pass over the
 terms of the quotient by increasing q-degree.  A sum side therefore never
-forms a general product or calls invert(); the product sides of the
-identities do, so the two sides stay on different routes.
+forms a product, general or Pochhammer, nor an inverse; the product sides
+of the identities use ``poch_inf``, ``poch_inverse`` and general products
+and never divide, so the two sides stay on different routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Callable, Iterable
 
-from .series import Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
+from .series import (
+    LIMIT,
+    ExponentOverflow,
+    Mono,
+    Series,
+    SeriesError,
+    VarSet,
+    _accumulate,
+    _check_keys,
+    mono_mul,
+)
 
 
 class DivergentProduct(SeriesError):
     """Infinite product or sum whose argument carries no q-degree."""
+
+
+class InexactDivision(SeriesError):
+    """An integer recurrence's exact division by n left a remainder."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +136,7 @@ def poch_inf(spec: PochSpec, vars: VarSet, order: int) -> Series:
             f"infinite product argument {spec.argument} must carry q-degree >= 1"
         )
     # Factors with m*k beyond the order are congruent to 1 and contribute nothing.
-    n_factors = (order - spec.argument[0]) // spec.step + 1
+    n_factors = max(0, (order - spec.argument[0]) // spec.step + 1)
     return poch_finite(
         PochSpec(spec.argument, spec.step, n_factors, spec.sign), vars, order
     )
@@ -125,6 +147,100 @@ def poch(spec: PochSpec, vars: VarSet, order: int) -> Series:
     if spec.length is None:
         return poch_inf(spec, vars, order)
     return poch_finite(spec, vars, order)
+
+
+def _exact_quotient(c: int, n: int) -> int:
+    """c / n, which must be exact; a remainder raises rather than floors."""
+    quotient, remainder = divmod(c, n)
+    if remainder:
+        raise InexactDivision(f"q-degree {n}: coefficient {c} is not divisible by {n}")
+    return quotient
+
+
+def _log_derivative(
+    specs: tuple[PochSpec, ...], vars: VarSet, order: int
+) -> list[list[tuple[int, int]]]:
+    """The q-degree slices S_1..S_order of q d/dq log of 1 / prod_i (s_i A_i; q^{step_i})_inf.
+
+    Each factor 1 - s*B, with B = A q^{step*k}, adds deg(B) * (s*B)^m to
+    S_{m*deg(B)} for every m >= 1 with m*deg(B) <= order; deg is the
+    q-degree.  Slice j is a list of packed (key, coeff) pairs and slice 0 is
+    empty.  ``poch_inverse`` has checked every argument, so no key carries.
+    """
+    top = vars.shifts[0]
+    slices: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for spec in specs:
+        key, d, q_step = vars.pack(spec.argument), spec.argument[0], spec.step << top
+        while d <= order:
+            for m in range(1, order // d + 1):
+                piece, k = slices[m * d], m * key
+                piece[k] = piece.get(k, 0) + d * spec.sign ** m
+            key += q_step
+            d += spec.step
+    return [[(k, c) for k, c in piece.items() if c] for piece in slices]
+
+
+def poch_inverse(specs: Iterable[PochSpec], vars: VarSet, order: int) -> Series:
+    """1 / prod_i (s_i A_i; q^{step_i})_inf by Euler's logarithmic-derivative recurrence.
+
+    With P_n the q-degree-n slice of the inverse P and S_j that of
+    q d/dq log P (``_log_derivative``), q d/dq P = P * q d/dq log P gives
+
+        P_0 = 1,    n * P_n = sum_{j=1..n} S_j * P_{n-j}    (n = 1..order),
+
+    and the division by n is exact and checked.  Over several variables the
+    slices are lists of packed pairs multiplied through ``_accumulate``; over
+    q alone each S_j is one int sigma(j), the recurrence runs on a list of
+    ints.  No product, inverse or division by a binomial is formed, so this
+    is a route of its own beside ``Series.invert``.
+
+    Every spec must be infinite and its argument carry q-degree >= 1
+    (``DivergentProduct`` otherwise, before any work).  The largest power
+    taken of an argument, order // deg_q(A), is checked against ``LIMIT``
+    up front, so an S_j key that would carry raises ``ExponentOverflow``.
+    """
+    specs = tuple(specs)
+    for spec in specs:
+        arg = spec.argument
+        if spec.length is not None:
+            raise SeriesError("poch_inverse needs infinite products (length None)")
+        if len(arg) != vars.arity:
+            raise SeriesError(f"argument {arg} has wrong arity for {vars.names}")
+        if arg[0] < 1:
+            raise DivergentProduct(f"infinite product argument {arg} must carry q-degree >= 1")
+        m_max = order // arg[0]
+        for name, e in zip(vars.names[1:], arg[1:]):
+            if m_max * e >= LIMIT:
+                raise ExponentOverflow(
+                    f"{name}^{e} to the power {m_max} is not below {LIMIT}, past its packed field"
+                )
+    log = _log_derivative(specs, vars, order)
+    if vars.arity == 1:
+        sigma = [sum(c for _, c in piece) for piece in log]
+        p = [1]
+        for n in range(1, order + 1):
+            p.append(_exact_quotient(sum(map(mul, sigma[1 : n + 1], reversed(p))), n))
+        return Series._raw(vars, order, {e: c for e, c in enumerate(p) if c})
+    return _inverse_by_slices(log, vars, order)
+
+
+def _inverse_by_slices(log: list[list[tuple[int, int]]], vars: VarSet, order: int) -> Series:
+    """P from the slices S_j of its logarithmic derivative, slice by slice (see ``poch_inverse``).
+
+    Each P_n is a list of packed pairs; its keys are checked before it is
+    divided by n and read by a later slice.
+    """
+    degrees = [j for j in range(1, order + 1) if log[j]]
+    p: list[list[tuple[int, int]]] = [[(0, 1)]]
+    for n in range(1, order + 1):
+        acc: dict[int, int] = {}
+        for j in degrees:
+            if j > n:
+                break
+            _accumulate(acc, log[j], p[n - j])
+        _check_keys(vars, acc)
+        p.append([(k, _exact_quotient(c, n)) for k, c in acc.items()])
+    return Series._raw(vars, order, {k: c for piece in p for k, c in piece})
 
 
 def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:

@@ -2,11 +2,13 @@
 
 Each mutant changes one piece of text in one function: the exponent of the
 division in ``eval_sum``, the part rule or the multiplicity cap of a B-side
-walk, or the containment test of ``f_vector``'s base.  The mutant replaces the
-function wherever the package binds it, and every registry entry named for it
-must then fail at its default order with a witness.  A mutant that no entry
-can see is listed in ``EQUIVALENT`` with the reason, and a test of its own
-must kill it.
+walk, the containment test of ``f_vector``'s base, or the degree weight, the
+sign power or the divisor of ``poch_inverse``'s recurrence.  The mutant
+replaces the function wherever the package binds it, and every registry
+entry named for it must then fail at its default order with a witness: a
+mismatch, or the coefficient that the recurrence's checked division by n
+found inexact.  A mutant that no entry can see is listed in ``EQUIVALENT``
+with the reason, and a test of its own must kill it.
 
 Two more mutants change the packed layout of ``Series`` keys, which no entry
 can see, since both sides of an identity share one layout: the x and y1
@@ -23,7 +25,8 @@ from dataclasses import replace
 
 from qident import borel, identities, lpi, multisum, partitions, products, series
 from qident.identities import REGISTRY, verify
-from qident.series import LIMIT, QUIN_VARS, ExponentOverflow, Series, varset
+from qident.products import InexactDivision, PochSpec, poch_inf, poch_inverse
+from qident.series import LIMIT, QUIN_VARS, QX_VARS, ExponentOverflow, Series, varset
 
 # The entries whose other side is built without eval_sum: products for rr1,
 # rr2, the AG ladder, quad and quad-new, the gap-4 walk for thm51-a..d, and
@@ -34,6 +37,14 @@ _EVAL_SUM_ENTRIES = (
     *(f"andrews-gordon-k{k}-i{i}" for k in (2, 3, 4) for i in range(1, k + 1)),
     "quad", "quad-new", "thm51-a", "thm51-b", "thm51-c", "thm51-d", "h-matrix",
 )
+
+# The entries with an inverted product side, all built by poch_inverse.
+_INVERSE_ENTRIES = (
+    "rr1", "rr2",
+    *(f"andrews-gordon-k{k}-i{i}" for k in (2, 3, 4) for i in range(1, k + 1)),
+    "euler1", "qbinom", "tri-single", "quad-new", "borel-bridge-lhs",
+)
+_WEIGHT = "d * spec.sign ** m"
 
 # label -> (module, function, old text, new text, modules that bind it, entries)
 KERNEL_MUTANTS = {
@@ -58,6 +69,21 @@ KERNEL_MUTANTS = {
     "f_vector base not a subset": (
         lpi, "f_vector", " if t <= link", "", (lpi, identities), ("g-system", "f-system"),
     ),
+    "poch_inverse degree weight d -> d + 1": (
+        products, "_log_derivative", _WEIGHT, "(d + 1) * spec.sign ** m",
+        (products,), _INVERSE_ENTRIES,
+    ),
+    "poch_inverse degree weight d -> d - 1": (
+        products, "_log_derivative", _WEIGHT, "(d - 1) * spec.sign ** m",
+        (products,), _INVERSE_ENTRIES,
+    ),
+    "poch_inverse divides by n + 1": (
+        products, "_exact_quotient", "divmod(c, n)", "divmod(c, n + 1)",
+        (products,), _INVERSE_ENTRIES,
+    ),
+    "poch_inverse sign power dropped": (
+        products, "_log_derivative", _WEIGHT, "d", (products,), _INVERSE_ENTRIES,
+    ),
 }
 
 EQUIVALENT = {
@@ -65,6 +91,10 @@ EQUIVALENT = {
         "the gap-4 linking sets form a chain, and sets are summed smaller first, "
         "so every set already summed is a subset of the next one; "
         "test_f_vector_base_mutant_fails_on_sets_that_are_not_nested kills it"
+    ),
+    "poch_inverse sign power dropped": (
+        "every factor the registry inverts has sign +1, where s**m is 1; "
+        "test_sign_mutant_fails_on_a_negated_argument kills it"
     ),
 }
 
@@ -97,7 +127,12 @@ def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
             entries = _install(patch, label)
             seen = []
             for identity in entries:
-                report = verify(identity)
+                try:
+                    report = verify(identity)
+                except InexactDivision as exc:
+                    assert str(exc)  # the witness: a q-degree and its coefficient
+                    seen.append(identity)
+                    continue
                 assert report.order == REGISTRY[identity].default_order
                 if not report.passed and report.witness:
                     seen.append(identity)
@@ -121,6 +156,15 @@ def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     assert lpi.f_vector(spec, vec) == expected
     _install(monkeypatch, "f_vector base not a subset")
     assert lpi.f_vector(spec, vec) != expected
+
+
+def test_sign_mutant_fails_on_a_negated_argument(monkeypatch):
+    # 1/(-xq;q)_inf: the factors 1 + x q^k have sign -1, so S_j carries (-1)^m.
+    spec, order = PochSpec(QX_VARS.m(x=1, q=1), 1, sign=-1), 12
+    expected = poch_inf(spec, QX_VARS, order).invert()
+    assert poch_inverse([spec], QX_VARS, order) == expected
+    _install(monkeypatch, "poch_inverse sign power dropped")
+    assert poch_inverse([spec], QX_VARS, order) != expected
 
 
 # label -> (module, function, old text, new text, modules that bind it)

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import identities, multisum
+from qident import identities, multisum, products
 from qident.products import (
     DivergentProduct,
+    InexactDivision,
     InvPochMemo,
     PochSpec,
     _divide_binomial,
     _divide_q_power,
+    _exact_quotient,
+    _inverse_by_slices,
+    _log_derivative,
     _times_binomial,
     euler1,
     euler2,
@@ -18,9 +22,20 @@ from qident.products import (
     poch,
     poch_finite,
     poch_inf,
+    poch_inverse,
     qbinom,
 )
-from qident.series import Q_VARS, QUIN_VARS, QX_VARS, QXY_VARS, Series, SeriesError, varset
+from qident.series import (
+    LIMIT,
+    Q_VARS,
+    QUIN_VARS,
+    QX_VARS,
+    QXY_VARS,
+    ExponentOverflow,
+    Series,
+    SeriesError,
+    varset,
+)
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -149,6 +164,10 @@ class TestPochInf:
         with pytest.raises(DivergentProduct):
             poch_inf(PochSpec(QX_VARS.m(x=1), 1), QX_VARS, 5)
 
+    def test_argument_past_the_order_is_one(self):
+        # (q^9; q)_inf to order 2 has no factor below the order
+        assert poch_inf(PochSpec(Q_VARS.m(q=9), 1), Q_VARS, 2) == Series.one(Q_VARS, 2)
+
     def test_dispatch(self):
         spec = PochSpec(Q_VARS.m(q=1), 1, None)
         assert poch(spec, Q_VARS, 6) == poch_inf(spec, Q_VARS, 6)
@@ -270,6 +289,146 @@ def test_tri_single_sum_side_stays_off_the_product_route(refuse_product_route):
     expected = identities._tri_single_lhs(30)
     refuse_product_route()
     assert identities._tri_single_rhs(30) == expected
+
+
+# -- inverted products by the logarithmic-derivative recurrence --------------------
+
+
+@st.composite
+def inverse_specs(draw, vars):
+    """0..3 infinite specs over ``vars``: q-degree 1-3, other exponents 0-2, step 1-4, sign +-1."""
+    return [
+        PochSpec(
+            (draw(st.integers(1, 3)), *(draw(st.integers(0, 2)) for _ in vars.names[1:])),
+            draw(st.integers(1, 4)),
+            sign=draw(st.sampled_from((1, -1))),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+
+
+def _inverted_product(specs, vars, order: int) -> Series:
+    """The oracle: the specs' shift-and-subtract products, multiplied and then inverted."""
+    prod = Series.one(vars, order)
+    for spec in specs:
+        prod = prod * poch_inf(spec, vars, order)
+    return prod.invert()
+
+
+@st.composite
+def inverse_cases(draw):
+    vars = draw(st.sampled_from((Q_VARS, QX_VARS, QXY_VARS)))
+    return vars, draw(inverse_specs(vars)), draw(st.integers(0, 25))
+
+
+@given(inverse_cases())
+@settings(max_examples=200, deadline=None)
+def test_poch_inverse_equals_inverted_product(case):
+    vars, specs, order = case
+    assert poch_inverse(specs, vars, order) == _inverted_product(specs, vars, order)
+
+
+@given(inverse_specs(Q_VARS), st.integers(0, 25))
+@settings(max_examples=100, deadline=None)
+def test_q_list_path_equals_slice_path(specs, order):
+    slices = _inverse_by_slices(_log_derivative(tuple(specs), Q_VARS, order), Q_VARS, order)
+    assert poch_inverse(specs, Q_VARS, order) == slices
+
+
+def test_poch_inverse_counts_partitions():
+    got = poch_inverse([PochSpec(Q_VARS.m(q=1), 1)], Q_VARS, 30).q_coefficients()
+    assert got == [partitions_into(n) for n in range(31)]
+    assert got[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+
+
+def test_poch_inverse_of_no_factor_is_one():
+    assert poch_inverse([], QXY_VARS, 7) == Series.one(QXY_VARS, 7)
+    assert poch_inverse([PochSpec(QX_VARS.m(x=1, q=1), 1)], QX_VARS, 0) == Series.one(QX_VARS, 0)
+
+
+def test_poch_inverse_refuses_bad_specs_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence started")
+
+    monkeypatch.setattr(products, "_log_derivative", refuse)
+    good = PochSpec(QX_VARS.m(x=1, q=1), 1)
+    # A q-free argument would give every power m the same q-degree 0: the
+    # loop over m would never end.
+    with pytest.raises(DivergentProduct):
+        poch_inverse([good, PochSpec(QX_VARS.m(x=1), 1)], QX_VARS, 10)
+    with pytest.raises(SeriesError, match="infinite"):
+        poch_inverse([PochSpec(QX_VARS.m(x=1, q=1), 1, 3)], QX_VARS, 10)
+    with pytest.raises(SeriesError, match="arity"):
+        poch_inverse([PochSpec(Q_VARS.m(q=1), 1)], QX_VARS, 10)
+
+
+@pytest.mark.parametrize("name", ("x", "y"))
+def test_poch_inverse_refuses_a_power_past_the_field(monkeypatch, name):
+    vs = QXY_VARS
+    arg = vs.m(q=1, **{name: LIMIT // 2})
+    # order 1 takes the first power only, which fits its field
+    expected = Series(vs, 1, [(vs.unit, 1), (arg, 1)])
+    assert poch_inverse([PochSpec(arg, 1)], vs, 1) == expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence started")
+
+    monkeypatch.setattr(products, "_log_derivative", refuse)
+    # order 2 would take its square, x^LIMIT: refused up front, naming the variable
+    with pytest.raises(ExponentOverflow, match=f"^{name}\\^{LIMIT // 2} to the power 2"):
+        poch_inverse([PochSpec(arg, 1)], vs, 2)
+
+
+def test_poch_inverse_checks_the_keys_of_every_slice():
+    # Every power of x^e q^2 and of x^f q that fits in q^3 passes the up-front
+    # check (e < LIMIT, 3f < LIMIT), but their product x^(e+f) q^3 does not.
+    vs, e, f = QX_VARS, LIMIT - LIMIT // 4, LIMIT // 4
+    specs = [PochSpec(vs.m(x=e, q=2), 5), PochSpec(vs.m(x=f, q=1), 5)]
+    assert poch_inverse(specs, vs, 2) == _inverted_product(specs, vs, 2)
+    with pytest.raises(ExponentOverflow, match="^an exponent of x reaches"):
+        poch_inverse(specs, vs, 3)
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient(-12, 4) == -3
+    assert _exact_quotient(0, 7) == 0
+    with pytest.raises(InexactDivision, match="q-degree 4: coefficient 25 is not divisible by 4"):
+        _exact_quotient(25, 4)
+
+
+# The product side of each pair entry whose other side is a sum, and both
+# sides of borel-bridge-lhs, by (entry, side index).
+_PRODUCT_SIDES = (
+    ("rr1", 0), ("rr2", 0),
+    *((f"andrews-gordon-k{k}-i{i}", 0) for k in (2, 3, 4) for i in range(1, k + 1)),
+    ("euler1", 1), ("euler2", 1), ("qbinom", 1), ("tri-single", 0),
+    ("quad-new", 0), ("quad", 0), ("borel-bridge-lhs", 0), ("borel-bridge-lhs", 1),
+)
+
+
+def test_product_sides_stay_off_the_sum_route(refuse_sum_route):
+    sides = {(i, k): identities.REGISTRY[i].sides[k] for i, k in _PRODUCT_SIDES}
+    orders = {key: identities.REGISTRY[key[0]].default_order for key in sides}
+    expected = {key: side(orders[key]) for key, side in sides.items()}
+    refuse_sum_route()
+    for key, side in sides.items():
+        assert side(orders[key]) == expected[key], key
+
+
+def test_poch_inverse_forms_no_product_or_inverse(refuse_sum_route, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("poch_inverse formed a product or an inverse")
+
+    cases = (
+        ([PochSpec(Q_VARS.m(q=r), 9) for r in (1, 2, 3, 6, 7, 8)], Q_VARS, 60),
+        ([PochSpec(QX_VARS.m(x=1, q=1), 1)], QX_VARS, 30),
+        ([PochSpec(QXY_VARS.m(x=1, q=1), 2), PochSpec(QXY_VARS.m(y=1, q=2), 4, sign=-1)], QXY_VARS, 30),
+    )
+    expected = [_inverted_product(*case) for case in cases]
+    refuse_sum_route()
+    for name in ("invert", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Series, name, refuse)
+    assert [poch_inverse(*case) for case in cases] == expected
 
 
 # -- division by a binomial --------------------------------------------------------
