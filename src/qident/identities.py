@@ -347,6 +347,8 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
 # thmA2 and avee-split is the largest multiple of 5 at which the entry runs
 # serially within 2 s (median over every run at that order, each in a fresh
 # process, on a 2-core machine, Python 3.11); the other budgets are older.
+# euler1, qbinom and quad-new were last derived with their inverted products
+# on packed slots; at 440, euler1's largest exponent x^440 stays below LIMIT.
 def _entries() -> list[Entry]:
     out = [
         Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", sides=_ag_sides(2, 2)),
@@ -364,14 +366,14 @@ def _entries() -> list[Entry]:
                 )
             )
     out += [
-        Entry("euler1", 30, 200, "geometric-style single sum vs 1/(xq;q)_inf",
+        Entry("euler1", 30, 440, "geometric-style single sum vs 1/(xq;q)_inf",
               sides=(lambda n: euler1(QX_VARS, n, _XQ, 1), lambda n: poch_inverse([PochSpec(_XQ, 1)], QX_VARS, n))),
         Entry("euler2", 30, 495, "triangular-exponent single sum vs (-xq;q)_inf",
               sides=(lambda n: euler2(QX_VARS, n, _XQ, 1), lambda n: poch_inf(PochSpec(_XQ, 1, sign=-1), QX_VARS, n))),
-        Entry("qbinom", 30, 125, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf",
+        Entry("qbinom", 30, 145, "binomial single sum vs (xyq;q)_inf / (xq;q)_inf",
               sides=(lambda n: qbinom(QXY_VARS, n, QXY_VARS.m(y=1), QXY_VARS.m(x=1, q=1), 1), _qbinom_product)),
         Entry("tri-single", 25, 85, "trivariate single sum vs (-x;q)(xy;q)/(x^2yq^2;q^2) products", sides=(_tri_single_lhs, _tri_single_rhs)),
-        Entry("quad-new", 20, 110, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", sides=(_quad_new_lhs, _quad_new_rhs)),
+        Entry("quad-new", 20, 145, "signed quadruple sum vs 1/((xq;q^2)(yq^2;q^4)) products", sides=(_quad_new_lhs, _quad_new_rhs)),
         Entry("quad", 20, 530, "signed quadruple sum vs (-xq;q^2)(-yq^2;q^4) products", sides=(_quad_lhs, _quad_rhs)),
         Entry("borel-bridge-lhs", 20, 30, "coefficient-boost operator maps the inverse product to the signed product",
               sides=(lambda n: borel_apply(_quad_new_lhs(n)), _quad_lhs)),

@@ -13,7 +13,10 @@ An inverted product 1 / prod_i (s_i A_i; q^{step_i})_inf is built by
 ``poch_inverse``, Euler's logarithmic-derivative recurrence over q-degree
 slices (Andrews, The Theory of Partitions, 1.3; Apostol, Introduction to
 Analytic Number Theory, Thm 14.8): it forms neither the product nor a
-general inverse.  Numerators stay on shift-and-subtract.
+general inverse.  Over q alone a slice is one int; over several variables
+it is one int of fixed-width slots (Kronecker substitution, Schoenhage
+1982), so a term of the recurrence is one big-int shift-and-add.
+Numerators stay on shift-and-subtract.
 
 The single sums sum_n t_n are built by a forward recurrence: t_n is t_{n-1}
 times a monomial and at most one binomial, divided by 1 - q^{step*n} with
@@ -32,12 +35,12 @@ from typing import Callable, Iterable
 
 from .series import (
     LIMIT,
+    Q_VARS,
     ExponentOverflow,
     Mono,
     Series,
     SeriesError,
     VarSet,
-    _accumulate,
     _check_keys,
     mono_mul,
 )
@@ -159,25 +162,32 @@ def _exact_quotient(c: int, n: int) -> int:
 
 def _log_derivative(
     specs: tuple[PochSpec, ...], vars: VarSet, order: int
-) -> list[list[tuple[int, int]]]:
+) -> list[dict[tuple[Mono, int], int]]:
     """The q-degree slices S_1..S_order of q d/dq log of 1 / prod_i (s_i A_i; q^{step_i})_inf.
 
     Each factor 1 - s*B, with B = A q^{step*k}, adds deg(B) * (s*B)^m to
     S_{m*deg(B)} for every m >= 1 with m*deg(B) <= order; deg is the
-    q-degree.  Slice j is a list of packed (key, coeff) pairs and slice 0 is
-    empty.  ``poch_inverse`` has checked every argument, so no key carries.
+    q-degree.  Slice j maps (X, m), the monomial q^j X^m with X the non-q
+    part of A, to its coefficient; slice 0 is empty.
     """
-    top = vars.shifts[0]
-    slices: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    slices: list[dict[tuple[Mono, int], int]] = [{} for _ in range(order + 1)]
     for spec in specs:
-        key, d, q_step = vars.pack(spec.argument), spec.argument[0], spec.step << top
+        part, d = spec.argument[1:], spec.argument[0]
         while d <= order:
             for m in range(1, order // d + 1):
-                piece, k = slices[m * d], m * key
-                piece[k] = piece.get(k, 0) + d * spec.sign ** m
-            key += q_step
+                piece = slices[m * d]
+                piece[part, m] = piece.get((part, m), 0) + d * spec.sign ** m
             d += spec.step
-    return [[(k, c) for k, c in piece.items() if c] for piece in slices]
+    return [{k: c for k, c in piece.items() if c} for piece in slices]
+
+
+def _q_inverse(specs: tuple[PochSpec, ...], order: int) -> list[int]:
+    """The coefficients of ``poch_inverse`` over ``Q_VARS``: each S_j is one int sigma(j)."""
+    sigma = [sum(piece.values()) for piece in _log_derivative(specs, Q_VARS, order)]
+    p = [1]
+    for n in range(1, order + 1):
+        p.append(_exact_quotient(sum(map(mul, sigma[1 : n + 1], reversed(p))), n))
+    return p
 
 
 def poch_inverse(specs: Iterable[PochSpec], vars: VarSet, order: int) -> Series:
@@ -188,16 +198,17 @@ def poch_inverse(specs: Iterable[PochSpec], vars: VarSet, order: int) -> Series:
 
         P_0 = 1,    n * P_n = sum_{j=1..n} S_j * P_{n-j}    (n = 1..order),
 
-    and the division by n is exact and checked.  Over several variables the
-    slices are lists of packed pairs multiplied through ``_accumulate``; over
-    q alone each S_j is one int sigma(j), the recurrence runs on a list of
-    ints.  No product, inverse or division by a binomial is formed, so this
-    is a route of its own beside ``Series.invert``.
+    and the division by n is exact and checked.  Over q alone each S_j is
+    one int sigma(j) and the recurrence runs on a list of ints
+    (``_q_inverse``); over several variables each P_n is one int of packed
+    slots (``_packed_inverse``).  No product, inverse or division by a
+    binomial is formed, so this is a route of its own beside
+    ``Series.invert``.
 
     Every spec must be infinite and its argument carry q-degree >= 1
     (``DivergentProduct`` otherwise, before any work).  The largest power
     taken of an argument, order // deg_q(A), is checked against ``LIMIT``
-    up front, so an S_j key that would carry raises ``ExponentOverflow``.
+    up front; a key made from several powers is checked as it is made.
     """
     specs = tuple(specs)
     for spec in specs:
@@ -214,33 +225,92 @@ def poch_inverse(specs: Iterable[PochSpec], vars: VarSet, order: int) -> Series:
                 raise ExponentOverflow(
                     f"{name}^{e} to the power {m_max} is not below {LIMIT}, past its packed field"
                 )
-    log = _log_derivative(specs, vars, order)
     if vars.arity == 1:
-        sigma = [sum(c for _, c in piece) for piece in log]
-        p = [1]
-        for n in range(1, order + 1):
-            p.append(_exact_quotient(sum(map(mul, sigma[1 : n + 1], reversed(p))), n))
+        p = _q_inverse(specs, order)
         return Series._raw(vars, order, {e: c for e, c in enumerate(p) if c})
-    return _inverse_by_slices(log, vars, order)
+    return _packed_inverse(specs, vars, order)
 
 
-def _inverse_by_slices(log: list[list[tuple[int, int]]], vars: VarSet, order: int) -> Series:
-    """P from the slices S_j of its logarithmic derivative, slice by slice (see ``poch_inverse``).
+def _packed_inverse(specs: tuple[PochSpec, ...], vars: VarSet, order: int) -> Series:
+    """``poch_inverse`` with each slice P_n packed into one int (Kronecker substitution).
 
-    Each P_n is a list of packed pairs; its keys are checked before it is
-    divided by n and read by a later slice.
+    Each distinct non-q part X of an argument is a coordinate, with radix
+    order // d + 1 for d the least q-degree of an argument with part X (a
+    q-only part adds none).  A term of P_n is a vector of multiplicities m_X;
+    its slot is their mixed-radix index, held in bits width*s up to
+    width*(s + 1) of the int, so a term c*X^m of S_j multiplies P_{n-j} by
+    one shift and one add.  Slot s maps to the key sum_X m_X * key(X), a
+    ring homomorphism, so slots that land on one monomial simply add.
+
+    The width comes from the majorant Pbar = 1 / prod_B (1 - q^{deg B}) over
+    the same factors B, every sign +1 and every non-q variable 1, run on
+    ints: each slot of n*P_n is at most n*Pbar_n in absolute value, and the
+    width holds the largest with two bits to spare, in whole bytes.  Each
+    n*P_n is decoded with a bias per slot up to the last slot its q-degree
+    allows; what lies past that slot must be zero.  Each nonzero slot is
+    divided by n through ``_exact_quotient`` and its key is made, and
+    checked, the first time it is read.
     """
-    degrees = [j for j in range(1, order + 1) if log[j]]
-    p: list[list[tuple[int, int]]] = [[(0, 1)]]
+    top = vars.shifts[0]
+    least: dict[Mono, int] = {}
+    for spec in specs:
+        part, d = spec.argument[1:], spec.argument[0]
+        least[part] = min(d, least.get(part, d))
+    # Per coordinate X: (key of X, least q-degree, radix, stride); a q-only part keeps stride 0.
+    coords, stride, size = [], dict.fromkeys(least, 0), 1
+    for part, d in least.items():
+        if any(part):
+            coords.append((vars.pack((0, *part)), d, order // d + 1, size))
+            stride[part] = size
+            size *= order // d + 1
+
+    pbar = _q_inverse(tuple(PochSpec(spec.argument[:1], spec.step) for spec in specs), order)
+    nbytes = (max(n * c for n, c in enumerate(pbar)).bit_length() + 9) // 8
+    width, half = 8 * nbytes, 1 << (8 * nbytes - 1)
+    zero = half.to_bytes(nbytes, "little")
+    shifts = [
+        [(width * m * stride[part], c) for (part, m), c in piece.items()]
+        for piece in _log_derivative(specs, vars, order)
+    ]
+    degrees = [j for j in range(1, order + 1) if shifts[j]]
+
+    def slot_key(s: int) -> int:
+        # One coordinate at a time, checked before the next is added, so no field carries.
+        key = 0
+        for part_key, _, radix, _ in coords:
+            s, m = divmod(s, radix)
+            key += m * part_key
+            _check_keys(vars, (key,))
+        return key
+
+    keys: dict[int, int] = {}
+    p, out = [1], {0: 1}
     for n in range(1, order + 1):
-        acc: dict[int, int] = {}
+        acc = 0
         for j in degrees:
             if j > n:
                 break
-            _accumulate(acc, log[j], p[n - j])
-        _check_keys(vars, acc)
-        p.append([(k, _exact_quotient(c, n)) for k, c in acc.items()])
-    return Series._raw(vars, order, {k: c for piece in p for k, c in piece})
+            below = p[n - j]
+            if below:
+                for shift, c in shifts[j]:
+                    acc += below * c << shift
+        bound = 1 + sum(n // d * step for _, d, _, step in coords)
+        biased = acc + int.from_bytes(zero * bound, "little")
+        if biased >> width * bound:
+            raise SeriesError(f"q-degree {n}: a slot past the last one of its degree is not zero")
+        data, q_key = biased.to_bytes(nbytes * bound, "little"), n << top
+        for s in range(bound):
+            chunk = data[s * nbytes : (s + 1) * nbytes]
+            if chunk == zero:
+                continue
+            key = keys.get(s)
+            if key is None:
+                key = keys[s] = slot_key(s)
+            key += q_key
+            c = _exact_quotient(int.from_bytes(chunk, "little") - half, n)
+            out[key] = out.get(key, 0) + c
+        p.append(acc // n)
+    return Series._raw(vars, order, {k: c for k, c in out.items() if c})
 
 
 def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:

@@ -3,11 +3,11 @@
 Each mutant changes one piece of text in one function: the exponent of the
 division in ``eval_sum``, the part rule or the multiplicity cap of a B-side
 walk, the containment test of ``f_vector``'s base, or the degree weight, the
-sign power or the divisor of ``poch_inverse``'s recurrence.  The mutant
-replaces the function wherever the package binds it, and every registry
-entry named for it must then fail at its default order with a witness: a
-mismatch, or the coefficient that the recurrence's checked division by n
-found inexact.  A mutant that no entry can see is listed in ``EQUIVALENT``
+sign power, the divisor or the slot width of ``poch_inverse``'s recurrence.
+The mutant replaces the function wherever the package binds it, and every
+registry entry named for it must then fail at its default order with a
+witness: a mismatch, or the coefficient that the recurrence's checked
+division by n found inexact.  A mutant that no entry can see is listed in ``EQUIVALENT``
 with the reason, and a test of its own must kill it.
 
 Two more mutants change the packed layout of ``Series`` keys, which no entry
@@ -22,6 +22,8 @@ import __future__
 import inspect
 import textwrap
 from dataclasses import replace
+
+import pytest
 
 from qident import borel, identities, lpi, multisum, partitions, products, series
 from qident.identities import REGISTRY, verify
@@ -45,6 +47,11 @@ _INVERSE_ENTRIES = (
     "euler1", "qbinom", "tri-single", "quad-new", "borel-bridge-lhs",
 )
 _WEIGHT = "d * spec.sign ** m"
+
+# The entries whose packed slots, at the default order, need the width's last
+# byte: the largest slot of n*P_n reaches 2^8 there.  euler1 and qbinom at 30
+# (1/(xq;q)_inf) keep theirs below 2^15, which a 16-bit slot still holds.
+_WIDE_SLOT_ENTRIES = ("tri-single", "quad-new", "borel-bridge-lhs")
 
 # label -> (module, function, old text, new text, modules that bind it, entries)
 KERNEL_MUTANTS = {
@@ -83,6 +90,10 @@ KERNEL_MUTANTS = {
     ),
     "poch_inverse sign power dropped": (
         products, "_log_derivative", _WEIGHT, "d", (products,), _INVERSE_ENTRIES,
+    ),
+    "poch_inverse slot one byte narrower": (
+        products, "_packed_inverse", "bit_length() + 9) // 8", "bit_length() + 1) // 8",
+        (products,), _WIDE_SLOT_ENTRIES,
     ),
 }
 
@@ -165,6 +176,17 @@ def test_sign_mutant_fails_on_a_negated_argument(monkeypatch):
     assert poch_inverse([spec], QX_VARS, order) == expected
     _install(monkeypatch, "poch_inverse sign power dropped")
     assert poch_inverse([spec], QX_VARS, order) != expected
+
+
+def test_narrow_slot_mutant_fails_on_five_copies(monkeypatch):
+    # 1/(xq;q)_inf^5: a slot of 40*P_40 reaches 2^39, past what 40 bits hold.
+    specs, order = [PochSpec(QX_VARS.m(x=1, q=1), 1)] * 5, 40
+    product = poch_inf(specs[0], QX_VARS, order)
+    expected = (product * product * product * product * product).invert()
+    assert poch_inverse(specs, QX_VARS, order) == expected
+    _install(monkeypatch, "poch_inverse slot one byte narrower")
+    with pytest.raises(InexactDivision, match="^q-degree 40: "):
+        poch_inverse(specs, QX_VARS, order)
 
 
 # label -> (module, function, old text, new text, modules that bind it)

@@ -13,8 +13,7 @@ from qident.products import (
     _divide_binomial,
     _divide_q_power,
     _exact_quotient,
-    _inverse_by_slices,
-    _log_derivative,
+    _packed_inverse,
     _times_binomial,
     euler1,
     euler2,
@@ -331,8 +330,25 @@ def test_poch_inverse_equals_inverted_product(case):
 @given(inverse_specs(Q_VARS), st.integers(0, 25))
 @settings(max_examples=100, deadline=None)
 def test_q_list_path_equals_slice_path(specs, order):
-    slices = _inverse_by_slices(_log_derivative(tuple(specs), Q_VARS, order), Q_VARS, order)
-    assert poch_inverse(specs, Q_VARS, order) == slices
+    packed = _packed_inverse(tuple(specs), Q_VARS, order)
+    assert poch_inverse(specs, Q_VARS, order) == packed
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_slots_hold_the_largest_coefficients(sign):
+    # 1/(+-xq;q)_inf^5 to q^40: coefficients reach 2^35, in slots of 48 bits
+    # sized from the majorant 1/(q;q)_inf^5 (40*Pbar_40 < 2^43).
+    specs = [PochSpec(QX_VARS.m(x=1, q=1), 1, sign=sign)] * 5
+    assert poch_inverse(specs, QX_VARS, 40) == _inverted_product(specs, QX_VARS, 40)
+
+
+def test_packed_slots_on_one_monomial_add():
+    # x q and x^2 q^3 are two coordinates, so x^2 q^n has a slot in each.
+    vs = QX_VARS
+    specs = [PochSpec(vs.m(x=1, q=1), 1), PochSpec(vs.m(x=2, q=3), 1)]
+    got = poch_inverse(specs, vs, 30)
+    assert got == _inverted_product(specs, vs, 30)
+    assert got.coeff(vs.m(x=2, q=3)) == 2  # (xq)(xq^2) and x^2q^3
 
 
 def test_poch_inverse_counts_partitions():
