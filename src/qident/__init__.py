@@ -28,7 +28,6 @@ from .multisum import (
     SumNode,
     eval_sum,
     expand_tree,
-    node_value,
     quinvariate_spec,
     rec_step,
     shift_beta_for_x,

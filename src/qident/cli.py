@@ -22,7 +22,10 @@ EXIT_USAGE = 2
 def _load_ideal(path: str | None) -> LpiSpec | None:
     if path is None:
         return None
-    return LpiSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        return LpiSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    except (LpiError, OSError, json.JSONDecodeError) as exc:
+        raise identities.UsageError(f"cannot load ideal: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -56,11 +59,7 @@ def _enum_members(args: argparse.Namespace, ideal: LpiSpec | None):
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    try:
-        ideal = _load_ideal(args.lpi_spec)
-    except (LpiError, OSError, json.JSONDecodeError) as exc:
-        print(f"cannot load ideal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ideal = _load_ideal(args.lpi_spec)
     if args.n < 0:
         raise identities.UsageError(f"n must be >= 0, got {args.n}")
     identities.check_enum_budget(args.set if ideal is None else None, args.n)
@@ -84,11 +83,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    try:
-        ideal = _load_ideal(args.lpi_spec)
-    except (LpiError, OSError, json.JSONDecodeError) as exc:
-        print(f"cannot load ideal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ideal = _load_ideal(args.lpi_spec)
     try:
         series: Series = identities.named_series(args.series, args.order, ideal)
     except identities.UnknownIdentity:

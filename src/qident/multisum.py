@@ -149,11 +149,6 @@ def eval_sum(
     return Series._raw(vars, order, acc)
 
 
-def node_value(spec: MultiSumSpec, vars: VarSet, node: SumNode, order: int) -> Series:
-    """weight * H(beta) as a truncated series."""
-    return eval_sum(spec, node.beta, vars, order).mul_monomial(node.weight)
-
-
 def rec_step(
     spec: MultiSumSpec, vars: VarSet, node: SumNode, r: int
 ) -> tuple[SumNode, SumNode]:

@@ -319,8 +319,8 @@ def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:
     A copy of ``coeffs``, truncated or zero-padded to ``length`` entries, takes
     one prefix pass c[j] += c[j - step] in increasing j; each c[j - step] is
     final when it is read.  ``coeffs`` is not modified, and step must be >= 1.
-    The one knapsack for 1/(q^b;q^b)_n: ``InvPochMemo`` extends its lists by it
-    and ``multisum.eval_sum`` divides its child lists by it.
+    The one knapsack for 1/(q^b;q^b)_n: ``inv_qpoch`` applies it once per
+    factor and ``multisum.eval_sum`` divides its child lists by it.
     """
     out = coeffs[:length]
     out += [0] * (length - len(out))
@@ -329,42 +329,19 @@ def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:
     return out
 
 
-class InvPochMemo:
-    """Coefficient lists of 1/(q^base; q^base)_n to q^order, by knapsack extension.
-
-    Entry e counts the partitions of e/base into parts <= n; the list for n is
-    the one for n - 1 divided by 1 - q^{base*n} (``_divide_q_power``), and
-    nothing here calls invert().
-    """
-
-    def __init__(self, order: int):
-        self.order = order
-        self._lists: dict[int, list[list[int]]] = {}
-
-    def get(self, base: int, n: int) -> list[int]:
-        # Factors 1 - q^{base*k} with base*k > order are 1 here; n <= 0 is the empty product.
-        n = max(0, min(n, self.order // base))
-        lists = self._lists.get(base)
-        if lists is None:
-            lists = self._lists[base] = [[1] + [0] * self.order]
-        while len(lists) <= n:
-            lists.append(_divide_q_power(lists[-1], base * len(lists), self.order + 1))
-        return lists[n]
-
-    def series(self, vars: VarSet, base: int, n: int) -> Series:
-        """1/(q^base; q^base)_n over ``vars``, truncated at the memo's order."""
-        top = vars.shifts[0]
-        terms = {e << top: c for e, c in enumerate(self.get(base, n)) if c}
-        return Series._raw(vars, self.order, terms)
-
-
 def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     """1 / (q^step; q^step)_n by counting partitions into at most n part sizes.
 
-    The knapsack of ``InvPochMemo``, one ``_divide_q_power`` per factor;
-    fully independent of invert().
+    Entry e counts the partitions of e/step into parts <= n: the list of 1
+    divided by 1 - q^{step*k} (``_divide_q_power``) for k = 1..n.  Factors
+    with step*k past the order are 1 here, and n <= 0 is the empty product.
+    Fully independent of invert().
     """
-    return InvPochMemo(order).series(vars, step, n)
+    counts = [1] + [0] * order
+    for k in range(1, min(max(n, 0), order // step) + 1):
+        counts = _divide_q_power(counts, step * k, order + 1)
+    top = vars.shifts[0]
+    return Series._raw(vars, order, {e << top: c for e, c in enumerate(counts) if c})
 
 
 def _single_sum(

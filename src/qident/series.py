@@ -352,15 +352,6 @@ class Series:
         if self.vars != other.vars:
             raise VarSetMismatch(f"{self.vars.names} vs {other.vars.names}")
 
-    def truncate(self, order: int) -> "Series":
-        """Restrict to a (lower or equal) truncation order."""
-        if order >= self.order:
-            if order == self.order:
-                return self
-            raise TruncationExceeded(f"cannot extend order {self.order} to {order}")
-        limit = self._limit(order)
-        return Series._raw(self.vars, order, {k: c for k, c in self._terms.items() if k < limit})
-
     def __neg__(self) -> "Series":
         return Series._raw(self.vars, self.order, {k: -c for k, c in self._terms.items()})
 

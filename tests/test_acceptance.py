@@ -14,8 +14,8 @@ from qident.cli import main as cli_main
 from qident.identities import named_series, verify
 from qident.multisum import (
     SumNode,
+    eval_sum,
     expand_tree,
-    node_value,
     quinvariate_spec,
     rec_step,
     verify_matrix_relation,
@@ -140,8 +140,10 @@ def test_c11_property_suites():
         r = rng.randint(1, 4)
         node = SumNode(QUIN_VARS.unit, beta)
         c1, c2 = rec_step(spec, QUIN_VARS, node, r)
-        lhs = node_value(spec, QUIN_VARS, node, 20)
-        rhs = node_value(spec, QUIN_VARS, c1, 20) + node_value(spec, QUIN_VARS, c2, 20)
+        lhs, value1, value2 = (
+            eval_sum(spec, n.beta, QUIN_VARS, 20).mul_monomial(n.weight) for n in (node, c1, c2)
+        )
+        rhs = value1 + value2
         ok = ok and lhs == rhs
         conserved += 1
     for ident in ("euler1", "euler2", "qbinom"):

@@ -10,6 +10,11 @@ witness: a mismatch, or the coefficient that the recurrence's checked
 division by n found inexact.  A mutant that no entry can see is listed in ``EQUIVALENT``
 with the reason, and a test of its own must kill it.
 
+Side mutants change one constant of a registry side: the shift monomial of
+``quad``'s and ``quad-new``'s sum sides one q-power up or down, and each
+entry of ``quad-new``'s two betas one up or down.  They go through the
+same loop and count in the same kill rate.
+
 Two more mutants change the packed layout of ``Series`` keys, which no entry
 can see, since both sides of an identity share one layout: the x and y1
 fields swapped, and the guard check dropped.  ``_layout_holds`` must fail
@@ -97,6 +102,22 @@ KERNEL_MUTANTS = {
     ),
 }
 
+# The quad-new betas, each entry one up and one down; every result is a valid
+# beta (alpha's diagonal is (2, 0, 0, 0), and no entry at 1..3 drops to 0).
+_QUAD_NEW_BETAS = ((1, 3, 2, 2), (5, 3, 6, 2))
+
+# label -> (function, old text, new text, entry whose right side it is)
+SIDE_MUTANTS = {
+    "quad shift x^2yq^6 -> q^7": ("_quad_rhs", "q=6)", "q=7)", "quad"),
+    "quad shift x^2yq^6 -> q^5": ("_quad_rhs", "q=6)", "q=5)", "quad"),
+    "quad-new shift x^2yq^4 -> q^5": ("_quad_new_rhs", "q=4)", "q=5)", "quad-new"),
+    "quad-new shift x^2yq^4 -> q^3": ("_quad_new_rhs", "q=4)", "q=3)", "quad-new"),
+} | {
+    f"quad-new beta {beta} -> {mutated}": ("_quad_new_rhs", str(beta), str(mutated), "quad-new")
+    for beta in _QUAD_NEW_BETAS
+    for mutated in (beta[:r] + (beta[r] + d,) + beta[r + 1 :] for r in range(4) for d in (1, -1))
+}
+
 EQUIVALENT = {
     "f_vector base not a subset": (
         "the gap-4 linking sets form a chain, and sets are summed smaller first, "
@@ -124,6 +145,17 @@ def _mutant(module, name: str, old: str, new: str):
 
 
 def _install(monkeypatch, label: str) -> tuple[str, ...]:
+    """Install a kernel or side mutant; returns the registry entries that must see it.
+
+    ``REGISTRY`` captured each side when it was built, so a side mutant
+    replaces the entry's right side rather than the module global.
+    """
+    if label in SIDE_MUTANTS:
+        name, old, new, identity = SIDE_MUTANTS[label]
+        entry = REGISTRY[identity]
+        sides = (entry.sides[0], _mutant(identities, name, old, new))
+        monkeypatch.setitem(REGISTRY, identity, replace(entry, sides=sides))
+        return (identity,)
     module, name, old, new, binders, entries = KERNEL_MUTANTS[label]
     fn = _mutant(module, name, old, new)
     for binder in binders:
@@ -133,7 +165,8 @@ def _install(monkeypatch, label: str) -> tuple[str, ...]:
 
 def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
     killed, survivors = [], []
-    for label in KERNEL_MUTANTS:
+    labels = [*KERNEL_MUTANTS, *SIDE_MUTANTS]
+    for label in labels:
         with monkeypatch.context() as patch:
             entries = _install(patch, label)
             seen = []
@@ -149,7 +182,7 @@ def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
                     seen.append(identity)
         (killed if seen == list(entries) else survivors).append((label, seen))
     print(
-        f"kernel mutants killed at default orders: {len(killed)}/{len(KERNEL_MUTANTS)}; "
+        f"kernel and side mutants killed at default orders: {len(killed)}/{len(labels)}; "
         f"equivalent there: {sorted(EQUIVALENT)}"
     )
     assert [label for label, seen in survivors if not seen] == sorted(EQUIVALENT)

@@ -283,11 +283,11 @@ def invertible_series(draw):
 @settings(max_examples=150, deadline=None)
 def test_ring_axioms(a, b, c):
     order = min(a.order, b.order, c.order)
-    assert (a + b).truncate(order) == (b + a).truncate(order)
-    assert ((a + b) + c).truncate(order) == (a + (b + c)).truncate(order)
-    assert (a * b).truncate(order) == (b * a).truncate(order)
-    assert ((a * b) * c).truncate(order) == (a * (b * c)).truncate(order)
-    assert (a * (b + c)).truncate(order) == (a * b + a * c).truncate(order)
+    assert (a + b).first_mismatch(b + a, order) is None
+    assert ((a + b) + c).first_mismatch(a + (b + c), order) is None
+    assert (a * b).first_mismatch(b * a, order) is None
+    assert ((a * b) * c).first_mismatch(a * (b * c), order) is None
+    assert (a * (b + c)).first_mismatch(a * b + a * c, order) is None
 
 
 class TestSum:
@@ -403,7 +403,7 @@ def test_invert_two_factor_geometric_double_series():
 def test_substitute_is_homomorphism(a, b, qshift):
     target = VS3.m(x=1, q=qshift)
     order = min(a.order, b.order)
-    a, b = a.truncate(order), b.truncate(order)
+    a, b = Series(VS3, order, a.items()), Series(VS3, order, b.items())
     assert (a * b).substitute("x", target) == a.substitute("x", target) * b.substitute("x", target)
     assert (a + b).substitute("x", target) == a.substitute("x", target) + b.substitute("x", target)
 
@@ -413,8 +413,12 @@ def test_substitute_is_homomorphism(a, b, qshift):
 def test_truncation_coherence(a, b, m):
     order = min(a.order, b.order)
     m = min(m, order)
-    assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
-    assert (a + b).truncate(m) == a.truncate(m) + b.truncate(m)
+
+    def cut(s: Series) -> Series:
+        return Series(s.vars, m, s.items())
+
+    assert cut(a * b) == cut(a) * cut(b)
+    assert cut(a + b) == cut(a) + cut(b)
 
 
 def test_varset_validation():
