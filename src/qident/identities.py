@@ -322,8 +322,12 @@ def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:
 
 def _run_thmA(k: int, order: int) -> tuple[bool, str | None]:
     """thmA<k>: table_A<k> against table_B<k>, then against table_A collapsed by weight k."""
-    t_a = getattr(partitions, f"table_A{k}")(order)
-    witness = _diff_tables(t_a, getattr(partitions, f"table_B{k}")(order), (f"A{k}", f"B{k}"))
+    table_a, table_b = {
+        1: (partitions.table_A1, partitions.table_B1),
+        2: (partitions.table_A2, partitions.table_B2),
+    }[k]
+    t_a = table_a(order)
+    witness = _diff_tables(t_a, table_b(order), (f"A{k}", f"B{k}"))
     if witness:
         return False, witness
     collapsed = "sum_{m+l}A" if k == 1 else f"sum_{{m+{k}l}}A"

@@ -14,7 +14,8 @@ Each index value multiplies in a single monomial and a univariate factor
 (monomial, univariate series) pair and prunes any prefix whose guaranteed
 minimal q-degree already exceeds the truncation order.  Going from n_r - 1
 to n_r divides the univariate list by 1 - q^{A_r n_r}, one prefix pass over
-a copy, so the walk forms no product and inverts nothing.
+a copy, so the walk forms no product and inverts nothing.  Rank 1 with
+alpha 0 or the base gives Euler's two sums, ``products.euler1``/``euler2``.
 
 ``rec_step`` splits a node in two exactly as the one-coordinate recurrence
 does (raise beta_r by A_r, or absorb a monomial weight and add alpha's r-th
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .products import _divide_q_power
 from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
 
 
@@ -92,13 +92,29 @@ def _check_beta(spec: MultiSumSpec, beta: tuple[int, ...]) -> None:
             )
 
 
+def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:
+    """The univariate series ``coeffs`` divided by 1 - q^step, to ``length`` coefficients.
+
+    A copy of ``coeffs``, truncated or zero-padded to ``length`` entries, takes
+    one prefix pass c[j] += c[j - step] in increasing j; each c[j - step] is
+    final when it is read.  ``coeffs`` is not modified, and step must be >= 1.
+    The one knapsack for 1/(q^b;q^b)_n: ``eval_sum`` divides its child lists
+    by it, and ``products.inv_qpoch`` applies it once per factor.
+    """
+    out = coeffs[:length]
+    out += [0] * (length - len(out))
+    for j in range(step, length):
+        out[j] += out[j - step]
+    return out
+
+
 def eval_sum(
     spec: MultiSumSpec, beta: tuple[int, ...], vars: VarSet, order: int
 ) -> Series:
     """H(beta) truncated at ``order``, with per-prefix lower-bound pruning.
 
     Walking index r, child n's univariate list is child n - 1's list divided
-    by 1 - q^{A_r * n} (``products._divide_q_power``), cut to the q-degrees
+    by 1 - q^{A_r * n} (``_divide_q_power``), cut to the q-degrees
     that child can still reach; child 0 shares its parent's list.  No product
     is formed and nothing is inverted.  The walk carries the non-q monomial
     as a packed key, checked against the layout's limit at each node, and
@@ -107,6 +123,8 @@ def eval_sum(
     beta = tuple(beta)
     _check_beta(spec, beta)
     _check_vars(spec, vars)
+    if order < 0:
+        raise SeriesError("truncation order must be >= 0")
     rank = spec.rank
     top = vars.shifts[0]
     one_q = 1 << top

@@ -18,21 +18,22 @@ it is one int of fixed-width slots (Kronecker substitution, Schoenhage
 1982), so a term of the recurrence is one big-int shift-and-add.
 Numerators stay on shift-and-subtract.
 
-The single sums sum_n t_n are built by a forward recurrence: t_n is t_{n-1}
-times a monomial and at most one binomial, divided by 1 - q^{step*n} with
-``_divide_binomial``, which undoes shift-and-subtract in one pass over the
-terms of the quotient by increasing q-degree.  A sum side therefore never
-forms a product, general or Pochhammer, nor an inverse; the product sides
-of the identities use ``poch_inf``, ``poch_inverse`` and general products
-and never divide, so the two sides stay on different routes.
+Euler's two sums sum_n z^n q^{d*binom(n,2)} / (q^step; q^step)_n, d = 0
+or step, are rank-1 multi-sums, built by ``multisum.eval_sum``.  The signed
+numerator (a; q^step)_n of ``qbinom`` is not, so its summand n is summand
+n - 1 times z and one binomial, divided by 1 - q^{step*n} with
+``_divide_binomial`` (one pass by increasing q-degree that undoes
+shift-and-subtract).  No sum side forms a product or an inverse, and the
+product sides never divide, so the two sides stay on different routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterable
+from typing import Iterable
 
+from .multisum import MultiSumSpec, _divide_q_power, eval_sum
 from .series import (
     LIMIT,
     Q_VARS,
@@ -313,22 +314,6 @@ def _packed_inverse(specs: tuple[PochSpec, ...], vars: VarSet, order: int) -> Se
     return Series._raw(vars, order, {k: c for k, c in out.items() if c})
 
 
-def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:
-    """The univariate series ``coeffs`` divided by 1 - q^step, to ``length`` coefficients.
-
-    A copy of ``coeffs``, truncated or zero-padded to ``length`` entries, takes
-    one prefix pass c[j] += c[j - step] in increasing j; each c[j - step] is
-    final when it is read.  ``coeffs`` is not modified, and step must be >= 1.
-    The one knapsack for 1/(q^b;q^b)_n: ``inv_qpoch`` applies it once per
-    factor and ``multisum.eval_sum`` divides its child lists by it.
-    """
-    out = coeffs[:length]
-    out += [0] * (length - len(out))
-    for j in range(step, length):
-        out[j] += out[j - step]
-    return out
-
-
 def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     """1 / (q^step; q^step)_n by counting partitions into at most n part sizes.
 
@@ -344,19 +329,40 @@ def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     return Series._raw(vars, order, {e << top: c for e, c in enumerate(counts) if c})
 
 
-def _single_sum(
-    vars: VarSet, order: int, z: Mono, step: int, times_ratio: Callable[[Series, int], Series]
-) -> Series:
-    """sum_n t_n by the forward recurrence t_0 = 1, t_n = t_{n-1} * ratio_n * z / (1 - q^{step*n}).
+def _euler_sum(vars: VarSet, order: int, z: Mono, step: int, diag: int) -> Series:
+    """sum_n z^n q^{diag*binom(n,2)} / (q^step; q^step)_n as a rank-1 ``eval_sum`` spec.
 
-    ``times_ratio(t, n)`` returns t * ratio_n.  Each summand is built from the
-    one before it by a monomial shift, the ratio and one ``_divide_binomial``,
-    so (q^step; q^step)_n is never formed; the sum stops at the first summand
-    that truncates to 0 (z^n has passed the order, or the ratio vanished).
-    Nothing here forms a general product or calls invert().
+    z must carry q-degree >= 1, which ``eval_sum`` would not ask for diag > 0.
     """
     if len(z) != vars.arity:
         raise SeriesError(f"argument {z} has wrong arity")
+    if z[0] < 1:
+        raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
+    spec = MultiSumSpec(((diag,),), (step,), tuple((e,) for e in z[1:]))
+    return eval_sum(spec, (z[0],), vars, order)
+
+
+def euler1(vars: VarSet, order: int, z: Mono, step: int) -> Series:
+    """sum_n z^n / (q^step; q^step)_n, equal to 1/(z; q^step)_inf."""
+    return _euler_sum(vars, order, z, step, 0)
+
+
+def euler2(vars: VarSet, order: int, z: Mono, step: int) -> Series:
+    """sum_n z^n q^{step*binom(n,2)} / (q^step;q^step)_n = (-z; q^step)_inf."""
+    return _euler_sum(vars, order, z, step, step)
+
+
+def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
+    """sum_n (a; q^step)_n z^n / (q^step; q^step)_n.
+
+    Equals (a*z; q^step)_inf / (z; q^step)_inf; the upper argument a may carry
+    no q-degree (its Pochhammer factors are finite).  Summand n is summand
+    n - 1 times z and 1 - a q^{step(n-1)}, divided by 1 - q^{step*n}; the sum
+    stops at the first summand that truncates to 0.
+    """
+    for arg in (a, z):
+        if len(arg) != vars.arity:
+            raise SeriesError(f"argument {arg} has wrong arity")
     if z[0] < 1:
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
     terms = []
@@ -365,30 +371,6 @@ def _single_sum(
     while not t.is_zero():
         terms.append(t)
         n += 1
-        t = _divide_binomial(times_ratio(t.mul_monomial(z), n), vars.m(q=step * n), 1)
+        t = _times_binomial(t.mul_monomial(z), mono_mul(a, vars.m(q=step * (n - 1))), 1)
+        t = _divide_binomial(t, vars.m(q=step * n), 1)
     return Series.sum(vars, order, terms)
-
-
-def euler1(vars: VarSet, order: int, z: Mono, step: int) -> Series:
-    """sum_n z^n / (q^step; q^step)_n, equal to 1/(z; q^step)_inf."""
-    return _single_sum(vars, order, z, step, lambda t, n: t)
-
-
-def euler2(vars: VarSet, order: int, z: Mono, step: int) -> Series:
-    """sum_n z^n q^{step*binom(n,2)} / (q^step;q^step)_n = (-z; q^step)_inf."""
-    return _single_sum(vars, order, z, step, lambda t, n: t.mul_monomial(vars.m(q=step * (n - 1))))
-
-
-def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
-    """sum_n (a; q^step)_n z^n / (q^step; q^step)_n.
-
-    Equals (a*z; q^step)_inf / (z; q^step)_inf; the upper argument a may carry
-    no q-degree (its Pochhammer factors are finite).  Summand n takes the
-    factor 1 - a q^{step(n-1)} of (a; q^step)_n by shift-and-subtract.
-    """
-    if len(a) != vars.arity:
-        raise SeriesError(f"argument {a} has wrong arity")
-    return _single_sum(
-        vars, order, z, step,
-        lambda t, n: _times_binomial(t, mono_mul(a, vars.m(q=step * (n - 1))), 1),
-    )

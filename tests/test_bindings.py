@@ -166,3 +166,10 @@ def test_every_src_name_has_a_caller_a_binding_or_a_reason():
     assert unpinned == [], "no caller in src/, no perfbench binding and no reason in KEPT"
     assert sorted(set(KEPT) - set(defined)) == [], "KEPT names a definition that is gone"
     assert sorted(set(KEPT) & called) == [], "KEPT names a definition that src/ now calls"
+
+
+def test_thmA_tables_are_read_by_src():
+    # _run_thmA looks them up in a dict of attributes; a getattr by f-string would hide them.
+    _, uses = _src_uses()
+    read = {used for used, is_attr, _ in uses if is_attr}
+    assert {"table_A1", "table_B1", "table_A2", "table_B2"} <= read

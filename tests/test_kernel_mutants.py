@@ -11,9 +11,13 @@ division by n found inexact.  A mutant that no entry can see is listed in ``EQUI
 with the reason, and a test of its own must kill it.
 
 Side mutants change one constant of a registry side: the shift monomial of
-``quad``'s and ``quad-new``'s sum sides one q-power up or down, and each
-entry of ``quad-new``'s two betas one up or down.  They go through the
-same loop and count in the same kill rate.
+``quad``'s and ``quad-new``'s sum sides one q-power up or down, each entry
+of ``quad-new``'s two betas one up or down, and ``avee-split``'s shift
+x -> xq^8 one q-power up.  Andrews-Gordon side mutants change one pair
+(k, i) of the ladder, rr1 and rr2 included: each entry of its beta one up
+or down, or its product's residue set with one residue dropped or swapped
+for the excluded i.  They go through the same loop and count in the same
+kill rate.
 
 Two more mutants change the packed layout of ``Series`` keys, which no entry
 can see, since both sides of an identity share one layout: the x and y1
@@ -36,12 +40,13 @@ from qident.products import InexactDivision, PochSpec, poch_inf, poch_inverse
 from qident.series import LIMIT, QUIN_VARS, QX_VARS, ExponentOverflow, Series, varset
 
 # The entries whose other side is built without eval_sum: products for rr1,
-# rr2, the AG ladder, quad and quad-new, the gap-4 walk for thm51-a..d, and
-# the leaf multisets for h-matrix.  borel-bridge-rhs builds both sides by
-# eval_sum and is not listed.
+# rr2, the AG ladder, euler1, euler2, quad and quad-new, the gap-4 walk for
+# thm51-a..d, and the leaf multisets for h-matrix.  borel-bridge-rhs builds
+# both sides by eval_sum and is not listed.
 _EVAL_SUM_ENTRIES = (
     "rr1", "rr2",
     *(f"andrews-gordon-k{k}-i{i}" for k in (2, 3, 4) for i in range(1, k + 1)),
+    "euler1", "euler2",
     "quad", "quad-new", "thm51-a", "thm51-b", "thm51-c", "thm51-d", "h-matrix",
 )
 
@@ -62,11 +67,11 @@ _WIDE_SLOT_ENTRIES = ("tri-single", "quad-new", "borel-bridge-lhs")
 KERNEL_MUTANTS = {
     "eval_sum divides by 1 - q^(A(n+1))": (
         multisum, "eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n + 1),",
-        (multisum, identities), _EVAL_SUM_ENTRIES,
+        (multisum, identities, products), _EVAL_SUM_ENTRIES,
     ),
     "eval_sum divides by 1 - q^(A(n-1))": (
         multisum, "eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n - 1),",
-        (multisum, identities), _EVAL_SUM_ENTRIES,
+        (multisum, identities, products), _EVAL_SUM_ENTRIES,
     ),
     "4-regular rule v % 4 -> v % 2": (
         partitions, "_walk_distinct_4regular", "if v % 4:", "if v % 2:",
@@ -116,6 +121,38 @@ SIDE_MUTANTS = {
     f"quad-new beta {beta} -> {mutated}": ("_quad_new_rhs", str(beta), str(mutated), "quad-new")
     for beta in _QUAD_NEW_BETAS
     for mutated in (beta[:r] + (beta[r] + d,) + beta[r + 1 :] for r in range(4) for d in (1, -1))
+} | {
+    "avee-split shift xq^8 -> xq^9": ("_avee_split_rhs", "shift: int = 8", "shift: int = 9", "avee-split"),
+}
+
+_AG_PAIRS = tuple((k, i) for k in (2, 3, 4) for i in range(1, k + 1))
+
+
+def _ag_entries(k: int, i: int) -> tuple[str, ...]:
+    """The registry entries built by ``_ag_sides(k, i)``: the ladder entry, and rr1 or rr2."""
+    return (f"andrews-gordon-k{k}-i{i}", *{(2, 2): ("rr1",), (2, 1): ("rr2",)}.get((k, i), ()))
+
+
+def _ag_residues(k: int, i: int) -> tuple[int, ...]:
+    """The residues mod 2k + 1 of the parts of the (k, i) product: not 0, i or 2k + 1 - i."""
+    return tuple(r for r in range(1, 2 * k + 1) if r not in (i, 2 * k + 1 - i))
+
+
+# label -> (k, i, "beta" or "residues", mutated value).  Every mutated beta is
+# valid: alpha's diagonal is 2, so an entry may drop to 0.
+AG_MUTANTS = {
+    f"AG k{k} i{i} beta {beta} -> {mutated}": (k, i, "beta", mutated)
+    for k, i in _AG_PAIRS
+    for beta in (identities._ag_beta(k, i),)
+    for mutated in (beta[:r] + (beta[r] + d,) + beta[r + 1 :] for r in range(k - 1) for d in (1, -1))
+} | {
+    f"AG k{k} i{i} residues {res} -> {mutated}": (k, i, "residues", mutated)
+    for k, i in _AG_PAIRS
+    for res in (_ag_residues(k, i),)
+    for mutated in (
+        *(res[:j] + res[j + 1 :] for j in range(len(res))),
+        *(res[:j] + (i,) + res[j + 1 :] for j in range(len(res))),
+    )
 }
 
 EQUIVALENT = {
@@ -148,8 +185,27 @@ def _install(monkeypatch, label: str) -> tuple[str, ...]:
     """Install a kernel or side mutant; returns the registry entries that must see it.
 
     ``REGISTRY`` captured each side when it was built, so a side mutant
-    replaces the entry's right side rather than the module global.
+    replaces the entry's right side rather than the module global, and a
+    residue mutant replaces the left side of each entry built from its pair.
+    An AG side reads ``_ag_beta`` at call time, so a beta mutant replaces
+    that global by one that changes the pair's beta only.
     """
+    if label in AG_MUTANTS:
+        k, i, part, mutated = AG_MUTANTS[label]
+        entries = _ag_entries(k, i)
+        if part == "beta":
+            real = identities._ag_beta
+            monkeypatch.setattr(
+                identities, "_ag_beta", lambda kk, ii: mutated if (kk, ii) == (k, i) else real(kk, ii)
+            )
+        else:
+            def left(n: int) -> Series:
+                return identities._residue_product(mutated, 2 * k + 1, n)
+
+            for identity in entries:
+                entry = REGISTRY[identity]
+                monkeypatch.setitem(REGISTRY, identity, replace(entry, sides=(left, entry.sides[1])))
+        return entries
     if label in SIDE_MUTANTS:
         name, old, new, identity = SIDE_MUTANTS[label]
         entry = REGISTRY[identity]
@@ -165,7 +221,7 @@ def _install(monkeypatch, label: str) -> tuple[str, ...]:
 
 def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
     killed, survivors = [], []
-    labels = [*KERNEL_MUTANTS, *SIDE_MUTANTS]
+    labels = [*KERNEL_MUTANTS, *SIDE_MUTANTS, *AG_MUTANTS]
     for label in labels:
         with monkeypatch.context() as patch:
             entries = _install(patch, label)

@@ -201,6 +201,34 @@ class TestEuler2:
         assert s == Series.one(Q_VARS, 0)
 
 
+@st.composite
+def euler_cases(draw):
+    """A variable set, z of q-degree 1-3 and other exponents 0-2, a step 1-4 and an order <= 25."""
+    vars = draw(st.sampled_from((Q_VARS, QX_VARS, QXY_VARS)))
+    z = (draw(st.integers(1, 3)), *(draw(st.integers(0, 2)) for _ in vars.names[1:]))
+    return vars, z, draw(st.integers(1, 4)), draw(st.integers(0, 25))
+
+
+@given(euler_cases())
+@settings(max_examples=150, deadline=None)
+def test_euler_sums_equal_their_products(case):
+    # Each sum side against its product side, built on the other route.
+    vars, z, step, order = case
+    assert euler1(vars, order, z, step) == poch_inverse([PochSpec(z, step)], vars, order)
+    assert euler2(vars, order, z, step) == poch_inf(PochSpec(z, step, sign=-1), vars, order)
+
+
+@pytest.mark.parametrize("euler", (euler1, euler2))
+def test_euler_sums_refuse_bad_arguments(euler):
+    # A q-free z has no first q-power to truncate at, euler2's spec included.
+    with pytest.raises(DivergentProduct):
+        euler(QX_VARS, 5, QX_VARS.m(x=1), 1)
+    with pytest.raises(SeriesError, match="wrong arity"):
+        euler(QX_VARS, 5, Q_VARS.m(q=1), 1)
+    with pytest.raises(SeriesError, match="order must be >= 0"):
+        euler(QX_VARS, -1, QX_VARS.m(x=1, q=1), 1)
+
+
 class TestQBinom:
     def test_reproduces_x2q2_y_step(self):
         # upper argument x^2 q^2, summand y q^2, base q^4
