@@ -353,6 +353,7 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
 # process, on a 2-core machine, Python 3.11); the other budgets are older.
 # euler1, qbinom and quad-new were last derived with their inverted products
 # on packed slots; at 440, euler1's largest exponent x^440 stays below LIMIT.
+# lpi-eq-A was last derived with its oracle drawing partitions by accel_asc.
 def _entries() -> list[Entry]:
     out = [
         Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", sides=_ag_sides(2, 2)),
@@ -384,7 +385,7 @@ def _entries() -> list[Entry]:
         Entry("borel-bridge-rhs", 20, 200, "coefficient-boost operator maps one quadruple sum to the other",
               sides=(lambda n: borel_apply(_quad_new_rhs(n)), _quad_rhs)),
         Entry("h-matrix", 24, 300, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=lambda n: verify_matrix_relation(order=n)),
-        Entry("lpi-eq-A", 30, 40, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
+        Entry("lpi-eq-A", 30, 55, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
         Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
         Entry("f-system", 20, 240, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
         Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", sides=_quin_sides(SET_A)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .partitions import EMPTY, InvalidOverpartition, Overpartition, stats, weight_monomial
+from .partitions import EMPTY, InvalidOverpartition, Overpartition, Part, stats, weight_monomial
 from .series import Mono, QUIN_VARS, Series
 
 
@@ -137,40 +137,50 @@ def gap4_ideal() -> LpiSpec:
 
 
 def compose(spec: LpiSpec, chain: tuple[int, ...]) -> Overpartition:
-    """Assemble the overpartition of a chain of 0-based block indices."""
+    """Assemble the overpartition of a chain of 0-based block indices.
+
+    The block at depth d adds its parts shifted by d*T to one list; blocks
+    lie in [1, T], so the list comes out canonical, and one Overpartition
+    is built from it at the end.
+    """
     if chain and chain[-1] == 0:
         raise LpiError("chains must end in a nonempty block (trailing empties are implicit)")
+    t = spec.modulus
     prev = 0
-    result = EMPTY
+    parts: list[Part] = []
     for depth, k in enumerate(chain):
         if not 0 <= k < spec.size:
             raise LpiError(f"block index {k} out of range")
         if depth > 0 and k not in spec.linking[prev]:
             raise LinkingViolation(f"block {k} may not follow block {prev}")
-        result = result.merge(spec.blocks[k].shift(depth * spec.modulus))
+        offset = depth * t
+        parts.extend((v + offset, o) for v, o in spec.blocks[k].parts)
         prev = k
-    return result
+    return Overpartition(tuple(parts))
 
 
 def decompose(spec: LpiSpec, op: Overpartition) -> tuple[int, ...]:
     """The unique chain composing to ``op``; raises if op is outside the language.
 
     Parts with value in [i*T+1, (i+1)*T] belong to the block at offset i*T.
+    ``op``'s parts are canonical, so each offset's parts, shifted back, are
+    looked up as a canonical parts tuple among the blocks' own.
     """
     t = spec.modulus
-    index = {b: i for i, b in enumerate(spec.blocks)}
+    index = {b.parts: i for i, b in enumerate(spec.blocks)}
     if not op.parts:
         return ()
     depth = (op.parts[-1][0] - 1) // t
-    buckets: list[list[tuple[int, bool]]] = [[] for _ in range(depth + 1)]
+    buckets: list[list[Part]] = [[] for _ in range(depth + 1)]
     for v, o in op.parts:
-        buckets[(v - 1) // t].append((v, o))
+        i = (v - 1) // t
+        buckets[i].append((v - i * t, o))
     chain: list[int] = []
     prev = 0
     for i, bucket in enumerate(buckets):
-        block = Overpartition(tuple((v - i * t, o) for v, o in bucket))
-        k = index.get(block)
+        k = index.get(tuple(bucket))
         if k is None:
+            block = Overpartition(tuple(bucket))
             raise UnknownBlock(f"offset {i * t}: block {block.render() or 'empty'} not in alphabet")
         if i > 0 and k not in spec.linking[prev]:
             raise LinkingViolation(

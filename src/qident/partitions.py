@@ -11,18 +11,20 @@ part value may be overlined; overlines carry no size.  The central objects are
   same gap rule, except that an overlined 5 and a plain 1 may coexist.
 
 Two independent enumeration routes are provided.  The oracle draws every
-partition of n, unpruned, and expands the overline choices of those whose
-plain parts pass the gap clause ``_gap_ok`` pairwise into canonical parts
-tuples, which per-family tuple predicates filter; no overline choice can
-rescue a partition that fails, so nothing is lost.  The other route is one
-gap-constrained walk that reaches every member up to an order in one pass.
+partition of n, unpruned, from one generator, ``_ascending_partitions``
+(Kelleher and O'Sullivan's ``accel_asc``), and expands the overline choices
+of those whose plain parts pass the gap clause ``_gap_ok`` pairwise into
+canonical parts tuples, which per-family tuple predicates filter; no
+overline choice can rescue a partition that fails, so nothing is lost.  The
+other route is one gap-constrained walk that reaches every member up to an
+order in one pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import groupby, product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -187,25 +189,52 @@ def _parts_predicate(setid: str) -> Callable[[tuple[Part, ...]], bool]:
 # -- exhaustive enumeration (the slow oracle) ----------------------------------
 
 
+def _ascending_partitions(n: int) -> Iterator[list[int]]:
+    """Every partition of n exactly once, as a fresh list of parts in ascending order.
+
+    Kelleher and O'Sullivan's ``accel_asc`` ("Generating All Partitions: A
+    Comparison of Two Encodings", arXiv:0909.2331).  ``a[:k]`` holds the
+    parts fixed so far and y what is left of n.  Each outer step raises the
+    last fixed part to x, fills with copies of x while two more still fit,
+    then yields every split of the rest into two parts x <= y and finally
+    the rest as one part.  Partitions come out in lexicographic order.
+    """
+    if n == 0:
+        yield []
+        return
+    a = [0] * (n + 1)
+    k, y = 1, n - 1
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        last = k + 1
+        while x <= y:
+            a[k] = x
+            a[last] = y
+            yield a[:k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[:k + 1]
+
+
+def _runs(parts: list[int]) -> tuple[tuple[int, int], ...]:
+    """An ascending list of parts as ((value, multiplicity), ...)."""
+    return tuple((v, sum(1 for _ in run)) for v, run in groupby(parts))
+
+
 def _partitions_by_multiplicity(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Partitions of n as ((value, multiplicity), ...) with ascending values.
 
-    One depth-first walk, in lexicographic order of the (value, multiplicity)
-    pairs.  A prefix is extended only if what is left of n is 0 or can still
-    be made of larger values, so every node is the prefix of a partition.
+    The lists of ``_ascending_partitions``, in its order, grouped into runs of
+    equal parts; there is no other partition enumerator.
     """
-    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(n, 1, ())]
-    while stack:
-        rest, low, prefix = stack.pop()
-        if rest == 0:
-            yield prefix
-            continue
-        # Larger values and multiplicities are pushed first, so smaller ones come out first.
-        for v in range(rest, low - 1, -1):
-            for m in range(rest // v, 0, -1):
-                left = rest - v * m
-                if left == 0 or left > v:
-                    stack.append((left, v + 1, prefix + ((v, m),)))
+    return map(_runs, _ascending_partitions(n))
 
 
 def _overlinings(partition: tuple[tuple[int, int], ...]) -> Iterator[tuple[Part, ...]]:
@@ -236,36 +265,31 @@ def oracle_members(setid: str, n: int) -> set[Overpartition]:
     """Members of the named family with size n, by the family predicate.
 
     The exhaustive counterpart of ``enum_set``.  It draws every partition of n
-    and tests its values first: only a partition whose plain parts pass
-    ``_gap_ok`` pairwise (each value once, consecutive values at least 4
-    apart) has its overline choices expanded, and each expanded tuple goes
-    through the family predicate.  Nothing is lost: every family predicate
-    requires ``_gap_ok`` of each consecutive pair, ``_gap_ok`` ignores the
-    lower part's overline, and an overlined upper part never passes where the
-    plain one fails.  The one exception, Avee's plain 1 before an overlined 5,
-    has plain values that pass.
+    from ``_ascending_partitions`` and tests its values first, against a table
+    ``ok[lo][hi]`` of ``_gap_ok`` on plain parts built on each call: only a
+    partition whose consecutive parts all pass (each value once, consecutive
+    values at least 4 apart) is grouped into (value, multiplicity) runs and
+    has its overline choices expanded, and each expanded tuple goes through
+    the family predicate.  Nothing is lost: every family predicate requires
+    ``_gap_ok`` of each consecutive pair, ``_gap_ok`` ignores the lower
+    part's overline, and an overlined upper part never passes where the
+    plain one fails.  The one exception, Avee's plain 1 before an overlined
+    5, has plain values that pass.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     pred = _parts_predicate(setid)
+    ok = [[_gap_ok((lo, False), (hi, False)) for hi in range(n + 1)] for lo in range(n + 1)]
     members = set()
-    for partition in _partitions_by_multiplicity(n):
-        if _plain_parts_spread(partition):
-            members.update(Overpartition(parts) for parts in _overlinings(partition) if pred(parts))
+    for parts in _ascending_partitions(n):
+        prev = parts[0] if parts else 0
+        for v in parts[1:]:
+            if not ok[prev][v]:
+                break
+            prev = v
+        else:
+            members.update(Overpartition(op) for op in _overlinings(_runs(parts)) if pred(op))
     return members
-
-
-def _plain_parts_spread(partition: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the partition's parts, all plain, pass ``_gap_ok`` pairwise."""
-    prev = None
-    for v, m in partition:
-        part = (v, False)
-        if m > 1 and not _gap_ok(part, part):
-            return False
-        if prev is not None and not _gap_ok(prev, part):
-            return False
-        prev = part
-    return True
 
 
 # -- the gap-constrained walk ---------------------------------------------------

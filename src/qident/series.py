@@ -258,10 +258,12 @@ class Series:
 
     @classmethod
     def zero(cls, vars: VarSet, order: int) -> "Series":
-        return cls._raw(vars, order, {})
+        return cls.const(vars, order, 0)
 
     @classmethod
     def const(cls, vars: VarSet, order: int, c: int) -> "Series":
+        if order < 0:
+            raise SeriesError("truncation order must be >= 0")
         return cls._raw(vars, order, {0: c} if c else {})
 
     @classmethod

@@ -2,13 +2,16 @@
 
 Each mutant changes one piece of text in one function: the exponent of the
 division in ``eval_sum``, the part rule or the multiplicity cap of a B-side
-walk, the containment test of ``f_vector``'s base, or the degree weight, the
-sign power, the divisor or the slot width of ``poch_inverse``'s recurrence.
+walk, the containment test of ``f_vector``'s base, the degree weight, the
+sign power, the divisor or the slot width of ``poch_inverse``'s recurrence,
+or one constant or sign of ``_divide_binomial`` or ``_times_binomial``.
 The mutant replaces the function wherever the package binds it, and every
 registry entry named for it must then fail at its default order with a
 witness: a mismatch, or the coefficient that the recurrence's checked
 division by n found inexact.  A mutant that no entry can see is listed in ``EQUIVALENT``
-with the reason, and a test of its own must kill it.
+with the reason, and a test of its own must kill it.  An entry that reaches
+the mutated kernel on both sides, where the mutant cancels, is listed in
+``SHARED_KERNEL_ENTRIES`` with the reason, and must still pass under it.
 
 Side mutants change one constant of a registry side: the shift monomial of
 ``quad``'s and ``quad-new``'s sum sides one q-power up or down, each entry
@@ -18,6 +21,12 @@ x -> xq^8 one q-power up.  Andrews-Gordon side mutants change one pair
 or down, or its product's residue set with one residue dropped or swapped
 for the excluded i.  They go through the same loop and count in the same
 kill rate.
+
+Oracle mutants change one comparison or constant of
+``partitions._ascending_partitions``, the generator the exhaustive oracle
+draws every partition from.  Each must fail ``lpi-eq-A`` at its default
+order or the count check, p(n) distinct ascending partitions of each n <= 30,
+with a witness.
 
 Two more mutants change the packed layout of ``Series`` keys, which no entry
 can see, since both sides of an identity share one layout: the x and y1
@@ -57,6 +66,9 @@ _INVERSE_ENTRIES = (
     "euler1", "qbinom", "tri-single", "quad-new", "borel-bridge-lhs",
 )
 _WEIGHT = "d * spec.sign ** m"
+
+# The entries whose sum side divides by binomials with _divide_binomial.
+_BINOMIAL_ENTRIES = ("qbinom", "tri-single")
 
 # The entries whose packed slots, at the default order, need the width's last
 # byte: the largest slot of n*P_n reaches 2^8 there.  euler1 and qbinom at 30
@@ -105,6 +117,38 @@ KERNEL_MUTANTS = {
         products, "_packed_inverse", "bit_length() + 9) // 8", "bit_length() + 1) // 8",
         (products,), _WIDE_SLOT_ENTRIES,
     ),
+    "_divide_binomial new key starts at 1": (
+        products, "_divide_binomial", "dest.get(target, 0)", "dest.get(target, 1)",
+        (products, identities), _BINOMIAL_ENTRIES,
+    ),
+    "_divide_binomial carries -sign*c": (
+        products, "_divide_binomial", "0) + sign * c", "0) - sign * c",
+        (products, identities), _BINOMIAL_ENTRIES,
+    ),
+    # _times_binomial has one constant and one sign, and both mutants apply
+    # 1 + A for sign +1.  Series has no unary plus, so -shifted loses its minus.
+    "_times_binomial sign test 1 -> 0": (
+        products, "_times_binomial", "sign == 1", "sign == 0",
+        (products, identities), ("tri-single",),
+    ),
+    "_times_binomial -shifted -> +shifted": (
+        products, "_times_binomial", "-shifted if", "shifted if",
+        (products, identities), ("tri-single",),
+    ),
+}
+
+# label -> (entry, reason): an entry that reaches the mutated kernel on both
+# of its sides, where the mutant cancels.  The entry must still pass under
+# the mutant, so that breaking the share shows here and moves it to the
+# mutant's entries.
+SHARED_KERNEL_ENTRIES = {
+    label: (
+        "qbinom",
+        "its sum builds (a; q)_n and its product (az; q)_inf, both by _times_binomial; "
+        "the mutant makes them (-a; q)_n and (-az; q)_inf, and the q-binomial theorem "
+        "still holds with a -> -a",
+    )
+    for label in ("_times_binomial sign test 1 -> 0", "_times_binomial -shifted -> +shifted")
 }
 
 # The quad-new betas, each entry one up and one down; every result is a valid
@@ -245,6 +289,13 @@ def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
     assert not [s for s in survivors if s[1]], "a mutant failed only some of its entries"
 
 
+@pytest.mark.parametrize("label", sorted(SHARED_KERNEL_ENTRIES))
+def test_a_shared_kernel_mutant_cancels_on_its_entry(monkeypatch, label):
+    identity, _ = SHARED_KERNEL_ENTRIES[label]
+    assert identity not in _install(monkeypatch, label)
+    assert verify(identity).passed
+
+
 def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     # Block 1 links {0, 1, 2}, block 2 links {0, 3}: neither contains the other,
     # so the mutant starts {0, 1, 2} from {0, 3} and counts block 3 in it.
@@ -276,6 +327,57 @@ def test_narrow_slot_mutant_fails_on_five_copies(monkeypatch):
     _install(monkeypatch, "poch_inverse slot one byte narrower")
     with pytest.raises(InexactDivision, match="^q-degree 40: "):
         poch_inverse(specs, QX_VARS, order)
+
+
+# label -> (old text, new text) in partitions._ascending_partitions, the
+# oracle's partition generator.  A mutant that only drops partitions with a
+# repeated part cannot change lpi-eq-A, since no member has one; the count
+# check kills it instead.
+ORACLE_MUTANTS = {
+    "accel_asc fills while 2x < y": ("while 2 * x <= y", "while 2 * x < y"),
+    "accel_asc splits while x < y": ("while x <= y", "while x < y"),
+    "accel_asc rest x + y - 2": ("y = x + y - 1", "y = x + y - 2"),
+}
+
+
+def _partition_numbers(top: int) -> list[int]:
+    """p(0), ..., p(top), by the integer knapsack over part sizes."""
+    p = [1] + [0] * top
+    for k in range(1, top + 1):
+        for i in range(k, top + 1):
+            p[i] += p[i - k]
+    return p
+
+
+def _miscount(generate, top: int = 30) -> str | None:
+    """A witness that ``generate(n)`` is not the p(n) distinct ascending
+    partitions of n for some n <= top, or None.  It reads at most p(n) + 1
+    lists per n, so a generator that never stops is still judged."""
+    expected = _partition_numbers(top)
+    for n in range(top + 1):
+        drawn = [tuple(parts) for parts, _ in zip(generate(n), range(expected[n] + 1))]
+        bad = [p for p in drawn if sum(p) != n or list(p) != sorted(p) or min(p, default=1) < 1]
+        if bad or len(set(drawn)) != len(drawn) or len(drawn) != expected[n]:
+            return f"n = {n}: {len(set(drawn))} distinct of {len(drawn)} drawn, p(n) = {expected[n]}"
+    return None
+
+
+def test_every_oracle_mutant_is_killed(monkeypatch):
+    assert _miscount(partitions._ascending_partitions) is None
+    killed_by = {}
+    for label, (old, new) in ORACLE_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            fn = _mutant(partitions, "_ascending_partitions", old, new)
+            patch.setattr(partitions, "_ascending_partitions", fn)
+            report = verify("lpi-eq-A")
+            assert report.order == REGISTRY["lpi-eq-A"].default_order
+            witnesses = {"lpi-eq-A": report.witness} if not report.passed else {}
+            if count := _miscount(fn):
+                witnesses["count"] = count
+        assert all(witnesses.values()), label
+        killed_by[label] = sorted(witnesses)
+    print(f"oracle generator mutants and what kills them: {killed_by}")
+    assert all(killed_by.values()), killed_by
 
 
 # label -> (module, function, old text, new text, modules that bind it)

@@ -33,6 +33,7 @@ from qident.partitions import (
     weighted_gf,
     _FORBIDDEN,
     _gap_ok,
+    _ascending_partitions,
     _overpartition_parts,
     _partitions_by_multiplicity,
     _parts_in_A,
@@ -248,21 +249,34 @@ class TestOracleRoute:
                 assert oracle_members(setid, n) == full, (setid, n)
 
     def test_oracle_draws_every_partition(self, monkeypatch):
-        real = partitions._partitions_by_multiplicity
+        real = partitions._ascending_partitions
         drawn = []
 
         def counting(n):
-            for partition in real(n):
-                drawn.append(partition)
-                yield partition
+            for parts in real(n):
+                drawn.append(tuple(parts))
+                yield parts
 
-        monkeypatch.setattr(partitions, "_partitions_by_multiplicity", counting)
+        monkeypatch.setattr(partitions, "_ascending_partitions", counting)
         expected = partition_numbers(20)
         for n in range(21):
             drawn.clear()
             oracle_members(SET_A, n)
             assert len(drawn) == len(set(drawn)) == expected[n], n
-            assert all(sum(v * m for v, m in p) == n for p in drawn), n
+            assert all(sum(p) == n for p in drawn), n
+
+    def test_ascending_partitions_are_every_partition_once(self):
+        expected = partition_numbers(30)
+        for n in range(31):
+            drawn = [tuple(parts) for parts in _ascending_partitions(n)]
+            assert len(drawn) == len(set(drawn)) == expected[n], n
+            assert all(sum(p) == n and list(p) == sorted(p) and min(p, default=1) >= 1 for p in drawn), n
+
+    def test_partitions_by_multiplicity_groups_the_ascending_lists(self):
+        for n in range(16):
+            grouped = [tuple(v for v, m in p for _ in range(m)) for p in _partitions_by_multiplicity(n)]
+            assert grouped == [tuple(parts) for parts in _ascending_partitions(n)], n
+            assert all(a[0] < b[0] for p in _partitions_by_multiplicity(n) for a, b in zip(p, p[1:])), n
 
     def test_oracle_does_not_use_the_walk(self, monkeypatch):
         expected = {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS}

@@ -430,6 +430,30 @@ def test_varset_validation():
         VarSet(("x", "q"))
 
 
+class TestNegativeOrder:
+    """A negative truncation order is refused by every constructor, not only ``Series(...)``."""
+
+    def test_init(self):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            Series(VS, -1)
+
+    def test_zero(self):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            Series.zero(VS, -1)
+
+    def test_one(self):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            Series.one(VS, -1)
+
+    def test_const(self):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            Series.const(VS, -1, 3)
+
+    def test_order_zero_is_allowed(self):
+        assert Series.zero(VS, 0).is_zero()
+        assert Series.one(VS, 0) == Series.const(VS, 0, 1) == Series(VS, 0, [(VS.unit, 1)])
+
+
 class TestNegativeExponents:
     """A negative exponent would corrupt a packed key, so every entry point refuses it."""
 
