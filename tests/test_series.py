@@ -430,28 +430,20 @@ def test_varset_validation():
         VarSet(("x", "q"))
 
 
-class TestNegativeOrder:
-    """A negative truncation order is refused by every constructor, not only ``Series(...)``."""
-
-    def test_init(self):
-        with pytest.raises(SeriesError, match="order must be >= 0"):
-            Series(VS, -1)
-
-    def test_zero(self):
-        with pytest.raises(SeriesError, match="order must be >= 0"):
-            Series.zero(VS, -1)
-
-    def test_one(self):
-        with pytest.raises(SeriesError, match="order must be >= 0"):
-            Series.one(VS, -1)
-
-    def test_const(self):
-        with pytest.raises(SeriesError, match="order must be >= 0"):
-            Series.const(VS, -1, 3)
-
-    def test_order_zero_is_allowed(self):
-        assert Series.zero(VS, 0).is_zero()
-        assert Series.one(VS, 0) == Series.const(VS, 0, 1) == Series(VS, 0, [(VS.unit, 1)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: Series(VS, order),
+        lambda order: Series.zero(VS, order),
+        lambda order: Series.one(VS, order),
+        lambda order: Series.const(VS, order, 3),
+    ],
+    ids=["init", "zero", "one", "const"],
+)
+def test_every_constructor_refuses_a_negative_order(build):
+    assert build(0).order == 0
+    with pytest.raises(SeriesError, match="order must be >= 0"):
+        build(-1)
 
 
 class TestNegativeExponents:
