@@ -89,13 +89,6 @@ class Overpartition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def merge(self, other: "Overpartition") -> "Overpartition":
-        return Overpartition(self.parts + other.parts)
-
-    def shift(self, amount: int) -> "Overpartition":
-        """Add ``amount`` to every part, overlines preserved."""
-        return Overpartition(tuple((v + amount, o) for v, o in self.parts))
-
     def render(self) -> str:
         """Largest part first; an overline shows as a trailing tilde."""
         return " ".join(f"{v}~" if o else str(v) for v, o in reversed(self.parts))
@@ -294,10 +287,6 @@ def oracle_members(setid: str, n: int) -> set[Overpartition]:
 
 # -- the gap-constrained walk ---------------------------------------------------
 
-# A member's statistics in PartStats field order:
-# (size, length, r1mod2, r2mod4, r0mod4, over).
-Stats = tuple[int, int, int, int, int, int]
-
 # A node of the gap-4 walk: (key, tight, part, parent).  ``key`` is the
 # member's weight monomial x^length y1^r2mod4 y2^r0mod4 z^over q^size packed
 # over QUIN_VARS, ``tight`` its largest part plus 4 (0 for the empty member),
@@ -451,26 +440,12 @@ def _walk_odd_mult_le3(order: int) -> Iterator[tuple[int, int]]:
 
 # -- weighted counters ----------------------------------------------------------
 
-# Each key maps a member's statistics to its table key (n, ...), n its size.
+# table_X counts every size up to the order in one walk.
+# The A side reads the gap-4 walk of Avee, the B side the walk of its family.
 
 
-def _key_A(st: Stats) -> tuple[int, int, int]:
-    size, _, odd, two, four, over = st
-    return size, odd + 2 * four, two + over
-
-
-def _key_A1(st: Stats) -> tuple[int, int]:
-    size, length, _, _, four, over = st
-    return size, length + over + four
-
-
-def _key_A2(st: Stats) -> tuple[int, int]:
-    size, _, odd, two, four, over = st
-    return size, odd + 2 * over + 2 * two + 2 * four
-
-
-def _count_avee(order: int, key: Callable[[Stats], tuple[int, ...]]) -> Counter:
-    """Avee members of size <= order counted by ``key`` of their statistics.
+def table_A(order: int) -> dict[tuple[int, int, int], int]:
+    """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell.
 
     The walk's keys are counted first, and each distinct key is unpacked and
     mapped to its table key once; r1mod2 is length - r2mod4 - r0mod4.
@@ -478,17 +453,18 @@ def _count_avee(order: int, key: Callable[[Stats], tuple[int, ...]]) -> Counter:
     out: Counter = Counter()
     for packed, c in _walk_keys(SET_AVEE, order).items():
         size, length, two, four, over = QUIN_VARS.unpack(packed)
-        out[key((size, length, length - two - four, two, four, over))] += c
+        odd = length - two - four
+        out[size, odd + 2 * four, two + over] += c
     return out
 
 
-# table_X counts every size up to the order in one walk.
-# The A side reads the gap-4 walk of Avee, the B side the walk of its family.
-
-
-def table_A(order: int) -> dict[tuple[int, int, int], int]:
-    """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell."""
-    return _count_avee(order, _key_A)
+def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:
+    """The (n, m, ell) counts of ``table_A`` summed into (n, m + weight*ell)."""
+    out: dict[tuple[int, int], int] = {}
+    for (n, m, ell), c in table.items():
+        key = (n, m + weight * ell)
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
@@ -497,8 +473,11 @@ def table_B(order: int) -> dict[tuple[int, int, int], int]:
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
-    """(n, m) -> Avee members of n of weight m: overlined parts or parts = 0 mod 4 count double."""
-    return _count_avee(order, _key_A1)
+    """(n, m) -> Avee members of n of weight m: overlined parts or parts = 0 mod 4 count double.
+
+    That weight is length + over + r0mod4 = m + ell of ``table_A``.
+    """
+    return _collapse(table_A(order), 1)
 
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
@@ -507,8 +486,11 @@ def table_B1(order: int) -> dict[tuple[int, int], int]:
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
-    """(n, m) -> Avee members of n of weight m: overlined parts triple, even parts double."""
-    return _count_avee(order, _key_A2)
+    """(n, m) -> Avee members of n of weight m: overlined parts triple, even parts double.
+
+    That weight is r1mod2 + 2*(over + r2mod4 + r0mod4) = m + 2*ell of ``table_A``.
+    """
+    return _collapse(table_A(order), 2)
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:

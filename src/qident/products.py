@@ -55,6 +55,14 @@ class InexactDivision(SeriesError):
     """An integer recurrence's exact division by n left a remainder."""
 
 
+class SlotBoxTooLarge(SeriesError):
+    """An inverted product's packed slice would need more than ``SLOT_BOX_BYTES``."""
+
+
+# The most bytes one packed slice of ``_packed_inverse`` may take.
+SLOT_BOX_BYTES = 1 << 24
+
+
 @dataclass(frozen=True)
 class PochSpec:
     """Data of a Pochhammer product (sign*A; q^step)_length; length None = infinite."""
@@ -250,7 +258,9 @@ def _packed_inverse(specs: tuple[PochSpec, ...], vars: VarSet, order: int) -> Se
     n*P_n is decoded with a bias per slot up to the last slot its q-degree
     allows; what lies past that slot must be zero.  Each nonzero slot is
     divided by n through ``_exact_quotient`` and its key is made, and
-    checked, the first time it is read.
+    checked, the first time it is read.  The last slice holds every slot; a
+    layout whose slots would take more than ``SLOT_BOX_BYTES`` there raises
+    ``SlotBoxTooLarge`` before the first slice is built.
     """
     top = vars.shifts[0]
     least: dict[Mono, int] = {}
@@ -267,6 +277,11 @@ def _packed_inverse(specs: tuple[PochSpec, ...], vars: VarSet, order: int) -> Se
 
     pbar = _q_inverse(tuple(PochSpec(spec.argument[:1], spec.step) for spec in specs), order)
     nbytes = (max(n * c for n, c in enumerate(pbar)).bit_length() + 9) // 8
+    if size * nbytes > SLOT_BOX_BYTES:
+        raise SlotBoxTooLarge(
+            f"a slice of {size} slots of {nbytes} bytes needs {size * nbytes} bytes, "
+            f"past {SLOT_BOX_BYTES}"
+        )
     width, half = 8 * nbytes, 1 << (8 * nbytes - 1)
     zero = half.to_bytes(nbytes, "little")
     shifts = [

@@ -4,53 +4,41 @@ from __future__ import annotations
 
 import pytest
 
-from qident import identities, multisum, products
-from qident.series import Series
+import kernels
 
 
-@pytest.fixture
-def refuse_product_route(monkeypatch):
-    """A call that makes every product-route operation raise from then on.
+def _refuse_route(route: str, message: str):
+    """A fixture whose call makes every kernel on ``route`` raise from then on.
 
-    The patched operations are general products, inversion and the
-    Pochhammer builders, inverted ones included, wherever ``products`` and
-    ``identities`` bind them.  A sum side built after the call must reach
-    none of them, or the check against its product side would compare a
-    route with itself.
+    The kernels are those ``tests/kernels.py`` lists on the route, patched
+    wherever the package binds them.
     """
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sum side reached the product route")
+    @pytest.fixture
+    def fixture(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(message)
 
-    def install() -> None:
-        monkeypatch.setattr(Series, "invert", refuse)
-        monkeypatch.setattr(Series, "__mul__", refuse)
-        monkeypatch.setattr(Series, "__rmul__", refuse)
-        for name in ("poch", "poch_inf", "poch_finite", "poch_inverse", "inv_qpoch"):
-            monkeypatch.setattr(products, name, refuse)
-            monkeypatch.setattr(identities, name, refuse, raising=False)
+        def install() -> None:
+            for name in kernels.on_route(route):
+                kernels.install(monkeypatch, name, refuse)
 
-    return install
+        return install
+
+    return fixture
 
 
-@pytest.fixture
-def refuse_sum_route(monkeypatch):
-    """A call that makes every sum-route kernel raise from then on.
+# A sum side built after the call must reach no general product, inverse or
+# Pochhammer builder, or the check against its product side would compare a
+# route with itself.
+refuse_product_route = _refuse_route("product", "a sum side reached the product route")
 
-    The mirror of ``refuse_product_route``: division by a binomial, the
-    prefix pass that divides by 1 - q^k and the multi-sum tree walk raise
-    wherever ``products``, ``multisum`` and ``identities`` bind them.  A
-    product side built after the call must reach none of them.
-    """
+# The mirror: a product side built after the call must reach no multi-sum
+# walk, no division by 1 - q^k and no division by a binomial.
+refuse_sum_route = _refuse_route("sum", "a product side reached the sum route")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a product side reached the sum route")
 
-    def install() -> None:
-        for name in ("_divide_binomial", "_divide_q_power", "eval_sum"):
-            binders = [m for m in (products, multisum, identities) if hasattr(m, name)]
-            assert binders, f"no module binds {name}"
-            for module in binders:
-                monkeypatch.setattr(module, name, refuse)
-
-    return install
+@pytest.fixture(scope="session")
+def reach():
+    """``kernels.reach()``, recorded once per session, before any test patches a kernel."""
+    return kernels.reach()

@@ -1,0 +1,164 @@
+"""The one table of kernels, and what the tests derive from it.
+
+A kernel is a function that builds one route's values.  Its route is
+
+* ``product``: general products, inversion, the Pochhammer builders and the
+  recurrence of the inverted products;
+* ``sum``: the multi-sum tree walk, division by 1 - q^k and division by a
+  binomial;
+* ``shared``: ``_times_binomial``, which the product builders and the sum
+  sides of ``qbinom`` and ``tri-single`` both apply;
+* ``walk``: the gap-4 walk, the B-side walks and the tables read off them,
+  the oracle's partition generator and the automaton's aggregation;
+* ``layout``: the packed key layout, which both sides of every identity
+  share by design, so it counts as no share.
+
+Three things are derived from the table:
+
+* ``binders(name)``: every (owner, attribute) of the package bound to the
+  kernel's original object, so that a replacement reaches every caller;
+* ``reach()``: the kernels each side of a pair entry, or each runner,
+  calls at its default order, recorded once from the unpatched package;
+* ``on_route(route)``: the kernels a route refusal patches.
+"""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+import sys
+from typing import Callable, NamedTuple
+
+import qident
+from qident.identities import REGISTRY, registry_ids
+
+
+class Kernel(NamedTuple):
+    module: str
+    path: str  # attribute path in the module; a method is "Class.name"
+    route: str
+
+
+ROUTES = ("product", "sum", "shared", "walk", "layout")
+
+
+def _table() -> dict[str, Kernel]:
+    rows = {
+        "product": {
+            "qident.series": ("Series.__mul__", "Series.invert"),
+            "qident.products": (
+                "poch", "poch_finite", "poch_inf", "poch_inverse", "inv_qpoch",
+                "_log_derivative", "_exact_quotient", "_q_inverse", "_packed_inverse",
+            ),
+        },
+        "sum": {
+            "qident.multisum": ("eval_sum", "_divide_q_power"),
+            "qident.products": ("_divide_binomial",),
+        },
+        "shared": {"qident.products": ("_times_binomial",)},
+        "walk": {
+            "qident.partitions": (
+                "_walk_gap4", "_walk_distinct_4regular", "_walk_odd_mult_le3",
+                "_collapse", "_ascending_partitions",
+            ),
+            "qident.lpi": ("language", "f_vector"),
+        },
+        "layout": {"qident.series": ("_field_shifts", "_check_keys")},
+    }
+    return {
+        path: Kernel(module, path, route)
+        for route, modules in rows.items()
+        for module, paths in modules.items()
+        for path in paths
+    }
+
+
+# name -> Kernel; a kernel's name is its attribute path.
+KERNELS = _table()
+
+
+def resolve(module: str, path: str) -> object:
+    owner: object = importlib.import_module(module)
+    for name in path.split("."):
+        owner = getattr(owner, name)
+    return owner
+
+
+def on_route(route: str) -> list[str]:
+    return [name for name, kernel in KERNELS.items() if kernel.route == route]
+
+
+# The package's modules, the package itself first.
+_MODULES = [
+    qident,
+    *(importlib.import_module(f"qident.{info.name}") for info in pkgutil.iter_modules(qident.__path__)),
+]
+
+# Each kernel's object as the package defines it, before any test patches it.
+ORIGINAL = {name: resolve(kernel.module, kernel.path) for name, kernel in KERNELS.items()}
+
+
+def _binders(name: str) -> list[tuple[object, str]]:
+    kernel, fn = KERNELS[name], ORIGINAL[name]
+    owners = list(_MODULES)
+    if "." in kernel.path:  # a method: its class binds it, maybe under more than one name
+        owners.append(resolve(kernel.module, kernel.path.rsplit(".", 1)[0]))
+    return [(owner, attr) for owner in owners for attr, value in vars(owner).items() if value is fn]
+
+
+# Found at import, before any test patches a kernel.
+_BINDERS = {name: _binders(name) for name in KERNELS}
+
+
+def binders(name: str) -> list[tuple[object, str]]:
+    """Every (module or class, attribute) of the package bound to kernel ``name``'s original."""
+    return _BINDERS[name]
+
+
+def install(monkeypatch, name: str, replacement: object) -> None:
+    """Bind ``replacement`` wherever the package binds kernel ``name``."""
+    for owner, attr in binders(name):
+        monkeypatch.setattr(owner, attr, replacement)
+
+
+def record(build: Callable[[], object]) -> frozenset[str]:
+    """The kernels that ``build()`` calls, told apart by their code objects.
+
+    The recorder is a ``sys.setprofile`` hook; whatever profile function was
+    installed before is put back afterwards, also when ``build`` raises.
+    """
+    codes = {ORIGINAL[name].__code__: name for name in KERNELS}
+    seen: set[str] = set()
+
+    def profile(frame, event, arg) -> None:
+        if event == "call" and frame.f_code in codes:
+            seen.add(codes[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(previous)
+    return frozenset(seen)
+
+
+def reach() -> dict[str, tuple[frozenset[str], ...]]:
+    """Registry id -> the kernels each side (lhs, rhs) or the runner reaches at the default order.
+
+    Negative controls are left out.  Every kernel must be the package's own
+    object when this runs, so that no mutant or refusal is recorded.
+    """
+    patched = [name for name, (module, path, _) in KERNELS.items() if resolve(module, path) is not ORIGINAL[name]]
+    assert not patched, f"reach recorded while {patched} are patched"
+    out = {}
+    for identity in registry_ids():
+        entry, n = REGISTRY[identity], REGISTRY[identity].default_order
+        builds = entry.sides or (entry.runner,)
+        out[identity] = tuple(record(lambda build=build: build(n)) for build in builds)
+    return out
+
+
+def reached(reach_map: dict[str, tuple[frozenset[str], ...]], name: str) -> list[str]:
+    """The registry ids, in registry order, some side or runner of which reaches kernel ``name``."""
+    return [identity for identity, sides in reach_map.items() if any(name in side for side in sides)]

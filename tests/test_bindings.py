@@ -9,10 +9,11 @@ files are read as syntax trees, never imported.
 from __future__ import annotations
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
+
+from kernels import resolve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,13 +62,6 @@ def _workload_names() -> set[tuple[str, str]]:
     return out
 
 
-def _resolve(module: str, path: str) -> object:
-    owner: object = importlib.import_module(module)
-    for name in path.split("."):
-        owner = getattr(owner, name)
-    return owner
-
-
 def test_binding_tables_are_read():
     traced = _traced()
     assert ("qident.series", "Series.__mul__") in traced
@@ -78,7 +72,7 @@ def test_binding_tables_are_read():
 
 @pytest.mark.parametrize("module, path", sorted(set(_traced()) | _workload_names()))
 def test_benchmark_binding_resolves(module, path):
-    _resolve(module, path)  # raises AttributeError if the name is gone
+    resolve(module, path)  # raises AttributeError if the name is gone
 
 
 # -- every src/ name has a user ------------------------------------------------
@@ -86,7 +80,7 @@ def test_benchmark_binding_resolves(module, path):
 SRC = Path(__file__).resolve().parent.parent / "src" / "qident"
 
 # Classes whose non-dunder methods are pinned one by one.
-PINNED_CLASSES = ("Series", "VarSet")
+PINNED_CLASSES = ("Series", "VarSet", "Overpartition")
 
 # Names that nothing in src/ reads, each with the reason it stays.  The first
 # five are bound by the tracer or the workloads (checked above); they go once
@@ -94,7 +88,7 @@ PINNED_CLASSES = ("Series", "VarSet")
 _BOUND = "perfbench binds it, so deleting it waits for the benchmark refresh"
 KEPT: dict[str, str] = {
     "poch": _BOUND,
-    "inv_qpoch": _BOUND + "; refuse_product_route patches it",
+    "inv_qpoch": _BOUND + "; tests/kernels.py lists it on the product route, which the route refusals read",
     "enum_overpartitions": _BOUND,
     "in_A": _BOUND,
     "Series.invert": _BOUND + "; the tests' reference implementation for poch_inverse",

@@ -1,17 +1,20 @@
 """Mutants of the kernels that build each route's values from one it already has.
 
-Each mutant changes one piece of text in one function: the exponent of the
-division in ``eval_sum``, the part rule or the multiplicity cap of a B-side
-walk, the containment test of ``f_vector``'s base, the degree weight, the
-sign power, the divisor or the slot width of ``poch_inverse``'s recurrence,
-or one constant or sign of ``_divide_binomial`` or ``_times_binomial``.
-The mutant replaces the function wherever the package binds it, and every
-registry entry named for it must then fail at its default order with a
-witness: a mismatch, or the coefficient that the recurrence's checked
-division by n found inexact.  A mutant that no entry can see is listed in ``EQUIVALENT``
-with the reason, and a test of its own must kill it.  An entry that reaches
-the mutated kernel on both sides, where the mutant cancels, is listed in
-``SHARED_KERNEL_ENTRIES`` with the reason, and must still pass under it.
+Each mutant changes one piece of text in one kernel of ``tests/kernels.py``:
+the exponent of the division in ``eval_sum``, the part rule or the
+multiplicity cap of a B-side walk, the containment test of ``f_vector``'s
+base, the degree weight, the sign power, the divisor or the slot width of
+``poch_inverse``'s recurrence, one constant or sign of ``_divide_binomial``
+or ``_times_binomial``, or the weight of the collapse of ``table_A``.  The
+mutant replaces the kernel wherever the package binds it (``kernels.binders``),
+and every registry entry whose reach holds the kernel (``kernels.reach``, the
+kernels each side or runner calls at the default order) must then fail at
+its default order with a witness: a mismatch, or the coefficient that the
+recurrence's checked division by n found inexact.  An entry that reaches the
+kernel but cannot see the mutant is listed in ``UNSEEN`` with the reason,
+and must still pass under it, so that a change that lets it see the mutant
+shows here.  A mutant that no entry can see is listed in ``EQUIVALENT``
+with the reason, and a test of its own must kill it.
 
 Side mutants change one constant of a registry side: the shift monomial of
 ``quad``'s and ``quad-new``'s sum sides one q-power up or down, each entry
@@ -37,118 +40,85 @@ under each.
 from __future__ import annotations
 
 import __future__
+import importlib
 import inspect
 import textwrap
 from dataclasses import replace
 
 import pytest
 
-from qident import borel, identities, lpi, multisum, partitions, products, series
+import kernels
+from qident import identities, lpi, partitions
 from qident.identities import REGISTRY, verify
 from qident.products import InexactDivision, PochSpec, poch_inf, poch_inverse
 from qident.series import LIMIT, Q_VARS, QUIN_VARS, QX_VARS, ExponentOverflow, Series, varset
 
-# The entries whose other side is built without eval_sum: products for rr1,
-# rr2, the AG ladder, euler1, euler2, quad and quad-new, the gap-4 walk for
-# thm51-a..d, and the leaf multisets for h-matrix.  borel-bridge-rhs builds
-# both sides by eval_sum and is not listed.
-_EVAL_SUM_ENTRIES = (
-    "rr1", "rr2",
-    *(f"andrews-gordon-k{k}-i{i}" for k in (2, 3, 4) for i in range(1, k + 1)),
-    "euler1", "euler2",
-    "quad", "quad-new", "thm51-a", "thm51-b", "thm51-c", "thm51-d", "h-matrix",
-)
-
-# The entries with an inverted product side, all built by poch_inverse.
-_INVERSE_ENTRIES = (
-    "rr1", "rr2",
-    *(f"andrews-gordon-k{k}-i{i}" for k in (2, 3, 4) for i in range(1, k + 1)),
-    "euler1", "qbinom", "tri-single", "quad-new", "borel-bridge-lhs",
-)
 _WEIGHT = "d * spec.sign ** m"
 
-# The entries whose sum side divides by binomials with _divide_binomial.
-_BINOMIAL_ENTRIES = ("qbinom", "tri-single")
-
-# The entries whose packed slots, at the default order, need the width's last
-# byte: the largest slot of n*P_n reaches 2^8 there.  euler1 and qbinom at 30
-# (1/(xq;q)_inf) keep theirs below 2^15, which a 16-bit slot still holds.
-_WIDE_SLOT_ENTRIES = ("tri-single", "quad-new", "borel-bridge-lhs")
-
-# label -> (module, function, old text, new text, modules that bind it, entries)
+# label -> (kernel, old text, new text).  A mutant must fail every registry
+# entry whose reach (``kernels.reach``) holds its kernel, apart from UNSEEN.
 KERNEL_MUTANTS = {
-    "eval_sum divides by 1 - q^(A(n+1))": (
-        multisum, "eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n + 1),",
-        (multisum, identities, products), _EVAL_SUM_ENTRIES,
-    ),
-    "eval_sum divides by 1 - q^(A(n-1))": (
-        multisum, "eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n - 1),",
-        (multisum, identities, products), _EVAL_SUM_ENTRIES,
-    ),
-    "4-regular rule v % 4 -> v % 2": (
-        partitions, "_walk_distinct_4regular", "if v % 4:", "if v % 2:",
-        (partitions,), ("thm15", "thmA1"),
-    ),
-    "multiplicity cap 3 -> 2": (
-        partitions, "_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2)", (partitions,), ("thmA2",),
-    ),
-    "multiplicity cap 3 -> 4": (
-        partitions, "_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)", (partitions,), ("thmA2",),
-    ),
-    "f_vector base not a subset": (
-        lpi, "f_vector", " if t <= link", "", (lpi, identities), ("g-system", "f-system"),
-    ),
-    "poch_inverse degree weight d -> d + 1": (
-        products, "_log_derivative", _WEIGHT, "(d + 1) * spec.sign ** m",
-        (products,), _INVERSE_ENTRIES,
-    ),
-    "poch_inverse degree weight d -> d - 1": (
-        products, "_log_derivative", _WEIGHT, "(d - 1) * spec.sign ** m",
-        (products,), _INVERSE_ENTRIES,
-    ),
-    "poch_inverse divides by n + 1": (
-        products, "_exact_quotient", "divmod(c, n)", "divmod(c, n + 1)",
-        (products,), _INVERSE_ENTRIES,
-    ),
-    "poch_inverse sign power dropped": (
-        products, "_log_derivative", _WEIGHT, "d", (products,), _INVERSE_ENTRIES,
-    ),
+    "eval_sum divides by 1 - q^(A(n+1))": ("eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n + 1),"),
+    "eval_sum divides by 1 - q^(A(n-1))": ("eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n - 1),"),
+    "4-regular rule v % 4 -> v % 2": ("_walk_distinct_4regular", "if v % 4:", "if v % 2:"),
+    "multiplicity cap 3 -> 2": ("_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2)"),
+    "multiplicity cap 3 -> 4": ("_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)"),
+    "f_vector base not a subset": ("f_vector", " if t <= link", ""),
+    "poch_inverse degree weight d -> d + 1": ("_log_derivative", _WEIGHT, "(d + 1) * spec.sign ** m"),
+    "poch_inverse degree weight d -> d - 1": ("_log_derivative", _WEIGHT, "(d - 1) * spec.sign ** m"),
+    "poch_inverse divides by n + 1": ("_exact_quotient", "divmod(c, n)", "divmod(c, n + 1)"),
+    "poch_inverse sign power dropped": ("_log_derivative", _WEIGHT, "d"),
     "poch_inverse slot one byte narrower": (
-        products, "_packed_inverse", "bit_length() + 9) // 8", "bit_length() + 1) // 8",
-        (products,), _WIDE_SLOT_ENTRIES,
+        "_packed_inverse", "bit_length() + 9) // 8", "bit_length() + 1) // 8",
     ),
-    "_divide_binomial new key starts at 1": (
-        products, "_divide_binomial", "dest.get(target, 0)", "dest.get(target, 1)",
-        (products, identities), _BINOMIAL_ENTRIES,
-    ),
-    "_divide_binomial carries -sign*c": (
-        products, "_divide_binomial", "0) + sign * c", "0) - sign * c",
-        (products, identities), _BINOMIAL_ENTRIES,
-    ),
-    # _times_binomial has one constant and one sign, and both mutants apply
-    # 1 + A for sign +1.  Series has no unary plus, so -shifted loses its minus.
-    "_times_binomial sign test 1 -> 0": (
-        products, "_times_binomial", "sign == 1", "sign == 0",
-        (products, identities), ("tri-single",),
-    ),
-    "_times_binomial -shifted -> +shifted": (
-        products, "_times_binomial", "-shifted if", "shifted if",
-        (products, identities), ("tri-single",),
-    ),
+    "_divide_binomial new key starts at 1": ("_divide_binomial", "dest.get(target, 0)", "dest.get(target, 1)"),
+    "_divide_binomial carries -sign*c": ("_divide_binomial", "0) + sign * c", "0) - sign * c"),
+    # _times_binomial applies 1 - A for sign +1 and 1 + A for sign -1.  The
+    # first two mutants apply 1 + A for both (Series has no unary plus, so
+    # -shifted loses its minus); the third applies 1 - A for both.
+    "_times_binomial sign test 1 -> 0": ("_times_binomial", "sign == 1", "sign == 0"),
+    "_times_binomial -shifted -> +shifted": ("_times_binomial", "-shifted if", "shifted if"),
+    "_times_binomial +shifted -> -shifted": ("_times_binomial", "else shifted)", "else -shifted)"),
+    "table_A collapse weight k -> k + 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight + 1) * ell)"),
+    "table_A collapse weight k -> k - 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight - 1) * ell)"),
 }
 
-# label -> (entry, reason): an entry that reaches the mutated kernel on both
-# of its sides, where the mutant cancels.  The entry must still pass under
-# the mutant, so that breaking the share shows here and moves it to the
-# mutant's entries.
-SHARED_KERNEL_ENTRIES = {
-    label: (
-        "qbinom",
-        "its sum builds (a; q)_n and its product (az; q)_inf, both by _times_binomial; "
-        "the mutant makes them (-a; q)_n and (-az; q)_inf, and the q-binomial theorem "
-        "still holds with a -> -a",
-    )
-    for label in ("_times_binomial sign test 1 -> 0", "_times_binomial -shifted -> +shifted")
+_PLUS_A = ("_times_binomial sign test 1 -> 0", "_times_binomial -shifted -> +shifted")
+
+# (label, entry) -> reason: an entry that reaches the mutated kernel but cannot
+# see the mutant.  It must still pass under the mutant, so that a change that
+# lets it see the mutant shows here.
+UNSEEN = {
+    **{
+        (label, "borel-bridge-rhs"): (
+            "both of its sides are quadruple sums built by eval_sum, and the operator "
+            "maps one onto the other summand by summand, so the fault cancels"
+        )
+        for label in ("eval_sum divides by 1 - q^(A(n+1))", "eval_sum divides by 1 - q^(A(n-1))")
+    },
+    **{
+        ("poch_inverse slot one byte narrower", identity): (
+            "at order 30 the largest slot of n*P_n of 1/(xq;q)_inf stays below 2^15, "
+            "which a slot one byte narrower still holds"
+        )
+        for identity in ("euler1", "qbinom")
+    },
+    **{
+        (label, "qbinom"): (
+            "its sum builds (a; q)_n and its product (az; q)_inf, both by _times_binomial; "
+            "the mutant makes them (-a; q)_n and (-az; q)_inf, and the q-binomial theorem "
+            "still holds with a -> -a"
+        )
+        for label in _PLUS_A
+    },
+    **{
+        (label, identity): "every factor it applies has sign -1, where the mutant still applies 1 + A"
+        for label in _PLUS_A
+        for identity in ("euler2", "quad", "borel-bridge-lhs")
+    },
+    ("_times_binomial +shifted -> -shifted", "qbinom"): (
+        "every factor it applies has sign +1, where the mutant still applies 1 - A"
+    ),
 }
 
 # The quad-new betas, each entry one up and one down; every result is a valid
@@ -225,9 +195,16 @@ def _mutant(module, name: str, old: str, new: str):
     return namespace[name]
 
 
-def _install(monkeypatch, label: str) -> tuple[str, ...]:
+def _kernel_mutant(name: str, old: str, new: str):
+    """Kernel ``name`` rebuilt from its source with ``old`` replaced by ``new``."""
+    return _mutant(importlib.import_module(kernels.KERNELS[name].module), name, old, new)
+
+
+def _install(monkeypatch, label: str, reach) -> tuple[str, ...]:
     """Install a kernel or side mutant; returns the registry entries that must see it.
 
+    A kernel mutant replaces the function wherever the package binds it, and
+    its entries are those whose reach holds the function, apart from UNSEEN.
     ``REGISTRY`` captured each side when it was built, so a side mutant
     replaces the entry's right side rather than the module global, and a
     residue mutant replaces the left side of each entry built from its pair.
@@ -256,30 +233,39 @@ def _install(monkeypatch, label: str) -> tuple[str, ...]:
         sides = (entry.sides[0], _mutant(identities, name, old, new))
         monkeypatch.setitem(REGISTRY, identity, replace(entry, sides=sides))
         return (identity,)
-    module, name, old, new, binders, entries = KERNEL_MUTANTS[label]
-    fn = _mutant(module, name, old, new)
-    for binder in binders:
-        monkeypatch.setattr(binder, name, fn)
-    return entries
+    name = _install_kernel_mutant(monkeypatch, label)
+    return tuple(i for i in kernels.reached(reach, name) if (label, i) not in UNSEEN)
 
 
-def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
+def _install_kernel_mutant(monkeypatch, label: str) -> str:
+    """Install a kernel mutant wherever the package binds its kernel; returns the kernel."""
+    name, old, new = KERNEL_MUTANTS[label]
+    kernels.install(monkeypatch, name, _kernel_mutant(name, old, new))
+    return name
+
+
+def _fails(identity: str) -> bool:
+    """Whether the entry fails at its default order with a witness: a mismatch,
+    or the coefficient that the recurrence's checked division by n found inexact."""
+    try:
+        report = verify(identity)
+    except InexactDivision as exc:
+        assert str(exc)  # the witness: a q-degree and its coefficient
+        return True
+    assert report.order == REGISTRY[identity].default_order
+    return not report.passed and bool(report.witness)
+
+
+def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch, reach):
     killed, survivors = [], []
     labels = [*KERNEL_MUTANTS, *SIDE_MUTANTS, *AG_MUTANTS]
     for label in labels:
         with monkeypatch.context() as patch:
-            entries = _install(patch, label)
-            seen = []
-            for identity in entries:
-                try:
-                    report = verify(identity)
-                except InexactDivision as exc:
-                    assert str(exc)  # the witness: a q-degree and its coefficient
-                    seen.append(identity)
-                    continue
-                assert report.order == REGISTRY[identity].default_order
-                if not report.passed and report.witness:
-                    seen.append(identity)
+            entries = _install(patch, label, reach)
+            assert entries, f"{label}: no entry reaches the mutant"
+            seen = [identity for identity in entries if _fails(identity)]
+            unseen = [i for (mutant, i) in UNSEEN if mutant == label and not verify(i).passed]
+        assert unseen == [], f"{label}: UNSEEN entries that fail under it"
         (killed if seen == list(entries) else survivors).append((label, seen))
     print(
         f"kernel and side mutants killed at default orders: {len(killed)}/{len(labels)}; "
@@ -289,11 +275,15 @@ def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch):
     assert not [s for s in survivors if s[1]], "a mutant failed only some of its entries"
 
 
-@pytest.mark.parametrize("label", sorted(SHARED_KERNEL_ENTRIES))
-def test_a_shared_kernel_mutant_cancels_on_its_entry(monkeypatch, label):
-    identity, _ = SHARED_KERNEL_ENTRIES[label]
-    assert identity not in _install(monkeypatch, label)
-    assert verify(identity).passed
+def test_every_unseen_row_names_a_kernel_mutant_and_an_entry_that_reaches_it(reach):
+    for label, identity in UNSEEN:
+        assert identity in kernels.reached(reach, KERNEL_MUTANTS[label][0]), (label, identity)
+
+
+def test_every_mutated_function_is_a_kernel():
+    mutated = {name for name, _, _ in KERNEL_MUTANTS.values()}
+    mutated |= {name for name, _, _ in LAYOUT_MUTANTS.values()} | {"_ascending_partitions"}
+    assert sorted(mutated - set(kernels.KERNELS)) == []
 
 
 def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
@@ -305,7 +295,7 @@ def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     vec = [Series.monomial(QUIN_VARS, 4, QUIN_VARS.m(x=j)) for j in range(spec.size)]
     expected = [Series.sum(QUIN_VARS, 4, (vec[j] for j in link)) for link in linking]
     assert lpi.f_vector(spec, vec) == expected
-    _install(monkeypatch, "f_vector base not a subset")
+    _install_kernel_mutant(monkeypatch, "f_vector base not a subset")
     assert lpi.f_vector(spec, vec) != expected
 
 
@@ -314,7 +304,7 @@ def test_sign_mutant_fails_on_a_negated_argument(monkeypatch):
     spec, order = PochSpec(QX_VARS.m(x=1, q=1), 1, sign=-1), 12
     expected = poch_inf(spec, QX_VARS, order).invert()
     assert poch_inverse([spec], QX_VARS, order) == expected
-    _install(monkeypatch, "poch_inverse sign power dropped")
+    _install_kernel_mutant(monkeypatch, "poch_inverse sign power dropped")
     assert poch_inverse([spec], QX_VARS, order) != expected
 
 
@@ -324,7 +314,7 @@ def test_narrow_slot_mutant_fails_on_five_copies(monkeypatch):
     product = poch_inf(specs[0], QX_VARS, order)
     expected = (product * product * product * product * product).invert()
     assert poch_inverse(specs, QX_VARS, order) == expected
-    _install(monkeypatch, "poch_inverse slot one byte narrower")
+    _install_kernel_mutant(monkeypatch, "poch_inverse slot one byte narrower")
     with pytest.raises(InexactDivision, match="^q-degree 40: "):
         poch_inverse(specs, QX_VARS, order)
 
@@ -358,8 +348,8 @@ def test_every_oracle_mutant_is_killed(monkeypatch):
     killed_by = {}
     for label, (old, new) in ORACLE_MUTANTS.items():
         with monkeypatch.context() as patch:
-            fn = _mutant(partitions, "_ascending_partitions", old, new)
-            patch.setattr(partitions, "_ascending_partitions", fn)
+            fn = _kernel_mutant("_ascending_partitions", old, new)
+            kernels.install(patch, "_ascending_partitions", fn)
             report = verify("lpi-eq-A")
             assert report.order == REGISTRY["lpi-eq-A"].default_order
             witnesses = {"lpi-eq-A": report.witness} if not report.passed else {}
@@ -370,16 +360,10 @@ def test_every_oracle_mutant_is_killed(monkeypatch):
     print(f"oracle generator mutants and what kills them: {killed_by}")
 
 
-# label -> (module, function, old text, new text, modules that bind it)
+# label -> (kernel, old text, new text)
 LAYOUT_MUTANTS = {
-    "x and y1 fields swapped": (
-        series, "_field_shifts", "for j in range(arity)", "for j in (0, 2, 1, *range(3, arity))",
-        (series,),
-    ),
-    "guard check dropped": (
-        series, "_check_keys", "& vars.guard", "& 0",
-        (series, products, multisum, borel, partitions),
-    ),
+    "x and y1 fields swapped": ("_field_shifts", "for j in range(arity)", "for j in (0, 2, 1, *range(3, arity))"),
+    "guard check dropped": ("_check_keys", "& vars.guard", "& 0"),
 }
 
 
@@ -399,9 +383,7 @@ def _layout_holds() -> bool:
 
 def test_every_layout_mutant_is_killed(monkeypatch):
     assert _layout_holds()
-    for label, (module, name, old, new, binders) in LAYOUT_MUTANTS.items():
+    for label, (name, old, new) in LAYOUT_MUTANTS.items():
         with monkeypatch.context() as patch:
-            fn = _mutant(module, name, old, new)
-            for binder in binders:
-                patch.setattr(binder, name, fn)
+            kernels.install(patch, name, _kernel_mutant(name, old, new))
             assert not _layout_holds(), label

@@ -1,0 +1,83 @@
+"""The kernel table resolves, and the route matrix it gives holds only the known shares."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+import kernels
+
+# entry -> (kernels both of its sides reach, why the share is there).  The
+# layout kernels, which every side reaches, are no share.
+SHARES = {
+    "qbinom": (
+        {"_times_binomial"},
+        "its sum side applies (a; q)_n and its product side (az; q)_inf by _times_binomial",
+    ),
+    "tri-single": (
+        {"_times_binomial"},
+        "its sum side applies the binomials of its summand and its product side those of "
+        "(-x; q)_inf (xy; q)_inf by _times_binomial",
+    ),
+    "borel-bridge-rhs": (
+        {"eval_sum", "_divide_q_power"},
+        "both sides are quadruple sums, and the operator maps one onto the other summand by summand",
+    ),
+    "avee-split": (
+        {"_walk_gap4"},
+        "both sides are walks of gap-4 families; thm15 checks that walk against the B walk",
+    ),
+}
+
+
+def test_every_kernel_resolves_to_its_definition():
+    assert set(kernels.ROUTES) == {k.route for k in kernels.KERNELS.values()}
+    for name, kernel in kernels.KERNELS.items():
+        fn = kernels.resolve(kernel.module, kernel.path)
+        assert fn is kernels.ORIGINAL[name], name
+        assert (fn.__module__, fn.__qualname__) == (kernel.module, kernel.path), name
+        # The defining module, or for a method its class, is among the binders.
+        *outer, attr = kernel.path.split(".")
+        owner = kernels.resolve(kernel.module, outer[0]) if outer else sys.modules[kernel.module]
+        assert (owner, attr) in kernels.binders(name), name
+
+
+def test_every_refused_name_is_a_kernel_on_its_route():
+    # What the route refusals patched when they were hand-listed; Series.__rmul__
+    # is bound to Series.__mul__, so it is refused with it.
+    assert {"Series.__mul__", "Series.invert", "poch", "poch_inf", "poch_finite", "poch_inverse", "inv_qpoch"} <= set(
+        kernels.on_route("product")
+    )
+    assert {"_divide_binomial", "_divide_q_power", "eval_sum"} <= set(kernels.on_route("sum"))
+    assert "__rmul__" in {attr for _, attr in kernels.binders("Series.__mul__")}
+
+
+def test_the_route_matrix_has_exactly_the_known_shares(reach):
+    layout = set(kernels.on_route("layout"))
+    shares = {
+        identity: (sides[0] & sides[1]) - layout
+        for identity, sides in reach.items()
+        if len(sides) == 2 and (sides[0] & sides[1]) - layout
+    }
+    assert shares == {identity: names for identity, (names, _) in SHARES.items()}
+
+
+def test_every_pair_side_reaches_a_kernel(reach):
+    assert [identity for identity, sides in reach.items() if not all(sides)] == []
+
+
+def test_the_recorder_restores_the_profiler_it_found():
+    def outer(frame, event, arg) -> None:
+        pass
+
+    previous = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        assert kernels.record(lambda: kernels.ORIGINAL["_collapse"]({(1, 1, 1): 1}, 1)) == {"_collapse"}
+        assert sys.getprofile() is outer
+        with pytest.raises(ZeroDivisionError):
+            kernels.record(lambda: 1 // 0)
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(previous)

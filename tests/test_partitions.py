@@ -65,9 +65,6 @@ class TestOverpartition:
         assert Overpartition.of((5, True), 1).render() == "5~ 1"
         assert EMPTY.render() == ""
 
-    def test_shift_preserves_overlines(self):
-        assert Overpartition.of((1, True), 3).shift(4) == Overpartition.of((5, True), 7)
-
 
 class TestStats:
     def test_worked_example(self):
@@ -93,16 +90,6 @@ class TestStats:
                 st = stats(op)
                 assert st.length == st.r1mod2 + st.r2mod4 + st.r0mod4
                 assert st.over <= st.length
-
-    def test_merge_additivity(self):
-        mu = Overpartition.of((1, True), 8)
-        nu = Overpartition.of(14, (19, True), 23, 27)
-        merged = mu.merge(nu)
-        sm, sn, st = stats(mu), stats(nu), stats(merged)
-        assert st.size == sm.size + sn.size
-        assert st.length == sm.length + sn.length
-        assert st.over == sm.over + sn.over
-        assert st.r2mod4 == sm.r2mod4 + sn.r2mod4
 
 
 class TestMembership:

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernels
 from qident import identities, multisum, products
 from qident.products import (
+    SLOT_BOX_BYTES,
     DivergentProduct,
     InexactDivision,
     PochSpec,
+    SlotBoxTooLarge,
     _divide_binomial,
     _divide_q_power,
     _exact_quotient,
@@ -469,9 +474,32 @@ def test_poch_inverse_forms_no_product_or_inverse(refuse_sum_route, monkeypatch)
     )
     expected = [_inverted_product(*case) for case in cases]
     refuse_sum_route()
-    for name in ("invert", "__mul__", "__rmul__"):
-        monkeypatch.setattr(Series, name, refuse)
+    for name in ("Series.invert", "Series.__mul__"):
+        kernels.install(monkeypatch, name, refuse)
     assert [poch_inverse(*case) for case in cases] == expected
+
+
+def test_every_registry_slot_box_is_far_below_the_limit(monkeypatch, reach):
+    # With the limit at 0 every packed inverse refuses before its first slice
+    # and names what it needs; each side that reaches it runs at max_order.
+    monkeypatch.setattr(products, "SLOT_BOX_BYTES", 0)
+    needs = {}
+    for identity in kernels.reached(reach, "_packed_inverse"):
+        entry = identities.REGISTRY[identity]
+        for side, kernels_reached in zip(entry.sides, reach[identity]):
+            if "_packed_inverse" in kernels_reached:
+                with pytest.raises(SlotBoxTooLarge) as exc:
+                    side(entry.max_order)
+                needs[identity] = int(re.search(r"needs (\d+) bytes", str(exc.value))[1])
+    print(f"packed slot box at max_order, in bytes: {needs}")
+    assert needs and max(needs.values()) * 100 < SLOT_BOX_BYTES
+
+
+def test_an_oversized_slot_box_raises_before_any_slice():
+    # x^k q for k = 1..5 are five coordinates of radix 51: 51^5 slots.
+    specs = [PochSpec(QX_VARS.m(x=k, q=1), 1) for k in range(1, 6)]
+    with pytest.raises(SlotBoxTooLarge, match=r"^a slice of 345025251 slots of \d+ bytes needs"):
+        poch_inverse(specs, QX_VARS, 50)
 
 
 # -- division by a binomial --------------------------------------------------------
