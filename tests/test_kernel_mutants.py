@@ -280,6 +280,13 @@ def test_every_unseen_row_names_a_kernel_mutant_and_an_entry_that_reaches_it(rea
         assert identity in kernels.reached(reach, KERNEL_MUTANTS[label][0]), (label, identity)
 
 
+@pytest.mark.parametrize("label", sorted(_PLUS_A))
+def test_a_shared_kernel_mutant_cancels_on_its_entry(monkeypatch, reach, label):
+    assert "qbinom" in kernels.reached(reach, KERNEL_MUTANTS[label][0])
+    assert "qbinom" not in _install(monkeypatch, label, reach)
+    assert verify("qbinom").passed
+
+
 def test_every_mutated_function_is_a_kernel():
     mutated = {name for name, _, _ in KERNEL_MUTANTS.values()}
     mutated |= {name for name, _, _ in LAYOUT_MUTANTS.values()} | {"_ascending_partitions"}
