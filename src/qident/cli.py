@@ -24,7 +24,8 @@ def _load_ideal(path: str | None) -> LpiSpec | None:
         return None
     try:
         return LpiSpec.from_json(Path(path).read_text(encoding="utf-8"))
-    except (LpiError, OSError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError: not UTF-8; RecursionError: JSON nested past the parser's depth
+    except (LpiError, OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise identities.UsageError(f"cannot load ideal: {exc}") from None
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -438,6 +436,22 @@ def verify(identity: str, order: int | None = None, *, max_order_override: int |
     return IdentityReport(identity, n, passed, witness, elapsed)
 
 
+def __getattr__(name: str):
+    """Import the worker pool's two names on first use and keep them as globals.
+
+    ``concurrent.futures.process`` loads multiprocessing, socket, pickle and
+    subprocess, which only a group run with more than one worker needs; so
+    ``import qident`` does not load it.  The names stay module attributes, so
+    that tests can patch them.
+    """
+    if name not in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    globals().update(ProcessPoolExecutor=ProcessPoolExecutor, BrokenProcessPool=BrokenProcessPool)
+    return globals()[name]
+
+
 def verify_group(
     ids: list[str], order: int | None = None, jobs: int | None = None
 ) -> list[IdentityReport]:
@@ -447,8 +461,10 @@ def verify_group(
     reports always come back in the order of ``ids``.  Set QIDENT_JOBS to
     override the default worker count (the number of available cores; 0
     keeps it).  ``jobs`` below 1 or QIDENT_JOBS below 0 raise UsageError.  If
-    the worker pool cannot start or breaks, every entry reruns serially, the
-    cause goes to stderr and each report carries ``serial_fallback``.
+    the worker pool cannot start (its modules fail to import, the platform
+    lacks named semaphores, no process can be made) or breaks, every entry
+    reruns serially, the cause goes to stderr and each report carries
+    ``serial_fallback``.
     """
     for i in ids:
         _checked_order(i, order)
@@ -458,16 +474,25 @@ def verify_group(
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     if len(ids) <= 1 or jobs <= 1:
         return [verify(i, order) for i in ids]
+    module = sys.modules[__name__]  # a bare global name would not reach __getattr__
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
+        pool = module.ProcessPoolExecutor(max_workers=min(jobs, len(ids)))
+    except (ImportError, NotImplementedError, OSError) as exc:
+        return _rerun_serially(ids, order, exc)
+    try:
+        with pool:
             futures = [pool.submit(verify, i, order) for i in ids]
             return [f.result() for f in futures]
-    except (OSError, BrokenProcessPool) as exc:
-        print(
-            f"qident: worker pool failed ({type(exc).__name__}: {exc}); running serially",
-            file=sys.stderr,
-        )
-        return [replace(verify(i, order), serial_fallback=True) for i in ids]
+    except (OSError, module.BrokenProcessPool) as exc:
+        return _rerun_serially(ids, order, exc)
+
+
+def _rerun_serially(ids: list[str], order: int | None, failure: Exception) -> list[IdentityReport]:
+    print(
+        f"qident: worker pool failed ({type(failure).__name__}: {failure}); running serially",
+        file=sys.stderr,
+    )
+    return [replace(verify(i, order), serial_fallback=True) for i in ids]
 
 
 # -- named series for coefficient export --------------------------------------------

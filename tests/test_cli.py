@@ -120,6 +120,16 @@ class TestVerify:
             assert err == "avee-split: order 95 exceeds the resource budget 90\n"
         assert ran == []
 
+    def test_prefix_over_every_thm_budget_names_the_first_entry(self, capsys, monkeypatch):
+        # Every thm* entry allows at least 95; thm51-a, first in the group, stops order 105.
+        ran = []
+        monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
+        code, out, err = run(capsys, "verify", "thm", "--order", "105")
+        assert code == 2
+        assert out == ""
+        assert err == "thm51-a: order 105 exceeds the resource budget 95\n"
+        assert ran == []
+
     def test_prefix_honours_jobs(self, capsys, monkeypatch):
         pools = []
 
@@ -357,6 +367,25 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert err.startswith("cannot load ideal: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("coeffs", "--series", "f1", "--order", "5"), ("enum", "--n", "3")],
+    ids=["coeffs", "enum"],
+)
+def test_unreadable_ideal_file_exit_two_with_one_line(capsys, tmp_path, command, content):
+    path = tmp_path / "ideal.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *command, "--lpi-spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot load ideal: ") and err.count("\n") == 1
 
 
 class TestList:

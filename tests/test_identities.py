@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,55 @@ def test_pool_failure_falls_back_serially_and_says_so(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "OSError" in err[0] and "no process slots" in err[0]
+
+
+class _PoolWithoutSemaphores:
+    def __init__(self, *args, **kwargs):
+        raise NotImplementedError("system provides too few semaphores")
+
+
+def test_pool_without_named_semaphores_falls_back_serially(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _PoolWithoutSemaphores)
+    reports = verify_group(["rr1", "rr2"], order=10, jobs=2)
+    assert [r.id for r in reports] == ["rr1", "rr2"]
+    assert all(r.passed and r.serial_fallback for r in reports)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "NotImplementedError: system provides too few semaphores" in err[0]
+
+
+def test_pool_modules_that_fail_to_import_fall_back_serially(monkeypatch, capsys):
+    # Drop the cached pool names, and make their import fail as a missing module would.
+    for name in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        monkeypatch.delitem(identities.__dict__, name, raising=False)
+    monkeypatch.setitem(sys.modules, "concurrent.futures.process", None)
+    reports = verify_group(["rr1", "rr2"], order=10, jobs=2)
+    assert all(r.passed and r.serial_fallback for r in reports)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "ModuleNotFoundError: import of concurrent.futures.process halted" in err[0]
+
+
+_IMPORT_SET = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import qident, qident.cli
+qident.identities.registry_ids(include_negative=True)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                or m.startswith("concurrent.futures.process"))
+import concurrent.futures
+pool = qident.identities.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+print(json.dumps([loaded, pool]))
+"""
+
+
+def test_import_loads_no_worker_pool_until_it_is_read():
+    src = Path(identities.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_SET, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(done.stdout) == [[], True]
 
 
 def _linking_mutant(i: int, j: int):
