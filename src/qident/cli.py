@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -70,7 +69,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         if args.json:
             doc: dict = {"parts": op.to_json()}
             if args.stats:
-                doc.update(asdict(stats(op)))
+                doc.update(stats(op).to_dict())
             print(json.dumps(doc))
         elif args.stats:
             if not header_printed:

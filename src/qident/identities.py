@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import partitions
@@ -39,6 +38,7 @@ from .products import (
     poch_inverse,
     qbinom,
 )
+from .record import Record
 from .report import IdentityReport
 from .series import Q_VARS, QUIN_VARS, QX_VARS, QXY_VARS, Series, SeriesError
 
@@ -59,8 +59,7 @@ Side = Callable[[int], Series]
 Runner = Callable[[int], tuple[bool, "str | None"]]
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Record):
     """One registry check: the two sides of an identity, or a runner.
 
     ``run`` builds a pair entry's ``sides``, by different routes, and compares
@@ -70,12 +69,39 @@ class Entry:
     names (a tracer, a test) reaches it.
     """
 
-    id: str
-    default_order: int
-    max_order: int
-    description: str
-    sides: tuple[Side, Side] | None = None
-    runner: Runner | None = None
+    __slots__ = _fields = ("id", "default_order", "max_order", "description", "sides", "runner")
+
+    def __init__(
+        self,
+        id: str,
+        default_order: int,
+        max_order: int,
+        description: str,
+        sides: tuple[Side, Side] | None = None,
+        runner: Runner | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "default_order", default_order)
+        set_(self, "max_order", max_order)
+        set_(self, "description", description)
+        set_(self, "sides", sides)
+        set_(self, "runner", runner)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.id, self.default_order, self.max_order, self.description, self.sides, self.runner
+        ) == (
+            other.id, other.default_order, other.max_order, other.description, other.sides,
+            other.runner,
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.id, self.default_order, self.max_order, self.description, self.sides, self.runner)
+        )
 
     def run(self, order: int) -> tuple[bool, str | None]:
         if self.sides is None:
@@ -492,7 +518,7 @@ def _rerun_serially(ids: list[str], order: int | None, failure: Exception) -> li
         f"qident: worker pool failed ({type(failure).__name__}: {failure}); running serially",
         file=sys.stderr,
     )
-    return [replace(verify(i, order), serial_fallback=True) for i in ids]
+    return [verify(i, order).replace(serial_fallback=True) for i in ids]
 
 
 # -- named series for coefficient export --------------------------------------------

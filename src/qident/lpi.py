@@ -18,9 +18,9 @@ largest summed set it contains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .partitions import EMPTY, InvalidOverpartition, Overpartition, Part, stats, weight_monomial
+from .record import Record
 from .series import Mono, QUIN_VARS, Series
 
 
@@ -40,31 +40,48 @@ class LinkingViolation(NotInLanguage):
     """Consecutive chain blocks are not linked."""
 
 
-@dataclass(frozen=True)
-class LpiSpec:
-    blocks: tuple[Overpartition, ...]
-    linking: tuple[frozenset[int], ...]
-    modulus: int
+class LpiSpec(Record):
+    """A linked partition ideal: its blocks, the linking set of each, and the modulus."""
 
-    def __post_init__(self) -> None:
-        k = len(self.blocks)
-        if k == 0 or self.blocks[0] != EMPTY:
+    __slots__ = _fields = ("blocks", "linking", "modulus")
+
+    def __init__(
+        self,
+        blocks: tuple[Overpartition, ...],
+        linking: tuple[frozenset[int], ...],
+        modulus: int,
+    ) -> None:
+        k = len(blocks)
+        if k == 0 or blocks[0] != EMPTY:
             raise LpiError("first block must be the empty overpartition")
-        if len(self.linking) != k:
+        if len(linking) != k:
             raise LpiError("one linking set per block required")
         everything = frozenset(range(k))
-        if self.linking[0] != everything:
+        if linking[0] != everything:
             raise LpiError("the empty block must link to every block")
-        for i, link in enumerate(self.linking):
+        for i, link in enumerate(linking):
             if not link <= everything:
                 raise LpiError(f"linking set {i} mentions unknown blocks")
             if 0 not in link:
                 raise LpiError(f"linking set {i} must contain the empty block")
-        largest = max((v for b in self.blocks for v, _ in b.parts), default=0)
-        if self.modulus < max(largest, 1):
-            raise LpiError(f"modulus {self.modulus} smaller than largest block part {largest}")
-        if len(set(self.blocks)) != k:
+        largest = max((v for b in blocks for v, _ in b.parts), default=0)
+        if modulus < max(largest, 1):
+            raise LpiError(f"modulus {modulus} smaller than largest block part {largest}")
+        if len(set(blocks)) != k:
             raise LpiError("blocks must be distinct")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "linking", linking)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.linking, self.modulus) == (
+            other.blocks, other.linking, other.modulus
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.linking, self.modulus))
 
     @property
     def size(self) -> int:

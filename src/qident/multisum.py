@@ -25,8 +25,7 @@ quinvariate family both symbolically (leaf multisets) and numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
 
 
@@ -34,41 +33,66 @@ class NonTerminatingSum(SeriesError):
     """Some index direction never raises the q-degree; the sum cannot truncate."""
 
 
-@dataclass(frozen=True)
-class MultiSumSpec:
-    alpha: tuple[tuple[int, ...], ...]
-    bases: tuple[int, ...]
-    gammas: tuple[tuple[int, ...], ...]
+class MultiSumSpec(Record):
+    """The data of an R-fold sum: quadratic form ``alpha``, Pochhammer ``bases`` and ``gammas``."""
 
-    def __post_init__(self) -> None:
-        rank = len(self.bases)
-        if len(self.alpha) != rank or any(len(row) != rank for row in self.alpha):
+    __slots__ = _fields = ("alpha", "bases", "gammas")
+
+    def __init__(
+        self,
+        alpha: tuple[tuple[int, ...], ...],
+        bases: tuple[int, ...],
+        gammas: tuple[tuple[int, ...], ...],
+    ) -> None:
+        rank = len(bases)
+        if len(alpha) != rank or any(len(row) != rank for row in alpha):
             raise SeriesError("alpha must be R x R")
         for i in range(rank):
             for j in range(rank):
-                if self.alpha[i][j] < 0:
+                if alpha[i][j] < 0:
                     raise SeriesError("alpha entries must be >= 0")
-                if self.alpha[i][j] != self.alpha[j][i]:
+                if alpha[i][j] != alpha[j][i]:
                     raise SeriesError("alpha must be symmetric")
-        if any(a < 1 for a in self.bases):
+        if any(a < 1 for a in bases):
             raise SeriesError("Pochhammer bases must be >= 1")
-        for g in self.gammas:
+        for g in gammas:
             if len(g) != rank:
                 raise SeriesError("gamma vectors must have length R")
             if any(e < 0 for e in g):
                 raise SeriesError("gamma entries must be >= 0")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "gammas", gammas)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.bases, self.gammas) == (other.alpha, other.bases, other.gammas)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.bases, self.gammas))
 
     @property
     def rank(self) -> int:
         return len(self.bases)
 
 
-@dataclass(frozen=True)
-class SumNode:
+class SumNode(Record):
     """A weighted evaluation point: weight monomial times H(beta)."""
 
-    weight: Mono
-    beta: tuple[int, ...]
+    __slots__ = _fields = ("weight", "beta")
+
+    def __init__(self, weight: Mono, beta: tuple[int, ...]) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight, self.beta) == (other.weight, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.weight, self.beta))
 
 
 def _check_vars(spec: MultiSumSpec, vars: VarSet) -> None:

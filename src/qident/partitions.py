@@ -23,11 +23,11 @@ order in one pass.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby, product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterator
 
+from .record import Record
 from .series import QUIN_VARS, Series, _check_keys
 
 Part = tuple[int, bool]  # (value, overlined)
@@ -52,24 +52,29 @@ class InvalidOverpartition(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Overpartition:
+class Overpartition(Record):
     """Canonical form: parts ascending by value, overlined copy first."""
 
-    parts: tuple[Part, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[Part, ...]) -> None:
         seen_overlined = set()
-        for value, overlined in self.parts:
+        for value, overlined in parts:
             if value < 1:
                 raise InvalidOverpartition(f"part value {value} < 1")
             if overlined:
                 if value in seen_overlined:
                     raise InvalidOverpartition(f"value {value} overlined twice")
                 seen_overlined.add(value)
-        canon = tuple(sorted(self.parts, key=lambda p: (p[0], not p[1])))
-        if canon != self.parts:
-            object.__setattr__(self, "parts", canon)
+        object.__setattr__(self, "parts", tuple(sorted(parts, key=lambda p: (p[0], not p[1]))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def of(cls, *parts: int | Part) -> "Overpartition":
@@ -103,14 +108,50 @@ class Overpartition:
 EMPTY = Overpartition(())
 
 
-@dataclass(frozen=True)
-class PartStats:
-    size: int
-    length: int
-    r1mod2: int  # parts that are odd
-    r2mod4: int  # parts congruent to 2 mod 4
-    r0mod4: int  # parts divisible by 4
-    over: int  # overlined parts
+class PartStats(Record):
+    """An overpartition's size and its counts of parts: all, by residue, and overlined."""
+
+    __slots__ = _fields = ("size", "length", "r1mod2", "r2mod4", "r0mod4", "over")
+
+    def __init__(
+        self,
+        size: int,
+        length: int,
+        r1mod2: int,  # parts that are odd
+        r2mod4: int,  # parts congruent to 2 mod 4
+        r0mod4: int,  # parts divisible by 4
+        over: int,  # overlined parts
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "size", size)
+        set_(self, "length", length)
+        set_(self, "r1mod2", r1mod2)
+        set_(self, "r2mod4", r2mod4)
+        set_(self, "r0mod4", r0mod4)
+        set_(self, "over", over)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.size, self.length, self.r1mod2, self.r2mod4, self.r0mod4, self.over
+        ) == (
+            other.size, other.length, other.r1mod2, other.r2mod4, other.r0mod4, other.over
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.length, self.r1mod2, self.r2mod4, self.r0mod4, self.over))
+
+    def to_dict(self) -> dict[str, int]:
+        """The counts by name, in field order, as ``enum --json --stats`` prints them."""
+        return {
+            "size": self.size,
+            "length": self.length,
+            "r1mod2": self.r1mod2,
+            "r2mod4": self.r2mod4,
+            "r0mod4": self.r0mod4,
+            "over": self.over,
+        }
 
 
 def stats(op: Overpartition) -> PartStats:

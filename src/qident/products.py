@@ -29,11 +29,11 @@ product sides never divide, so the two sides stay on different routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
 
 from .multisum import MultiSumSpec, _divide_q_power, eval_sum
+from .record import Record
 from .series import (
     LIMIT,
     Q_VARS,
@@ -63,22 +63,32 @@ class SlotBoxTooLarge(SeriesError):
 SLOT_BOX_BYTES = 1 << 24
 
 
-@dataclass(frozen=True)
-class PochSpec:
+class PochSpec(Record):
     """Data of a Pochhammer product (sign*A; q^step)_length; length None = infinite."""
 
-    argument: Mono
-    step: int
-    length: int | None = None
-    sign: int = 1
+    __slots__ = _fields = ("argument", "step", "length", "sign")
 
-    def __post_init__(self) -> None:
-        if self.step < 1:
-            raise SeriesError(f"step must be >= 1, got {self.step}")
-        if self.sign not in (1, -1):
+    def __init__(self, argument: Mono, step: int, length: int | None = None, sign: int = 1) -> None:
+        if step < 1:
+            raise SeriesError(f"step must be >= 1, got {step}")
+        if sign not in (1, -1):
             raise SeriesError("argument sign must be +1 or -1")
-        if self.length is not None and self.length < 0:
+        if length is not None and length < 0:
             raise SeriesError("finite length must be >= 0")
+        object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.argument, self.step, self.length, self.sign) == (
+            other.argument, other.step, other.length, other.sign
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.argument, self.step, self.length, self.sign))
 
 
 def _times_binomial(r: Series, arg: Mono, sign: int) -> Series:

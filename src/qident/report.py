@@ -2,21 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    id: str
-    order: int
-    passed: bool
-    witness: str | None = None
-    elapsed: float = 0.0  # seconds
-    serial_fallback: bool = False  # the worker pool failed and the entry reran serially
+class IdentityReport(Record):
+    """The outcome of one registry entry; it crosses the worker pool by pickle."""
 
-    def __post_init__(self) -> None:
-        if not self.passed and not self.witness:
+    __slots__ = _fields = ("id", "order", "passed", "witness", "elapsed", "serial_fallback")
+
+    def __init__(
+        self,
+        id: str,
+        order: int,
+        passed: bool,
+        witness: str | None = None,
+        elapsed: float = 0.0,  # seconds
+        serial_fallback: bool = False,  # the worker pool failed and the entry reran serially
+    ) -> None:
+        if not passed and not witness:
             raise ValueError("a failed report must carry a witness")
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "order", order)
+        set_(self, "passed", passed)
+        set_(self, "witness", witness)
+        set_(self, "elapsed", elapsed)
+        set_(self, "serial_fallback", serial_fallback)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.id, self.order, self.passed, self.witness, self.elapsed, self.serial_fallback
+        ) == (
+            other.id, other.order, other.passed, other.witness, other.elapsed, other.serial_fallback
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.id, self.order, self.passed, self.witness, self.elapsed, self.serial_fallback)
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -32,13 +32,14 @@ Exponent tuples appear only at the boundary: monomial arguments, ``items``,
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add as _add
 from operator import lshift as _lshift
 from operator import or_ as _or
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
+
+from .record import Record
 
 Mono = tuple[int, ...]
 
@@ -81,28 +82,40 @@ def _field_shifts(arity: int) -> tuple[int, ...]:
     return tuple(W * (arity - 1 - j) for j in range(arity))
 
 
-@dataclass(frozen=True)
-class VarSet:
+class VarSet(Record):
     """Ordered variable names; the first is the truncation variable ``q``.
 
     ``shifts[j]`` is the bit offset of variable j in a packed key (``shifts[0]``
     is q's, the top), and ``guard`` has the top bit of every non-q field set.
+    Both follow from ``names``, so a VarSet compares and hashes by its names.
     """
 
-    names: tuple[str, ...]
-    shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    guard: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("names", "shifts", "guard")
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        if not self.names or len(self.names) > MAX_VARS:
-            raise SeriesError(f"need 1..{MAX_VARS} variables, got {len(self.names)}")
-        if len(set(self.names)) != len(self.names):
-            raise SeriesError(f"duplicate variable names in {self.names}")
-        if self.names[0] != "q":
-            raise SeriesError(f"the first variable must be q, got {self.names}")
-        shifts = _field_shifts(len(self.names))
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if not names or len(names) > MAX_VARS:
+            raise SeriesError(f"need 1..{MAX_VARS} variables, got {len(names)}")
+        if len(set(names)) != len(names):
+            raise SeriesError(f"duplicate variable names in {names}")
+        if names[0] != "q":
+            raise SeriesError(f"the first variable must be q, got {names}")
+        shifts = _field_shifts(len(names))
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "guard", sum(LIMIT << s for s in shifts[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        # Series operations compare the VarSets of their operands, nearly
+        # always the same object: answer that case first.
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
 
     @property
     def arity(self) -> int:
@@ -218,13 +231,23 @@ def _accumulate(
                 del acc[key]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     """First (lexicographically smallest) disagreeing monomial of two series."""
 
-    monomial: Mono
-    left: int
-    right: int
+    __slots__ = _fields = ("monomial", "left", "right")
+
+    def __init__(self, monomial: Mono, left: int, right: int) -> None:
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.monomial, self.left, self.right) == (other.monomial, other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.monomial, self.left, self.right))
 
     def render(self, vars: VarSet) -> str:
         return f"{format_monomial(vars, self.monomial)}: left {self.left} != right {self.right}"

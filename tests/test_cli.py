@@ -183,6 +183,16 @@ class TestEnum:
         assert header == "parts\tsize\tlength\tr2mod4\tr0mod4\tover"
         assert "5~\t5\t1\t0\t0\t1" in rows
 
+    def test_stats_json_lines(self, capsys):
+        code, out, _ = run(capsys, "enum", "--set", "A", "--n", "5", "--json", "--stats")
+        assert code == 0
+        assert out == (
+            '{"parts": [{"value": 5, "overlined": false}], "size": 5, "length": 1,'
+            ' "r1mod2": 1, "r2mod4": 0, "r0mod4": 0, "over": 0}\n'
+            '{"parts": [{"value": 5, "overlined": true}], "size": 5, "length": 1,'
+            ' "r1mod2": 1, "r2mod4": 0, "r0mod4": 0, "over": 1}\n'
+        )
+
     def test_bad_set_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "enum", "--set", "nope", "--n", "3")

@@ -43,7 +43,6 @@ import __future__
 import importlib
 import inspect
 import textwrap
-from dataclasses import replace
 
 import pytest
 
@@ -225,13 +224,13 @@ def _install(monkeypatch, label: str, reach) -> tuple[str, ...]:
 
             for identity in entries:
                 entry = REGISTRY[identity]
-                monkeypatch.setitem(REGISTRY, identity, replace(entry, sides=(left, entry.sides[1])))
+                monkeypatch.setitem(REGISTRY, identity, entry.replace(sides=(left, entry.sides[1])))
         return entries
     if label in SIDE_MUTANTS:
         name, old, new, identity = SIDE_MUTANTS[label]
         entry = REGISTRY[identity]
         sides = (entry.sides[0], _mutant(identities, name, old, new))
-        monkeypatch.setitem(REGISTRY, identity, replace(entry, sides=sides))
+        monkeypatch.setitem(REGISTRY, identity, entry.replace(sides=sides))
         return (identity,)
     name = _install_kernel_mutant(monkeypatch, label)
     return tuple(i for i in kernels.reached(reach, name) if (label, i) not in UNSEEN)
@@ -298,7 +297,7 @@ def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     # so the mutant starts {0, 1, 2} from {0, 3} and counts block 3 in it.
     ideal = lpi.gap4_ideal()
     linking = (ideal.linking[0], frozenset({0, 1, 2}), frozenset({0, 3}), *[frozenset({0})] * 4)
-    spec = replace(ideal, linking=linking)
+    spec = ideal.replace(linking=linking)
     vec = [Series.monomial(QUIN_VARS, 4, QUIN_VARS.m(x=j)) for j in range(spec.size)]
     expected = [Series.sum(QUIN_VARS, 4, (vec[j] for j in link)) for link in linking]
     assert lpi.f_vector(spec, vec) == expected

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -211,7 +210,7 @@ def linked_vectors(draw):
         frozenset({0}) | draw(st.frozensets(st.integers(1, IDEAL.size - 1)))
         for _ in range(IDEAL.size - 1)
     ]
-    spec = replace(IDEAL, linking=tuple(linking))
+    spec = IDEAL.replace(linking=tuple(linking))
     vec = [
         Series(V, draw(st.integers(0, 4)), [
             (V.m(q=draw(st.integers(0, 4)), x=draw(st.integers(0, 2)), z=draw(st.integers(0, 1))),
