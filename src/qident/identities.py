@@ -88,21 +88,6 @@ class Entry(Record):
         set_(self, "sides", sides)
         set_(self, "runner", runner)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.id, self.default_order, self.max_order, self.description, self.sides, self.runner
-        ) == (
-            other.id, other.default_order, other.max_order, other.description, other.sides,
-            other.runner,
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.id, self.default_order, self.max_order, self.description, self.sides, self.runner)
-        )
-
     def run(self, order: int) -> tuple[bool, str | None]:
         if self.sides is None:
             return self.runner(order)
@@ -566,13 +551,12 @@ def check_enum_budget(setid: str | None, n: int) -> None:
 
 
 def series_names(spec: LpiSpec | None = None) -> list[str]:
+    """The names ``named_series`` resolves; a custom ideal backs only its f<k> and g<k>."""
     k = (spec or gap4_ideal()).size
-    return (
-        sorted(_SERIES_SIDES)
-        + [f"f{j}" for j in range(1, k + 1)]
-        + [f"g{j}" for j in range(1, k + 1)]
-        + ["h:<beta entries, comma-separated>"]
-    )
+    f_and_g = [f"f{j}" for j in range(1, k + 1)] + [f"g{j}" for j in range(1, k + 1)]
+    if spec is not None:
+        return f_and_g
+    return sorted(_SERIES_SIDES) + f_and_g + ["h:<beta entries, comma-separated>"]
 
 
 def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
@@ -581,17 +565,22 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
     Supports the fixed names of ``_SERIES_SIDES``, f1..fK / g1..gK over the block automaton
     (the gap-4 ideal unless a custom one is supplied), and h:<beta list> for
     the quinvariate multi-sum at an explicit beta vector.  An order above the
-    name's budget raises ``OrderBudgetExceeded`` before anything is built.
+    name's budget raises ``OrderBudgetExceeded`` before anything is built.  A
+    custom ideal with any name but f<k> or g<k> raises ``UsageError``, since
+    no other series reads it.
     """
     if order < 0:
         raise UsageError(f"order must be >= 0, got {order}")
+    f_or_g = len(name) >= 2 and name[0] in "fg" and name[1:].isdigit()
+    if spec is not None and not f_or_g:
+        raise UsageError(f"a custom ideal backs only the f<k> and g<k> series, not {name!r}")
     side = _SERIES_SIDES.get(name)
     if side is not None:
         identity, build = side
         _check_series_budget(name, order, REGISTRY[identity].max_order)
         return build(order)
     ideal = spec or gap4_ideal()
-    if len(name) >= 2 and name[0] in "fg" and name[1:].isdigit():
+    if f_or_g:
         k = int(name[1:])
         if not 1 <= k <= ideal.size:
             raise UnknownIdentity(name)

@@ -73,16 +73,6 @@ class LpiSpec(Record):
         object.__setattr__(self, "linking", linking)
         object.__setattr__(self, "modulus", modulus)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.blocks, self.linking, self.modulus) == (
-            other.blocks, other.linking, other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.blocks, self.linking, self.modulus))
-
     @property
     def size(self) -> int:
         return len(self.blocks)

@@ -64,14 +64,6 @@ class MultiSumSpec(Record):
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "gammas", gammas)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alpha, self.bases, self.gammas) == (other.alpha, other.bases, other.gammas)
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.bases, self.gammas))
-
     @property
     def rank(self) -> int:
         return len(self.bases)
@@ -85,14 +77,6 @@ class SumNode(Record):
     def __init__(self, weight: Mono, beta: tuple[int, ...]) -> None:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "beta", beta)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.weight, self.beta) == (other.weight, other.beta)
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.beta))
 
 
 def _check_vars(spec: MultiSumSpec, vars: VarSet) -> None:

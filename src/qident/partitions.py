@@ -68,14 +68,6 @@ class Overpartition(Record):
                 seen_overlined.add(value)
         object.__setattr__(self, "parts", tuple(sorted(parts, key=lambda p: (p[0], not p[1]))))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @classmethod
     def of(cls, *parts: int | Part) -> "Overpartition":
         """Build from part values; a tuple (v, True) marks an overline."""
@@ -130,28 +122,9 @@ class PartStats(Record):
         set_(self, "r0mod4", r0mod4)
         set_(self, "over", over)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.size, self.length, self.r1mod2, self.r2mod4, self.r0mod4, self.over
-        ) == (
-            other.size, other.length, other.r1mod2, other.r2mod4, other.r0mod4, other.over
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.length, self.r1mod2, self.r2mod4, self.r0mod4, self.over))
-
     def to_dict(self) -> dict[str, int]:
         """The counts by name, in field order, as ``enum --json --stats`` prints them."""
-        return {
-            "size": self.size,
-            "length": self.length,
-            "r1mod2": self.r1mod2,
-            "r2mod4": self.r2mod4,
-            "r0mod4": self.r0mod4,
-            "over": self.over,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def stats(op: Overpartition) -> PartStats:

@@ -80,16 +80,6 @@ class PochSpec(Record):
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "sign", sign)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.argument, self.step, self.length, self.sign) == (
-            other.argument, other.step, other.length, other.sign
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.argument, self.step, self.length, self.sign))
-
 
 def _times_binomial(r: Series, arg: Mono, sign: int) -> Series:
     """r * (1 - sign*arg) as r - sign * r*arg: one shifted copy and one sum, no product."""

@@ -29,20 +29,6 @@ class IdentityReport(Record):
         set_(self, "elapsed", elapsed)
         set_(self, "serial_fallback", serial_fallback)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.id, self.order, self.passed, self.witness, self.elapsed, self.serial_fallback
-        ) == (
-            other.id, other.order, other.passed, other.witness, other.elapsed, other.serial_fallback
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.id, self.order, self.passed, self.witness, self.elapsed, self.serial_fallback)
-        )
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,

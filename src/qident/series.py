@@ -105,18 +105,6 @@ class VarSet(Record):
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "guard", sum(LIMIT << s for s in shifts[1:]))
 
-    def __eq__(self, other: object) -> bool:
-        # Series operations compare the VarSets of their operands, nearly
-        # always the same object: answer that case first.
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash((self.names,))
-
     @property
     def arity(self) -> int:
         return len(self.names)
@@ -240,14 +228,6 @@ class Mismatch(Record):
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.monomial, self.left, self.right) == (other.monomial, other.left, other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.monomial, self.left, self.right))
 
     def render(self, vars: VarSet) -> str:
         return f"{format_monomial(vars, self.monomial)}: left {self.left} != right {self.right}"
@@ -396,6 +376,8 @@ class Series:
         with more terms than the accumulator is copied, and the accumulator is
         added into the copy instead.
         """
+        if order < 0:
+            raise SeriesError("truncation order must be >= 0")
         top = vars.shifts[0]
         limit = (order + 1) << top
         acc: dict[int, int] = {}

@@ -80,7 +80,7 @@ def test_benchmark_binding_resolves(module, path):
 SRC = Path(__file__).resolve().parent.parent / "src" / "qident"
 
 # Classes whose non-dunder methods are pinned one by one.
-PINNED_CLASSES = ("Series", "VarSet", "Overpartition")
+PINNED_CLASSES = ("Record", "Series", "VarSet", "Overpartition")
 
 # Names that nothing in src/ reads, each with the reason it stays.  The first
 # five are bound by the tracer or the workloads (checked above); they go once

@@ -368,6 +368,22 @@ class TestCoeffs:
         assert code == 0
         assert out.splitlines()[0] == "q,x,y1,y2,z,coeff"
 
+    @pytest.mark.parametrize("series", ["rr1-lhs", "gf-A", "h:1,1,2,4", "nope"])
+    def test_custom_ideal_with_a_series_it_does_not_back_exit_two(self, capsys, tmp_path, series):
+        path = tmp_path / "ideal.json"
+        path.write_text(gap4_ideal().to_json(), encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--series", series, "--order", "3", "--lpi-spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"a custom ideal backs only the f<k> and g<k> series, not {series!r}\n"
+
+    def test_custom_ideal_lists_only_its_f_and_g_series(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(gap4_ideal().to_json(), encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--series", "f8", "--order", "3", "--lpi-spec", str(path))
+        assert (code, out) == (2, "")
+        known = ", ".join([f"f{k}" for k in range(1, 8)] + [f"g{k}" for k in range(1, 8)])
+        assert err == f"unknown series 'f8'; known: {known}\n"
+
     def test_non_integer_part_in_ideal_exit_two(self, capsys, tmp_path):
         doc = json.loads(gap4_ideal().to_json())
         doc["blocks"][1][0]["value"] = 1.5

@@ -1,22 +1,27 @@
 """The contract every exported record class keeps.
 
-The ten records are plain ``__slots__`` classes: each compares and hashes by
-its fields, refuses assignment, pickles through its constructor (reports
+The ten records are plain ``__slots__`` classes on ``Record``.  Each compares
+and hashes by its ``_fields`` through the one ``__eq__`` and ``__hash__`` of
+``Record``, refuses assignment, pickles through its constructor (reports
 cross the worker pool) and copies with changes through ``replace``, which
 validates the copy again.
 """
 
 from __future__ import annotations
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import qident
 from qident.identities import Entry
 from qident.lpi import LpiError, LpiSpec, gap4_ideal
 from qident.multisum import MultiSumSpec, SumNode
 from qident.partitions import InvalidOverpartition, Overpartition, PartStats
 from qident.products import PochSpec
+from qident.record import Record
 from qident.report import IdentityReport
 from qident.series import Mismatch, SeriesError, VarSet
 
@@ -66,8 +71,10 @@ def test_record_contract(cls, args, change, invalid):
     assert hash(a) == hash(b)
     assert a != b.replace(**change)
 
-    # no record equals one of another class, nor the tuple of its own fields
+    # the hash is that of the field tuple, but no record equals one of another
+    # class, nor the tuple of its own fields
     fields = tuple(getattr(a, name) for name in cls._fields)
+    assert hash(a) == hash(fields) and a == a and not a != a
     assert not isinstance(a, tuple) and a != fields and a != args
     for other_cls, other_args, *_ in RECORDS:
         if other_cls is not cls:
@@ -100,3 +107,30 @@ def test_record_contract(cls, args, change, invalid):
         bad, error = invalid
         with pytest.raises(error):
             a.replace(**bad)
+
+
+def _package_records() -> set[type]:
+    """Every class under ``Record``, at any depth, that a module of the qident package defines."""
+    for module in pkgutil.iter_modules(qident.__path__):
+        importlib.import_module(f"qident.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return {cls for cls in found if cls.__module__.startswith("qident.")}
+
+
+def test_every_record_class_has_a_row():
+    assert _package_records() == {cls for cls, *_ in RECORDS}
+
+
+def test_only_record_defines_equality_and_hash():
+    own = sorted(
+        f"{cls.__qualname__}.{name}"
+        for cls in _package_records()
+        for name in ("__eq__", "__hash__")
+        if name in vars(cls)
+    )
+    assert own == []
+    assert "__eq__" in vars(Record) and "__hash__" in vars(Record)

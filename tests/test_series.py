@@ -437,8 +437,9 @@ def test_varset_validation():
         lambda order: Series.zero(VS, order),
         lambda order: Series.one(VS, order),
         lambda order: Series.const(VS, order, 3),
+        lambda order: Series.sum(VS, order, []),
     ],
-    ids=["init", "zero", "one", "const"],
+    ids=["init", "zero", "one", "const", "sum"],
 )
 def test_every_constructor_refuses_a_negative_order(build):
     assert build(0).order == 0
