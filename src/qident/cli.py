@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("identity", help="registry id, a prefix, or 'all'")
     p_verify.add_argument("--order", type=int, default=None, help="truncation order override")
     p_verify.add_argument("--json", action="store_true", help="one JSON report per line")
-    p_verify.add_argument("--jobs", type=int, default=None, help="worker processes (default: QIDENT_JOBS or cores)")
+    p_verify.add_argument("--jobs", type=int, default=None, help="worker processes (default: one per core)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_enum = sub.add_parser("enum", help="list members of an overpartition family")

@@ -426,18 +426,6 @@ def _checked_order(identity: str, order: int | None, max_order_override: int | N
     return n
 
 
-def _env_jobs() -> int:
-    """QIDENT_JOBS as a worker count; unset or 0 means the default."""
-    raw = os.environ.get("QIDENT_JOBS", "0")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError(f"QIDENT_JOBS must be an integer, got {raw!r}") from None
-    if jobs < 0:
-        raise UsageError(f"QIDENT_JOBS must be >= 0, got {jobs}")
-    return jobs
-
-
 def verify(identity: str, order: int | None = None, *, max_order_override: int | None = None) -> IdentityReport:
     """Run one registry entry and time it; order defaults per entry."""
     n = _checked_order(identity, order, max_order_override)
@@ -447,32 +435,16 @@ def verify(identity: str, order: int | None = None, *, max_order_override: int |
     return IdentityReport(identity, n, passed, witness, elapsed)
 
 
-def __getattr__(name: str):
-    """Import the worker pool's two names on first use and keep them as globals.
-
-    ``concurrent.futures.process`` loads multiprocessing, socket, pickle and
-    subprocess, which only a group run with more than one worker needs; so
-    ``import qident`` does not load it.  The names stay module attributes, so
-    that tests can patch them.
-    """
-    if name not in ("ProcessPoolExecutor", "BrokenProcessPool"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    globals().update(ProcessPoolExecutor=ProcessPoolExecutor, BrokenProcessPool=BrokenProcessPool)
-    return globals()[name]
-
-
 def verify_group(
     ids: list[str], order: int | None = None, jobs: int | None = None
 ) -> list[IdentityReport]:
     """Run the named registry entries after checking every order against its budget.
 
     Entries are independent; with jobs > 1 they run in worker processes, and
-    reports always come back in the order of ``ids``.  Set QIDENT_JOBS to
-    override the default worker count (the number of available cores; 0
-    keeps it).  ``jobs`` below 1 or QIDENT_JOBS below 0 raise UsageError.  If
-    the worker pool cannot start (its modules fail to import, the platform
+    reports always come back in the order of ``ids``.  ``jobs`` defaults to
+    one per core; below 1 it raises UsageError.  The pool is imported only
+    here, when a group fans out, since ``concurrent.futures.process`` loads
+    multiprocessing.  If the pool cannot import, cannot start (the platform
     lacks named semaphores, no process can be made) or breaks, every entry
     reruns serially, the cause goes to stderr and each report carries
     ``serial_fallback``.
@@ -480,21 +452,19 @@ def verify_group(
     for i in ids:
         _checked_order(i, order)
     if jobs is None:
-        jobs = _env_jobs() or (os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     if len(ids) <= 1 or jobs <= 1:
         return [verify(i, order) for i in ids]
-    module = sys.modules[__name__]  # a bare global name would not reach __getattr__
     try:
-        pool = module.ProcessPoolExecutor(max_workers=min(jobs, len(ids)))
-    except (ImportError, NotImplementedError, OSError) as exc:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    except ImportError as exc:
         return _rerun_serially(ids, order, exc)
     try:
-        with pool:
-            futures = [pool.submit(verify, i, order) for i in ids]
-            return [f.result() for f in futures]
-    except (OSError, module.BrokenProcessPool) as exc:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
+            return list(pool.map(verify, ids, [order] * len(ids)))
+    except (NotImplementedError, OSError, BrokenProcessPool) as exc:
         return _rerun_serially(ids, order, exc)
 
 

@@ -96,8 +96,6 @@ KEPT: dict[str, str] = {
     "Series.coeff": "public Series API: a coefficient by exponent tuple, read by users and tests",
     "Series.q_coefficients": "public Series API: the q-degree sums, read by users and tests",
     "VarSet.unit": "public VarSet API: the unit monomial, the weight of a root SumNode in tests",
-    "__getattr__": "identities' module __getattr__ (PEP 562): Python calls it implicitly when"
-    " ProcessPoolExecutor or BrokenProcessPool is read before the pool is first imported",
 }
 
 

@@ -15,6 +15,21 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _count_pools(monkeypatch) -> list[dict]:
+    """Record the keyword arguments of every worker pool that verify_group builds."""
+    from concurrent.futures import process
+
+    pools = []
+
+    class CountingPool(process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
 class TestVerify:
     def test_single_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "quad", "--order", "20")
@@ -65,44 +80,20 @@ class TestVerify:
         assert out == ""
         assert err.strip() == "order must be >= 1, got 0"
 
-    def test_bad_jobs_variable_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("QIDENT_JOBS", "abc")
-        code, out, err = run(capsys, "verify", "all")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "QIDENT_JOBS" in err and "'abc'" in err
-
-    @pytest.mark.parametrize(
-        "env, jobs, message",
-        [
-            (None, "0", "jobs must be >= 1, got 0"),
-            (None, "-1", "jobs must be >= 1, got -1"),
-            ("-4", None, "QIDENT_JOBS must be >= 0, got -4"),
-        ],
-    )
-    def test_bad_jobs_exit_two_before_any_work(self, capsys, monkeypatch, env, jobs, message):
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_exit_two_before_any_work(self, capsys, monkeypatch, jobs):
         ran = []
         monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
-        if env is not None:
-            monkeypatch.setenv("QIDENT_JOBS", env)
         for ident in ("thm51", "rr1"):
-            code, out, err = run(capsys, "verify", ident, *(("--jobs", jobs) if jobs else ()))
+            code, out, err = run(capsys, "verify", ident, "--jobs", jobs)
             assert code == 2
             assert out == ""
-            assert err == message + "\n"
+            assert err == f"jobs must be >= 1, got {jobs}\n"
         assert ran == []
 
-    def test_jobs_variable_zero_means_default(self, capsys, monkeypatch):
-        pools = []
-
-        class CountingPool(identities.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "ProcessPoolExecutor", CountingPool)
+    def test_default_jobs_is_one_per_core(self, capsys, monkeypatch):
+        pools = _count_pools(monkeypatch)
         monkeypatch.setattr(identities.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("QIDENT_JOBS", "0")
         code, out, _ = run(capsys, "verify", "thm51", "--order", "12")
         assert code == 0
         assert out.count("pass") == 4
@@ -131,14 +122,7 @@ class TestVerify:
         assert ran == []
 
     def test_prefix_honours_jobs(self, capsys, monkeypatch):
-        pools = []
-
-        class CountingPool(identities.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "ProcessPoolExecutor", CountingPool)
+        pools = _count_pools(monkeypatch)
         reports = {}
         for jobs in ("1", "2"):
             code, out, _ = run(capsys, "verify", "thm51", "--json", "--jobs", jobs)
@@ -158,6 +142,17 @@ class TestVerify:
         assert len(docs) == 31
         assert all(doc["passed"] for doc in docs)
         assert not any(doc["id"].startswith("neg:") for doc in docs)
+
+    def test_witnesses_do_not_depend_on_jobs(self, capsys):
+        reports = {}
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "verify", "neg:", "--json", "--jobs", jobs)
+            assert code == 1
+            docs = [json.loads(line) for line in out.splitlines()]
+            reports[jobs] = [{k: v for k, v in d.items() if k != "elapsed_ms"} for d in docs]
+        assert [d["id"] for d in reports["1"]] == ["neg:rr1", "neg:quad", "neg:avee-split"]
+        assert all(not d["passed"] and d["witness"] for d in reports["1"])
+        assert reports["1"] == reports["2"]
 
 
 class TestEnum:

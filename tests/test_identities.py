@@ -98,13 +98,16 @@ def test_report_json_fields():
     assert doc["serial_fallback"] is False
 
 
+_POOL = "concurrent.futures.process.ProcessPoolExecutor"
+
+
 class _PoolThatCannotStart:
     def __init__(self, *args, **kwargs):
         raise OSError("no process slots")
 
 
 def test_pool_failure_falls_back_serially_and_says_so(monkeypatch, capsys):
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _PoolThatCannotStart)
+    monkeypatch.setattr(_POOL, _PoolThatCannotStart)
     reports = verify_group(["rr1", "rr2"], order=10, jobs=2)
     assert [r.id for r in reports] == ["rr1", "rr2"]
     assert all(r.passed and r.serial_fallback for r in reports)
@@ -120,7 +123,7 @@ class _PoolWithoutSemaphores:
 
 
 def test_pool_without_named_semaphores_falls_back_serially(monkeypatch, capsys):
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _PoolWithoutSemaphores)
+    monkeypatch.setattr(_POOL, _PoolWithoutSemaphores)
     reports = verify_group(["rr1", "rr2"], order=10, jobs=2)
     assert [r.id for r in reports] == ["rr1", "rr2"]
     assert all(r.passed and r.serial_fallback for r in reports)
@@ -129,10 +132,35 @@ def test_pool_without_named_semaphores_falls_back_serially(monkeypatch, capsys):
     assert "NotImplementedError: system provides too few semaphores" in err[0]
 
 
+class _PoolThatBreaks:
+    """Starts, then loses a worker while the results are collected."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("a worker died")
+
+
+def test_pool_that_breaks_mid_run_falls_back_serially(monkeypatch, capsys):
+    monkeypatch.setattr(_POOL, _PoolThatBreaks)
+    reports = verify_group(_THM51_IDS, order=10, jobs=2)
+    assert [r.id for r in reports] == _THM51_IDS
+    assert all(r.passed and r.serial_fallback for r in reports)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "BrokenProcessPool: a worker died" in err[0]
+
+
 def test_pool_modules_that_fail_to_import_fall_back_serially(monkeypatch, capsys):
-    # Drop the cached pool names, and make their import fail as a missing module would.
-    for name in ("ProcessPoolExecutor", "BrokenProcessPool"):
-        monkeypatch.delitem(identities.__dict__, name, raising=False)
     monkeypatch.setitem(sys.modules, "concurrent.futures.process", None)
     reports = verify_group(["rr1", "rr2"], order=10, jobs=2)
     assert all(r.passed and r.serial_fallback for r in reports)
@@ -144,14 +172,20 @@ def test_pool_modules_that_fail_to_import_fall_back_serially(monkeypatch, capsys
 _IMPORT_SET = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                  or m.startswith("concurrent.futures.process"))
+
 import qident, qident.cli
 qident.identities.registry_ids(include_negative=True)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
-                or m.startswith("concurrent.futures.process"))
+after_import = pool_modules()
+qident.identities.verify_group(["thm51-a", "thm51-b"], order=5, jobs=1)
+after_one_job = pool_modules()
+qident.identities.verify_group(["thm51-a", "thm51-b"], order=5, jobs=2)
+after_two_jobs = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
 records = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
-import concurrent.futures
-pool = qident.identities.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
-print(json.dumps([loaded, records, pool]))
+print(json.dumps([after_import, after_one_job, after_two_jobs, records]))
 """
 
 
@@ -163,7 +197,7 @@ def test_import_loads_no_worker_pool_until_it_is_read():
         [sys.executable, "-I", "-c", _IMPORT_SET, str(src)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert json.loads(done.stdout) == [[], [], True]
+    assert json.loads(done.stdout) == [[], [], ["multiprocessing", "concurrent.futures.process"], []]
 
 
 def _linking_mutant(i: int, j: int):
