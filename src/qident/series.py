@@ -27,11 +27,21 @@ entry raises ``SeriesError`` wherever one is taken (construction, ``coeff``,
 
 Exponent tuples appear only at the boundary: monomial arguments, ``items``,
 ``coeff``, witnesses and the read-only ``terms`` view.
+
+A product is Kronecker substitution once more, along q: each factor's terms
+are grouped by their non-q part, and each group's q-polynomial is packed
+into one int of fixed-width slots, one per q-degree, so that one int
+multiplication multiplies two groups.  A slot holds a balanced digit, a
+coefficient of absolute value below half the slot, and its width comes from
+the bound ``max|a| * max|b| * min(len a, len b)`` on every coefficient of
+the product.  Decoding adds half a slot to every slot and reads the slots
+back as unsigned words in native byte order (``_slot_bytes``, ``_pack``,
+``_unpack``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import sys
 from functools import reduce
 from operator import add as _add
 from operator import lshift as _lshift
@@ -185,8 +195,7 @@ def format_monomial(vars: VarSet, mono: Mono) -> str:
 def _add_terms(acc: dict[int, int], terms: Iterable[tuple[int, int]], limit: int) -> None:
     """Add the (key, coefficient) pairs with key below ``limit`` into ``acc``; zero sums are deleted.
 
-    The accumulator of construction, ``sum`` and ``substitute``; ``_accumulate``
-    keeps its own loop, which measured faster for products.
+    The accumulator of construction, ``sum`` and ``substitute``.
     """
     get = acc.get
     for k, c in terms:
@@ -203,10 +212,11 @@ def _accumulate(
 ) -> None:
     """Add every product of a term of ``left`` by a term of ``right`` into ``acc``.
 
-    The one place two terms are multiplied; ``right`` is iterated once per term
-    of ``left``.  A coefficient that sums to zero is deleted.  ``ma + mb`` is
-    the monomial product because no stored field reaches ``LIMIT``; the
-    caller checks the keys of ``acc`` before it stores them.
+    ``invert`` multiplies its slices through it; ``__mul__`` packs along q
+    instead.  ``right`` is iterated once per term of ``left``.  A coefficient
+    that sums to zero is deleted.  ``ma + mb`` is the monomial product
+    because no stored field reaches ``LIMIT``; the caller checks the keys of
+    ``acc`` before it stores them.
     """
     get = acc.get
     for ma, ca in left:
@@ -217,6 +227,72 @@ def _accumulate(
                 acc[key] = s
             else:
                 del acc[key]
+
+
+# The memoryview format of a native unsigned word, by its size in bytes.
+_WORDS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot of a balanced digit of absolute value at most ``bound``.
+
+    The digit's bits and a sign bit, rounded up to a native word (1, 2, 4 or
+    8 bytes) when they fit in one.
+    """
+    nbytes = (bound.bit_length() + 8) // 8
+    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
+
+
+def _pack(digits: list[int], nbytes: int) -> int:
+    """sum_i digits[i] * 2**(8 * nbytes * i), for digits of absolute value below half a slot.
+
+    Each digit is written biased by half a slot, in native byte order, and
+    the bias is taken off the whole int at once.
+    """
+    half, order = 1 << (8 * nbytes - 1), sys.byteorder
+    data = b"".join([(c + half).to_bytes(nbytes, order) for c in digits])
+    return int.from_bytes(data, order) - int.from_bytes(half.to_bytes(nbytes, order) * len(digits), order)
+
+
+def _unpack(packed: int, n: int, nbytes: int) -> list[int]:
+    """The first ``n`` balanced digits of ``packed`` in base 2**(8 * nbytes).
+
+    Half a slot is added to every slot, the low ``n`` slots are kept, and
+    each is read back as an unsigned word less half a slot: through
+    ``memoryview.cast`` as native words for a slot of 1, 2, 4 or 8 bytes,
+    and chunk by chunk with ``int.from_bytes`` for a wider one.  Exact when
+    every digit up to slot ``n`` is below half a slot in absolute value.
+    """
+    half, order = 1 << (8 * nbytes - 1), sys.byteorder
+    size = n * nbytes
+    bias = int.from_bytes(half.to_bytes(nbytes, order) * n, order)
+    data = ((packed + bias) & ((1 << 8 * size) - 1)).to_bytes(size, order)
+    fmt = _WORDS.get(nbytes)
+    if fmt:
+        words = memoryview(data).cast(fmt).tolist()
+    else:
+        words = [int.from_bytes(data[i : i + nbytes], order) for i in range(0, size, nbytes)]
+    return [u - half for u in words]
+
+
+def _q_groups(terms: list[tuple[int, int]], top: int, nbytes: int) -> list[tuple[int, int, int, int]]:
+    """(non-q part, least q-degree, slots, packed int) per non-q part of the (key, coefficient) pairs.
+
+    The packed int holds the part's q-polynomial from its least q-degree
+    up, one slot of ``nbytes`` per q-degree.
+    """
+    low = (1 << top) - 1
+    by_part: dict[int, dict[int, int]] = {}
+    for k, c in terms:
+        by_part.setdefault(k & low, {})[k >> top] = c
+    out = []
+    for part, poly in by_part.items():
+        lo = min(poly)
+        digits = [0] * (max(poly) - lo + 1)
+        for d, c in poly.items():
+            digits[d - lo] = c
+        out.append((part, lo, len(digits), _pack(digits, nbytes)))
+    return out
 
 
 class Mismatch(Record):
@@ -318,6 +394,8 @@ class Series:
         Mostly useful for univariate series and quick diagnostics.
         """
         n = self.order if upto is None else upto
+        if n < 0:
+            raise SeriesError("order must be >= 0")
         if n > self.order:
             raise TruncationExceeded(f"order {n} beyond truncation {self.order}")
         top = self.vars.shifts[0]
@@ -343,14 +421,22 @@ class Series:
         raise TypeError("Series is not hashable")
 
     def first_mismatch(self, other: "Series", upto: int) -> Mismatch | None:
-        """Smallest monomial (lex) with q-exponent <= upto where coefficients differ."""
+        """Smallest monomial (lex) with q-exponent <= upto where coefficients differ.
+
+        Two series with equal terms agree at every order, which one dict
+        compare finds; any other pair is searched term by term.
+        """
         self._check_compatible(other)
+        if upto < 0:
+            raise SeriesError("comparison order must be >= 0")
         if upto > self.order or upto > other.order:
             raise TruncationExceeded(
                 f"comparison order {upto} exceeds truncation ({self.order}, {other.order})"
             )
-        limit = self._limit(upto)
         a, b = self._terms, other._terms
+        if a == b:
+            return None
+        limit = self._limit(upto)
         differ = [k for k, c in a.items() if k < limit and b.get(k, 0) != c]
         differ += [k for k in b if k < limit and k not in a]
         if not differ:
@@ -419,31 +505,74 @@ class Series:
         return Series._raw(self.vars, self.order, out)
 
     def __mul__(self, other):
+        """The product, truncated at the lesser order, by Kronecker substitution along q.
+
+        Each factor's terms within the order are grouped by their non-q part,
+        ``key & ((1 << top) - 1)``, and each group's q-polynomial is packed
+        into one int of balanced slots from the group's least q-degree
+        (``_pack``).  For each pair of groups whose least degrees da + db fit
+        the order, the two ints, cut to the slots that can still reach it,
+        are multiplied as ints and added into the result group keyed by the
+        sum of the two non-q parts, shifted to q-degree da + db.  Each result
+        group is decoded once (``_unpack``), and the keys of the groups that
+        decode nonzero are checked.
+
+        A slot holds ``max|a| * max|b| * min(len a, len b)`` and a sign bit
+        (``_slot_bytes``).  At each monomial of the product a term of either
+        factor meets at most one term of the other, so that bounds every
+        coefficient, and all arithmetic before the decode is exact mod
+        2**(width * slots).
+        """
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        order = min(self.order, other.order)
-        if not self._terms or not other._terms:
-            return Series.zero(self.vars, order)
-        top = self.vars.shifts[0]
-        # Sort the longer factor by key (q-degree first) and cut it, for each
-        # q-degree slice of the shorter one, at the budget, so over-order
-        # products are never formed.
-        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
-        b_items = sorted(b._terms.items())
-        b_keys = [k for k, _ in b_items]
-        a_slices: dict[int, list[tuple[int, int]]] = {}
-        for k, c in a._terms.items():
-            d = k >> top
-            if d <= order:
-                a_slices.setdefault(d, []).append((k, c))
-        acc: dict[int, int] = {}
-        for d, left in a_slices.items():
-            _accumulate(acc, left, b_items[:bisect_left(b_keys, (order - d + 1) << top)])
-        _check_keys(self.vars, acc)
-        return Series._raw(self.vars, order, acc)
+        vars, order = self.vars, min(self.order, other.order)
+        top = vars.shifts[0]
+        limit = (order + 1) << top
+        a = [(k, c) for k, c in self._terms.items() if k < limit]
+        b = [(k, c) for k, c in other._terms.items() if k < limit]
+        if not a or not b:
+            return Series.zero(vars, order)
+        bound = max(abs(c) for _, c in a) * max(abs(c) for _, c in b) * min(len(a), len(b))
+        nbytes = _slot_bytes(bound)
+        width = 8 * nbytes
+        left, right = _q_groups(a, top, nbytes), _q_groups(b, top, nbytes)
+        right.sort(key=lambda group: group[1])
+        # One row per pair of groups that reaches the order: (result part, q-degree, groups);
+        # span[part] is the least and the largest q-degree the part's rows reach.
+        rows, span = [], {}
+        for ra, da, la, pa in left:
+            for rb, db, lb, pb in right:
+                d = da + db
+                if d > order:
+                    break
+                r, hi = ra + rb, min(order, d + la + lb - 2)
+                lo_hi = span.get(r)
+                span[r] = (d, hi) if lo_hi is None else (min(d, lo_hi[0]), max(hi, lo_hi[1]))
+                rows.append((r, d, la, pa, lb, pb))
+        sums = dict.fromkeys(span, 0)
+        for r, d, la, pa, lb, pb in rows:
+            # Cut only a group longer than the room: a negative int would grow to fill it.
+            room = order + 1 - d
+            cut = (1 << width * room) - 1
+            if la > room:
+                pa &= cut
+            if lb > room:
+                pb &= cut
+            sums[r] += pa * pb << width * (d - span[r][0])
+        out: dict[int, int] = {}
+        parts = []
+        for r, packed in sums.items():
+            lo, hi = span[r]
+            base = r + (lo << top)
+            terms = {base + (i << top): c for i, c in enumerate(_unpack(packed, hi - lo + 1, nbytes)) if c}
+            if terms:
+                out.update(terms)
+                parts.append(r)
+        _check_keys(vars, parts)
+        return Series._raw(vars, order, out)
 
     __rmul__ = __mul__
 
@@ -458,9 +587,12 @@ class Series:
 
             b_0 = c0,    b_n = -c0 * sum_{k=1..n} a_k * b_{n-k}    (n = 1..order).
 
-        Every slice product is formed once, so the cost is about that of one
-        product of ``a`` by the result.  Each slice's keys are checked before
-        a later slice adds to them.
+        Every slice product is formed once, term by term through
+        ``_accumulate``, so the cost is about that of multiplying ``a`` by the
+        result one pair of terms at a time: several times the packed
+        ``a * b`` (1/(xq;q)_inf over (q, x, y) at order 60: 36 ms against
+        7 ms for the product of the two).  Each slice's keys are checked
+        before a later slice adds to them.
         """
         c0 = self.constant_term()
         if c0 not in (1, -1):

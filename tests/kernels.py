@@ -2,8 +2,8 @@
 
 A kernel is a function that builds one route's values.  Its route is
 
-* ``product``: general products, inversion, the Pochhammer builders and the
-  recurrence of the inverted products;
+* ``product``: general products and their slot codec, inversion, the
+  Pochhammer builders and the recurrence of the inverted products;
 * ``sum``: the multi-sum tree walk, division by 1 - q^k and division by a
   binomial;
 * ``shared``: ``_times_binomial``, which the product builders and the sum
@@ -45,7 +45,7 @@ ROUTES = ("product", "sum", "shared", "walk", "layout")
 def _table() -> dict[str, Kernel]:
     rows = {
         "product": {
-            "qident.series": ("Series.__mul__", "Series.invert"),
+            "qident.series": ("Series.__mul__", "_q_groups", "_slot_bytes", "_pack", "_unpack", "Series.invert"),
             "qident.products": (
                 "poch", "poch_finite", "poch_inf", "poch_inverse", "inv_qpoch",
                 "_log_derivative", "_exact_quotient", "_q_inverse", "_packed_inverse",

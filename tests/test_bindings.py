@@ -91,7 +91,10 @@ KEPT: dict[str, str] = {
     "inv_qpoch": _BOUND + "; tests/kernels.py lists it on the product route, which the route refusals read",
     "enum_overpartitions": _BOUND,
     "in_A": _BOUND,
-    "Series.invert": _BOUND + "; the tests' reference implementation for poch_inverse",
+    "Series.invert": (
+        _BOUND + "; the tests' reference implementation for poch_inverse, "
+        "and since __mul__ packs along q the only caller of _accumulate"
+    ),
     "Series.terms": "the tracer's observers read it by name (getattr, so no binding pins it)",
     "Series.coeff": "public Series API: a coefficient by exponent tuple, read by users and tests",
     "Series.q_coefficients": "public Series API: the q-degree sums, read by users and tests",

@@ -4,9 +4,11 @@ Each mutant changes one piece of text in one kernel of ``tests/kernels.py``:
 the exponent of the division in ``eval_sum``, the part rule or the
 multiplicity cap of a B-side walk, the containment test of ``f_vector``'s
 base, the degree weight, the sign power, the divisor or the slot width of
-``poch_inverse``'s recurrence, one constant or sign of ``_divide_binomial``
-or ``_times_binomial``, or the weight of the collapse of ``table_A``.  The
-mutant replaces the kernel wherever the package binds it (``kernels.binders``),
+``poch_inverse``'s recurrence, the q-offset of a pair of groups, the
+decoded digit or the slot width of ``Series.__mul__``'s packed product, one
+constant or sign of ``_divide_binomial`` or ``_times_binomial``, or the
+weight of the collapse of ``table_A``.  The mutant replaces the kernel
+wherever the package binds it (``kernels.binders``),
 and every registry entry whose reach holds the kernel (``kernels.reach``, the
 kernels each side or runner calls at the default order) must then fail at
 its default order with a witness: a mismatch, or the coefficient that the
@@ -70,6 +72,9 @@ KERNEL_MUTANTS = {
     "poch_inverse slot one byte narrower": (
         "_packed_inverse", "bit_length() + 9) // 8", "bit_length() + 1) // 8",
     ),
+    "product q-offset da + db -> da + db + 1": ("Series.__mul__", "d = da + db", "d = da + db + 1"),
+    "product digit u - half -> u - half + 1": ("_unpack", "u - half", "u - half + 1"),
+    "product slot one byte narrower": ("_slot_bytes", "(bound.bit_length() + 8) // 8", "bound.bit_length() // 8"),
     "_divide_binomial new key starts at 1": ("_divide_binomial", "dest.get(target, 0)", "dest.get(target, 1)"),
     "_divide_binomial carries -sign*c": ("_divide_binomial", "0) + sign * c", "0) - sign * c"),
     # _times_binomial applies 1 - A for sign +1 and 1 + A for sign -1.  The
@@ -178,12 +183,22 @@ EQUIVALENT = {
         "every factor the registry inverts has sign +1, where s**m is 1; "
         "test_sign_mutant_fails_on_a_negated_argument kills it"
     ),
+    "product slot one byte narrower": (
+        "at default orders the mutant's slot rounds up to the same native word (qbinom: a "
+        "24-bit bound, 4 bytes either way), or to a wider one (quad and borel-bridge-lhs: a "
+        "7-bit bound, whose 0 bytes round up to 2), or still holds every coefficient "
+        "(tri-single: 2 bytes for coefficients of at most 12 bits); "
+        "test_narrow_product_slot_mutant_fails_where_the_bound_is_reached kills it"
+    ),
 }
 
 
 def _mutant(module, name: str, old: str, new: str):
-    """``module.name`` rebuilt from its source with ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    """``module.name`` rebuilt from its source with ``old`` replaced by ``new``.
+
+    ``name`` is an attribute path, so ``Class.method`` rebuilds a method.
+    """
+    source = textwrap.dedent(inspect.getsource(kernels.resolve(module.__name__, name)))
     assert source.count(old) == 1, (name, old)
     namespace = dict(vars(module))
     code = compile(
@@ -191,7 +206,7 @@ def _mutant(module, name: str, old: str, new: str):
         flags=__future__.annotations.compiler_flag, dont_inherit=True,
     )
     exec(code, namespace)
-    return namespace[name]
+    return namespace[name.rsplit(".", 1)[-1]]
 
 
 def _kernel_mutant(name: str, old: str, new: str):
@@ -323,6 +338,20 @@ def test_narrow_slot_mutant_fails_on_five_copies(monkeypatch):
     _install_kernel_mutant(monkeypatch, "poch_inverse slot one byte narrower")
     with pytest.raises(InexactDivision, match="^q-degree 40: "):
         poch_inverse(specs, QX_VARS, order)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 80])
+def test_narrow_product_slot_mutant_fails_where_the_bound_is_reached(monkeypatch, bits):
+    # (c + c q)(1 + q): the coefficient 2c of q reaches the bound 2c = 2^bits - 2
+    # itself.  The slots are 2, 4, 8 and 11 bytes wide; the mutant's 1, 2, 4
+    # and 10 bytes still hold c, so both factors pack, but not 2c.
+    c = (1 << bits - 1) - 1
+    a = Series(Q_VARS, 3, [((0,), c), ((1,), c)])
+    b = Series(Q_VARS, 3, [((0,), 1), ((1,), 1)])
+    expected = Series(Q_VARS, 3, [((0,), c), ((1,), 2 * c), ((2,), c)])
+    assert a * b == expected
+    _install_kernel_mutant(monkeypatch, "product slot one byte narrower")
+    assert a * b != expected
 
 
 # label -> (old text, new text) in partitions._ascending_partitions, the

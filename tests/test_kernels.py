@@ -63,6 +63,17 @@ def test_the_route_matrix_has_exactly_the_known_shares(reach):
     assert shares == {identity: names for identity, (names, _) in SHARES.items()}
 
 
+# The product codec serves Series.__mul__ alone, so its reach is the product's:
+# the entries that multiply two series at their default order.
+PRODUCT_ENTRIES = ["qbinom", "tri-single", "quad", "borel-bridge-lhs"]
+
+
+@pytest.mark.parametrize("name", ["Series.__mul__", "_q_groups", "_slot_bytes", "_pack", "_unpack"])
+def test_the_product_codec_reaches_the_entries_that_multiply(reach, name):
+    assert kernels.KERNELS[name].route == "product"
+    assert kernels.reached(reach, name) == PRODUCT_ENTRIES
+
+
 def test_every_pair_side_reaches_a_kernel(reach):
     assert [identity for identity, sides in reach.items() if not all(sides)] == []
 

@@ -25,6 +25,7 @@ from qident.series import (
     TruncationExceeded,
     VarSet,
     VarSetMismatch,
+    _slot_bytes,
     varset,
 )
 
@@ -248,6 +249,27 @@ class TestEqualToOrder:
     def test_order_guard(self):
         with pytest.raises(TruncationExceeded):
             Series.one(VS, 3).first_mismatch(Series.one(VS, 9), 5)
+
+    def test_negative_order_raises(self):
+        # The constant terms differ, so no order may call the two equal.
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            Series.one(VS, 3).first_mismatch(Series.const(VS, 3, 2), -1)
+
+    def test_equal_terms_at_full_order_and_a_witness_below_it(self):
+        a = Series(VS, 4, [(VS.m(), 1), (VS.m(q=3, x=2), -5)])
+        b = Series(VS, 4, [(VS.m(), 1), (VS.m(q=3, x=2), -5)])
+        assert a.first_mismatch(b, 4) is None
+        c = Series(VS, 4, [(VS.m(), 1), (VS.m(q=3, x=2), -5), (VS.m(q=4), 1)])
+        assert a.first_mismatch(c, 3) is None
+        assert a.first_mismatch(c, 4) == c.first_mismatch(a, 4).replace(left=0, right=1)
+        assert a.first_mismatch(c, 4).monomial == VS.m(q=4)
+
+
+def test_q_coefficients_refuses_a_negative_order():
+    s = Series(VS, 3, [(VS.m(), 1), (VS.m(q=1, x=1), 2)])
+    assert s.q_coefficients(0) == [1]
+    with pytest.raises(SeriesError, match="order must be >= 0"):
+        s.q_coefficients(-1)
 
 
 # -- randomized property suites -------------------------------------------------
@@ -572,6 +594,75 @@ def test_mul_matches_tuple_reference_with_huge_exponents(a, b):
 @settings(max_examples=100, deadline=None)
 def test_invert_matches_tuple_reference_with_huge_exponents(a):
     assert_matches_reference(a.invert, VS3, a.order, reference_invert_terms(a))
+
+
+# -- the product along q ------------------------------------------------------------
+
+# Small coefficients, and ones past 2**64, whose slots decode chunk by chunk.
+_COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def signed_series(draw, vars):
+    """Series over ``vars`` of zero terms up, with negative and huge coefficients.
+
+    Terms reach q^16 and the order at most 12, so some terms lie above the
+    other factor's order, and some above their own, which construction drops.
+    """
+    order = draw(st.integers(0, 12))
+    terms = []
+    for _ in range(draw(st.integers(0, 10))):
+        mono = (draw(st.integers(0, 16)), *(draw(st.integers(0, 4)) for _ in vars.names[1:]))
+        terms.append((mono, draw(_COEFFS)))
+    return Series(vars, order, terms)
+
+
+def _product_matches_the_tuple_product(a: Series, b: Series) -> None:
+    order = min(a.order, b.order)
+    expected = Series(a.vars, order, reference_mul_terms(dict(a.terms), dict(b.terms), order).items())
+    assert a * b == expected
+    assert b * a == expected
+
+
+@pytest.mark.parametrize("vars", [QXY_VARS, QUIN_VARS], ids=["QXY", "QUIN"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_the_tuple_product(vars, data):
+    _product_matches_the_tuple_product(data.draw(signed_series(vars)), data.draw(signed_series(vars)))
+
+
+@pytest.mark.parametrize("scale, nbytes", [(1, 1), (2**4, 2), (2**10, 4), (2**26, 8), (2**40, 11), (2**100, 26)])
+def test_mul_decodes_every_slot_width(scale, nbytes):
+    # Dense factors whose bound max|a| max|b| min(len a, len b), with min(len)
+    # 7, needs slots of ``nbytes``; the signs alternate, so digits borrow.
+    vs = QXY_VARS
+    a = Series(vs, 9, [((d, d % 3, 0), (-1) ** d * (scale + d % 2)) for d in range(10)])
+    b = Series(vs, 7, [((d, 0, d % 2), (-1) ** (d // 2) * (scale + d % 2)) for d in range(2, 9)])
+    assert _slot_bytes((scale + 1) ** 2 * 7) == nbytes
+    _product_matches_the_tuple_product(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Series.zero(QUIN_VARS, 5), Series(QUIN_VARS, 5, [((1, 0, 2, 0, 1), 7)])),
+        (Series(QUIN_VARS, 6, [((2, 1, 0, 0, 3), -(2**70))]), Series(QUIN_VARS, 4, [((1, 0, 1, 1, 0), 3)])),
+        (Series(QUIN_VARS, 4, [((0, 1, 0, 0, 0), 1)]), Series(QUIN_VARS, 9, [((5, 0, 0, 0, 0), 1), ((4, 0, 1, 0, 0), -2)])),
+        (Series.one(QXY_VARS, 3), Series(QXY_VARS, 8, [((k, k, 0), k - 4) for k in range(9)])),
+    ],
+    ids=["zero", "one-term", "above-the-other-order", "one"],
+)
+def test_mul_edge_factors(a, b):
+    _product_matches_the_tuple_product(a, b)
+
+
+@pytest.mark.parametrize("name", QUIN_VARS.names[1:])
+def test_mul_names_the_variable_that_reaches_the_limit(name):
+    half = QUIN_VARS.m(**{name: LIMIT // 2})
+    a = Series(QUIN_VARS, 5, [(QUIN_VARS.unit, 1), (half, 3)])
+    b = Series(QUIN_VARS, 5, [((1, *half[1:]), -2)])
+    with pytest.raises(ExponentOverflow, match=rf"\b{name}\b"):
+        a * b
 
 
 QUIN = QUIN_VARS
