@@ -510,7 +510,7 @@ def _check_series_budget(name: str, order: int, budget: int) -> None:
 def check_enum_budget(setid: str | None, n: int) -> None:
     """Refuse an enumeration at size ``n`` over budget, before any work.
 
-    Enumerating family X at size n walks the members that ``gf-X`` walks at
+    Enumerating family X at size n walks the members that ``gf-X`` counts at
     order n, so it shares that name's budget; a custom ideal's language
     (``setid`` None) shares the budget of f<k>/g<k>.
     """

@@ -16,19 +16,22 @@ partition of n, unpruned, from one generator, ``_ascending_partitions``
 of those whose plain parts pass the gap clause ``_gap_ok`` pairwise into
 canonical parts tuples, which per-family tuple predicates filter; no
 overline choice can rescue a partition that fails, so nothing is lost.  The
-other route is one gap-constrained walk that reaches every member up to an
-order in one pass.
+other route reads the gap rule from one table of parts by value,
+``_gap4_parts``.  A gap-constrained walk lists every member up to an order
+in one pass (``enum_set``), and a transfer over the largest part counts the
+members by weight without listing them (``weighted_gf``, ``table_A``).
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from itertools import groupby, product as iter_product
+from itertools import compress, groupby, product as iter_product
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .record import Record
-from .series import QUIN_VARS, Series, _check_keys
+from .series import _WORDS, QUIN_VARS, Series, _check_keys
 
 Part = tuple[int, bool]  # (value, overlined)
 
@@ -299,7 +302,55 @@ def oracle_members(setid: str, n: int) -> set[Overpartition]:
     return members
 
 
-# -- the gap-constrained walk ---------------------------------------------------
+# -- the gap rule, the walk that lists members, the transfer that counts them --
+
+
+def weight_monomial(st: PartStats) -> tuple[int, ...]:
+    """x^length y1^r2mod4 y2^r0mod4 z^over q^size as an exponent vector over ``QUIN_VARS``."""
+    return QUIN_VARS.m(q=st.size, x=st.length, y1=st.r2mod4, y2=st.r0mod4, z=st.over)
+
+
+# The non-q part of the packed weight of a member holding one part, by the
+# part's value mod 4 and its overline: its weight depends on nothing else.
+_NONQ_DELTA = {
+    (v % 4, overlined): QUIN_VARS.pack(weight_monomial(stats(Overpartition(((v, overlined),)))))
+    & ((1 << QUIN_VARS.shifts[0]) - 1)
+    for v in (1, 2, 3, 4)
+    for overlined in (False, True)
+}
+
+# One part of a family at one value: (part, non-q key delta, allowed at the tight gap).
+PartRule = tuple[Part, int, bool]
+
+
+def _gap4_parts(setid: str, order: int) -> list[tuple[PartRule, ...]]:
+    """The named family's gap rule, as its parts by value: ``parts[v]`` for v <= order.
+
+    ``parts[v]`` lists each part of value v the family admits, the overlined
+    copy first, with its non-q key delta and whether it may sit at the tight
+    gap.  A part more than 4 above the largest part so far is always
+    allowed.  One exactly 4 above it, at the tight gap, must be plain and not
+    divisible by 4, except that in Avee an overlined 5 may follow a 1.  The
+    walk and the transfer both read the rule from here, apart from the
+    oracle's ``_gap_ok`` and predicates.
+    """
+    if setid == SET_AVEE:
+        forbidden, min_overlined, avee = frozenset(), 3, True
+    elif setid in _FORBIDDEN:
+        forbidden, min_overlined, avee = _FORBIDDEN[setid], 1, False
+    else:
+        raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
+    parts: list[tuple[PartRule, ...]] = [()]
+    for v in range(1, order + 1):
+        r = v % 4
+        row = []
+        if r % 2 and v >= min_overlined and (v, True) not in forbidden:
+            row.append(((v, True), _NONQ_DELTA[r, True], avee and v == 5))
+        if (v, False) not in forbidden:
+            row.append(((v, False), _NONQ_DELTA[r, False], r != 0))
+        parts.append(tuple(row))
+    return parts
+
 
 # A node of the gap-4 walk: (key, tight, part, parent).  ``key`` is the
 # member's weight monomial x^length y1^r2mod4 y2^r0mod4 z^over q^size packed
@@ -312,44 +363,28 @@ Node = tuple[int, int, "Part | None", "Node | None"]
 def _walk_gap4(setid: str, order: int) -> Iterator[Node]:
     """Every member of the named family with size <= order, as a walk node.
 
-    One depth-first walk over ascending parts, with the gap rule written out
-    here, apart from the oracle's predicates.  Every prefix of a member is a
-    member, so each node is yielded, before its extensions.  A child's key is
-    its parent's plus one delta per part, precomputed for each part value,
-    and no parts tuple is built.  Members of one size come out in
-    lexicographic order of their parts, a plain part before its overlined copy.
+    One depth-first walk over ascending parts, under the gap rule of
+    ``_gap4_parts``.  Every prefix of a member is a member, so each node is
+    yielded, before its extensions.  A child's key is its parent's plus the
+    part's delta, and no parts tuple is built.  Members of one size come out
+    in lexicographic order of their parts, a plain part before its overlined
+    copy.  Only ``enum_set`` walks: it lists members, where the counts need
+    only their number (``_count_gap4``).
     """
-    if setid == SET_AVEE:
-        forbidden, min_overlined, avee = frozenset(), 3, True
-    elif setid in _FORBIDDEN:
-        forbidden, min_overlined, avee = _FORBIDDEN[setid], 1, False
-    else:
-        raise KeyError(f"unknown set id {setid!r}; expected one of {SET_IDS}")
     top = QUIN_VARS.shifts[0]
-
-    def child(part: Part) -> tuple[int, int, Part]:
-        # The key delta of a part is the packed weight of the member holding only it.
-        delta = QUIN_VARS.pack(weight_monomial(stats(Overpartition((part,)))))
-        return delta, part[0] + 4, part
-
     # The children a part value v can make, (delta, v + 4, part) in push order:
     # larger values first and, for one value, the overlined copy before the
     # plain part, so that smaller and plain parts are walked first.  ``loose``
     # lists them for v above the node's tight value; ``at_tight[v]`` for v
-    # equal to it, where a part must be plain and not divisible by 4, except
-    # that in Avee an overlined 5 may follow a 1.
+    # equal to it.
     loose: list[tuple[int, int, Part]] = []
     at_tight: list[list[tuple[int, int, Part]]] = [[] for _ in range(order + 1)]
     above = [0] * (order + 1)  # above[v]: how many entries of ``loose`` have a value above v
+    parts = _gap4_parts(setid, order)
     for v in range(order, 0, -1):
-        r = v % 4
-        if r % 2 and v >= min_overlined and (v, True) not in forbidden:
-            loose.append(child((v, True)))
-            if avee and v == 5:
-                at_tight[v].append(loose[-1])
-        if (v, False) not in forbidden:
-            loose.append(child((v, False)))
-            if r:
+        for part, delta, tight_ok in parts[v]:
+            loose.append((delta + (v << top), v + 4, part))
+            if tight_ok:
                 at_tight[v].append(loose[-1])
         above[v - 1] = len(loose)
     stack: list[Node] = [(0, 0, None, None)]
@@ -377,18 +412,6 @@ def _parts_of(node: Node) -> tuple[Part, ...]:
     return tuple(reversed(parts))
 
 
-def _walk_keys(setid: str, order: int) -> Counter:
-    """Packed weight monomial -> members of the named family with that weight, size <= order.
-
-    A part adds at most 1 to each non-q field, and every node is counted, so
-    a field that reached ``LIMIT`` would be counted, and refused here, before
-    it could carry.
-    """
-    counts = Counter(map(itemgetter(0), _walk_gap4(setid, order)))
-    _check_keys(QUIN_VARS, counts)
-    return counts
-
-
 def enum_set(setid: str, n: int) -> list[Overpartition]:
     """Members of the named family with size exactly n, in the order of the gap-4 walk."""
     if n < 0:
@@ -397,24 +420,103 @@ def enum_set(setid: str, n: int) -> list[Overpartition]:
     return [Overpartition(_parts_of(node)) for node in _walk_gap4(setid, n) if node[0] >= least]
 
 
-def weight_monomial(st: PartStats) -> tuple[int, ...]:
-    """x^length y1^r2mod4 y2^r0mod4 z^over q^size as an exponent vector over ``QUIN_VARS``."""
-    return QUIN_VARS.m(q=st.size, x=st.length, y1=st.r2mod4, y2=st.r0mod4, z=st.over)
+def _count_gap4(
+    setid: str, order: int, label: Callable[[int], Hashable] | None = None
+) -> Iterator[tuple[tuple[Hashable, int], int]]:
+    """((label, size), count) for every nonzero count of the named family's members by weight, size <= order.
+
+    A transfer over the largest part (Stanley, EC1 4.7) rather than a walk
+    over the members.  ``H[v]`` maps the non-q part of a weight,
+    ``key & ((1 << top) - 1)``, to one int that packs in unsigned slots, one
+    per size, how many members of that weight have largest part v.  Such a
+    member is a smaller one with a part of value v added.  So ``H[v]`` is
+    ``below`` (the empty member and every ``H[p]`` with p <= v - 5) times
+    each part at v, plus ``H[v - 4]`` times each part allowed at the tight
+    gap (``_gap4_parts``).  Times a part adds its delta to the group's key
+    and moves the int up v slots, after a cut to the order - v + 1 slots
+    that can still fit.  Step v reads ``H[v - 5]`` and ``H[v - 4]`` only, so
+    five are kept.
+
+    Every slot, also of ``below``, counts members of one weight and size, so
+    it is at most the members of that size.  A first pass with the non-q
+    deltas dropped counts those, in slots that hold 3**order: a member of
+    size s is a word over (absent, plain, overlined) at the values 1..s.
+    Its largest count sets the slot, rounded up to a native word, so no
+    slot carries.
+
+    The group keys are checked before decoding: a part adds at most 1 to
+    each non-q field, and every intermediate group lands in the total, so a
+    field that reached ``LIMIT`` is refused before it could carry.  The
+    groups are summed by ``label`` (kept apart by key without one), which no
+    slot overflows either, and each sum is decoded once.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    steps = [([d for _, d, _ in row], [d for _, d, tight in row if tight]) for row in _gap4_parts(setid, order)]
+
+    def transfer(steps: list[tuple[list[int], list[int]]], width: int) -> dict[int, int]:
+        below: dict[int, int] = {0: 1}
+        last: list[dict[int, int]] = [{}, {}, {}, {}, {}]  # last[p % 5] = H[p]
+        for v in range(1, order + 1):
+            for k, p in last[v % 5].items():  # H[v - 5] joins below
+                below[k] = below.get(k, 0) + p
+            keep, shift = (1 << width * (order + 1 - v)) - 1, width * v
+            h: dict[int, int] = {}
+            loose, tight = steps[v]
+            for source, deltas in ((below, loose), (last[(v - 4) % 5], tight)):
+                for k, p in source.items():
+                    p &= keep
+                    if p:
+                        p <<= shift
+                        for d in deltas:
+                            h[k + d] = h.get(k + d, 0) + p
+            last[v % 5] = h
+        for h in last:
+            for k, p in h.items():
+                below[k] = below.get(k, 0) + p
+        return below
+
+    def native(nbytes: int) -> int:  # rounded up to a word of 1, 2, 4 or 8 bytes when it fits one
+        return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
+
+    def slots(packed: Iterable[int], nbytes: int) -> Sequence[int]:  # their unsigned slots, in order
+        data = b"".join([p.to_bytes((order + 1) * nbytes, sys.byteorder) for p in packed])
+        fmt = _WORDS.get(nbytes)
+        if fmt:
+            return memoryview(data).cast(fmt)
+        return [int.from_bytes(data[i : i + nbytes], sys.byteorder) for i in range(0, len(data), nbytes)]
+
+    wide = native(((3**order).bit_length() + 7) // 8)
+    flat = [([0] * len(loose), [0] * len(tight)) for loose, tight in steps]
+    totals = slots(transfer(flat, 8 * wide).values(), wide)  # members by size
+    nbytes = native((max(totals).bit_length() + 7) // 8)
+    groups = transfer(steps, 8 * nbytes)
+    _check_keys(QUIN_VARS, groups)
+    if label:
+        sums: dict[Hashable, int] = {}
+        for k, p in groups.items():
+            c = label(k)
+            sums[c] = sums.get(c, 0) + p
+    else:
+        sums = groups
+    words = slots(sums.values(), nbytes)
+    return zip(compress(iter_product(sums, range(order + 1)), words), filter(None, words))
 
 
 def weighted_gf(setid: str, order: int) -> Series:
     """Quinvariate generating function of the named family, truncated at order.
 
-    A walk node's key is its member's weight monomial, so counting the keys
-    (in C, by ``Counter``) gives the series' terms as they are stored.
+    Its terms are the transfer's counts, keyed by weight and size.
     """
-    return Series._raw(QUIN_VARS, order, dict(_walk_keys(setid, order)))
+    top = QUIN_VARS.shifts[0]
+    return Series._raw(QUIN_VARS, order, {k + (n << top): c for (k, n), c in _count_gap4(setid, order)})
 
 
 # -- the B side of thm15, thmA1 and thmA2 ------------------------------------------
 #
-# Each family has a walk of its own, written out apart from ``_walk_gap4``: the
-# two are the two sides of those identities, so they must share no walker.
+# Each family has a walk of its own, written out apart from the gap-4 rule,
+# walk and transfer: the two are the two sides of those identities, so they
+# must share no code.
 
 
 def _walk_distinct_4regular(order: int) -> Iterator[tuple[int, int, int]]:
@@ -454,22 +556,22 @@ def _walk_odd_mult_le3(order: int) -> Iterator[tuple[int, int]]:
 
 # -- weighted counters ----------------------------------------------------------
 
-# table_X counts every size up to the order in one walk.
-# The A side reads the gap-4 walk of Avee, the B side the walk of its family.
+# table_X counts every size up to the order in one pass.
+# The A side reads the gap-4 transfer of Avee, the B side the walk of its family.
+
+
+def _table_A_class(key: int) -> tuple[int, int]:
+    """(m, ell) of ``table_A`` for the non-q part of a weight; r1mod2 is length - r2mod4 - r0mod4."""
+    _, length, two, four, over = QUIN_VARS.unpack(key)
+    return length - two + four, two + over
 
 
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
     """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell.
 
-    The walk's keys are counted first, and each distinct key is unpacked and
-    mapped to its table key once; r1mod2 is length - r2mod4 - r0mod4.
+    The transfer's groups are summed by (m, ell) before they are decoded.
     """
-    out: Counter = Counter()
-    for packed, c in _walk_keys(SET_AVEE, order).items():
-        size, length, two, four, over = QUIN_VARS.unpack(packed)
-        odd = length - two - four
-        out[size, odd + 2 * four, two + over] += c
-    return out
+    return {(n, m, ell): c for ((m, ell), n), c in _count_gap4(SET_AVEE, order, _table_A_class)}
 
 
 def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:

@@ -33,7 +33,7 @@ are grouped by their non-q part, and each group's q-polynomial is packed
 into one int of fixed-width slots, one per q-degree, so that one int
 multiplication multiplies two groups.  A slot holds a balanced digit, a
 coefficient of absolute value below half the slot, and its width comes from
-the bound ``max|a| * max|b| * min(len a, len b)`` on every coefficient of
+the bound ``min(max|a| * sum|b|, max|b| * sum|a|)`` on every coefficient of
 the product.  Decoding adds half a slot to every slot and reads the slots
 back as unsigned words in native byte order (``_slot_bytes``, ``_pack``,
 ``_unpack``).
@@ -517,11 +517,11 @@ class Series:
         group is decoded once (``_unpack``), and the keys of the groups that
         decode nonzero are checked.
 
-        A slot holds ``max|a| * max|b| * min(len a, len b)`` and a sign bit
+        A slot holds ``min(max|a| * sum|b|, max|b| * sum|a|)`` and a sign bit
         (``_slot_bytes``).  At each monomial of the product a term of either
         factor meets at most one term of the other, so that bounds every
-        coefficient, and all arithmetic before the decode is exact mod
-        2**(width * slots).
+        coefficient and every partial sum of one, and all arithmetic before
+        the decode is exact mod 2**(width * slots).
         """
         if isinstance(other, int):
             return self.scale(other)
@@ -535,7 +535,8 @@ class Series:
         b = [(k, c) for k, c in other._terms.items() if k < limit]
         if not a or not b:
             return Series.zero(vars, order)
-        bound = max(abs(c) for _, c in a) * max(abs(c) for _, c in b) * min(len(a), len(b))
+        size_a, size_b = [abs(c) for _, c in a], [abs(c) for _, c in b]
+        bound = min(max(size_a) * sum(size_b), max(size_b) * sum(size_a))
         nbytes = _slot_bytes(bound)
         width = 8 * nbytes
         left, right = _q_groups(a, top, nbytes), _q_groups(b, top, nbytes)

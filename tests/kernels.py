@@ -8,7 +8,8 @@ A kernel is a function that builds one route's values.  Its route is
   binomial;
 * ``shared``: ``_times_binomial``, which the product builders and the sum
   sides of ``qbinom`` and ``tri-single`` both apply;
-* ``walk``: the gap-4 walk, the B-side walks and the tables read off them,
+* ``walk``: the gap-4 rule, the walk that lists its members and the
+  transfer that counts them, the B-side walks and the tables read off them,
   the oracle's partition generator and the automaton's aggregation;
 * ``layout``: the packed key layout, which both sides of every identity
   share by design, so it counts as no share.
@@ -58,8 +59,8 @@ def _table() -> dict[str, Kernel]:
         "shared": {"qident.products": ("_times_binomial",)},
         "walk": {
             "qident.partitions": (
-                "_walk_gap4", "_walk_distinct_4regular", "_walk_odd_mult_le3",
-                "_collapse", "_ascending_partitions",
+                "_gap4_parts", "_walk_gap4", "_count_gap4", "_walk_distinct_4regular",
+                "_walk_odd_mult_le3", "_table_A_class", "_collapse", "_ascending_partitions",
             ),
             "qident.lpi": ("language", "f_vector"),
         },

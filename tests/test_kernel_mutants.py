@@ -6,8 +6,10 @@ multiplicity cap of a B-side walk, the containment test of ``f_vector``'s
 base, the degree weight, the sign power, the divisor or the slot width of
 ``poch_inverse``'s recurrence, the q-offset of a pair of groups, the
 decoded digit or the slot width of ``Series.__mul__``'s packed product, one
-constant or sign of ``_divide_binomial`` or ``_times_binomial``, or the
-weight of the collapse of ``table_A``.  The mutant replaces the kernel
+constant or sign of ``_divide_binomial`` or ``_times_binomial``, the tight
+gap or the slot width of the gap-4 transfer ``_count_gap4``, Avee's
+exception in the gap-4 rule ``_gap4_parts``, or the weight of the collapse
+of ``table_A``.  The mutant replaces the kernel
 wherever the package binds it (``kernels.binders``),
 and every registry entry whose reach holds the kernel (``kernels.reach``, the
 kernels each side or runner calls at the default order) must then fail at
@@ -45,12 +47,14 @@ import __future__
 import importlib
 import inspect
 import textwrap
+from collections import Counter
 
 import pytest
 
 import kernels
 from qident import identities, lpi, partitions
 from qident.identities import REGISTRY, verify
+from qident.partitions import SET_A
 from qident.products import InexactDivision, PochSpec, poch_inf, poch_inverse
 from qident.series import LIMIT, Q_VARS, QUIN_VARS, QX_VARS, ExponentOverflow, Series, varset
 
@@ -83,6 +87,11 @@ KERNEL_MUTANTS = {
     "_times_binomial sign test 1 -> 0": ("_times_binomial", "sign == 1", "sign == 0"),
     "_times_binomial -shifted -> +shifted": ("_times_binomial", "-shifted if", "shifted if"),
     "_times_binomial +shifted -> -shifted": ("_times_binomial", "else shifted)", "else -shifted)"),
+    "gap-4 transfer tight gap v - 4 -> v - 3": ("_count_gap4", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
+    "gap-4 Avee 1 then overlined 5 dropped": ("_gap4_parts", "avee and v == 5", "False"),
+    "gap-4 transfer slot one byte narrower": (
+        "_count_gap4", "(max(totals).bit_length() + 7) // 8", "(max(totals).bit_length() - 1) // 8",
+    ),
     "table_A collapse weight k -> k + 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight + 1) * ell)"),
     "table_A collapse weight k -> k - 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight - 1) * ell)"),
 }
@@ -123,6 +132,12 @@ UNSEEN = {
     ("_times_binomial +shifted -> -shifted", "qbinom"): (
         "every factor it applies has sign +1, where the mutant still applies 1 - A"
     ),
+    **{
+        ("gap-4 Avee 1 then overlined 5 dropped", identity): (
+            "it counts a family of A, whose gap rule has no exception"
+        )
+        for identity in ("thm51-a", "thm51-b", "thm51-c", "thm51-d")
+    },
 }
 
 # The quad-new betas, each entry one up and one down; every result is a valid
@@ -184,11 +199,16 @@ EQUIVALENT = {
         "test_sign_mutant_fails_on_a_negated_argument kills it"
     ),
     "product slot one byte narrower": (
-        "at default orders the mutant's slot rounds up to the same native word (qbinom: a "
-        "24-bit bound, 4 bytes either way), or to a wider one (quad and borel-bridge-lhs: a "
-        "7-bit bound, whose 0 bytes round up to 2), or still holds every coefficient "
-        "(tri-single: 2 bytes for coefficients of at most 12 bits); "
+        "at default orders the mutant's slot still holds every coefficient (qbinom: a 21-bit "
+        "bound, 2 bytes under the mutant for coefficients of at most 13 bits; tri-single: 18- "
+        "and 20-bit bounds, 2 bytes for coefficients of at most 12 bits), or rounds up to a "
+        "wider one (quad and borel-bridge-lhs: a 7-bit bound, whose 0 bytes round up to 2); "
         "test_narrow_product_slot_mutant_fails_where_the_bound_is_reached kills it"
+    ),
+    "gap-4 transfer slot one byte narrower": (
+        "at default orders every family has fewer than 256 members of any size, so the "
+        "slot is 1 byte, and the mutant's 0 bytes round up to 2; "
+        "test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes kills it"
     ),
 }
 
@@ -285,7 +305,7 @@ def test_every_kernel_mutant_fails_its_entries_or_is_listed(monkeypatch, reach):
         f"kernel and side mutants killed at default orders: {len(killed)}/{len(labels)}; "
         f"equivalent there: {sorted(EQUIVALENT)}"
     )
-    assert [label for label, seen in survivors if not seen] == sorted(EQUIVALENT)
+    assert sorted(label for label, seen in survivors if not seen) == sorted(EQUIVALENT)
     assert not [s for s in survivors if s[1]], "a mutant failed only some of its entries"
 
 
@@ -352,6 +372,19 @@ def test_narrow_product_slot_mutant_fails_where_the_bound_is_reached(monkeypatch
     assert a * b == expected
     _install_kernel_mutant(monkeypatch, "product slot one byte narrower")
     assert a * b != expected
+
+
+def test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch):
+    # At order 70, A has up to 13 bits of members of one size, so the slot
+    # is 2 bytes, and some weight has 9 bits of them, past the mutant's one
+    # byte.  The carries reach the top slot, and the decode refuses the int.
+    order = 70
+    expected = Counter(node[0] for node in partitions._walk_gap4(SET_A, order))
+    assert max(expected.values()) >= 256
+    assert partitions.weighted_gf(SET_A, order).terms == Series._raw(QUIN_VARS, order, dict(expected)).terms
+    _install_kernel_mutant(monkeypatch, "gap-4 transfer slot one byte narrower")
+    with pytest.raises(OverflowError):
+        partitions.weighted_gf(SET_A, order)
 
 
 # label -> (old text, new text) in partitions._ascending_partitions, the

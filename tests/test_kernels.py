@@ -25,8 +25,8 @@ SHARES = {
         "both sides are quadruple sums, and the operator maps one onto the other summand by summand",
     ),
     "avee-split": (
-        {"_walk_gap4"},
-        "both sides are walks of gap-4 families; thm15 checks that walk against the B walk",
+        {"_gap4_parts", "_count_gap4"},
+        "both sides are transfer counts of gap-4 families; thm15 checks that transfer against the B walk",
     ),
 }
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import cache
 from itertools import product
 from typing import Callable, Iterator
@@ -16,6 +17,7 @@ from qident.partitions import (
     SET_A,
     SET_A_NO_1BAR,
     SET_A_NO_1_1BAR,
+    SET_A_NO_1_1BAR_2_3BAR,
     SET_AVEE,
     SET_IDS,
     enum_overpartitions,
@@ -33,6 +35,7 @@ from qident.partitions import (
     weighted_gf,
     _FORBIDDEN,
     _gap_ok,
+    _walk_gap4,
     _ascending_partitions,
     _overpartition_parts,
     _partitions_by_multiplicity,
@@ -40,8 +43,8 @@ from qident.partitions import (
     _parts_in_Avee,
     _parts_predicate,
 )
-from qident.identities import verify
-from qident.series import QUIN_VARS, Series
+from qident.identities import REGISTRY, verify
+from qident.series import LIMIT, QUIN_VARS, Series
 
 V = QUIN_VARS
 
@@ -269,9 +272,10 @@ class TestOracleRoute:
         expected = {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS}
 
         def refuse(*args):
-            raise AssertionError("the oracle called the gap-4 walk")
+            raise AssertionError("the oracle called the gap-4 walk, transfer or rule")
 
-        monkeypatch.setattr(partitions, "_walk_gap4", refuse)
+        for name in ("_walk_gap4", "_count_gap4", "_gap4_parts"):
+            monkeypatch.setattr(partitions, name, refuse)
         assert {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS} == expected
 
     def test_oracle_value_test_follows_the_gap_clause(self, monkeypatch):
@@ -348,6 +352,12 @@ class TestWeightedGF:
 
     def test_order_zero(self):
         assert weighted_gf(SET_A, 0) == Series.one(V, 0)
+
+    def test_negative_order_raises(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            weighted_gf(SET_A, -1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            table_A(-1)
 
     def test_avee_split_identity(self):
         order = 20
@@ -568,3 +578,36 @@ class TestWalkMatchesPerSizeGenerator:
         assert {s: weighted_gf(s, 24) for s in SET_IDS} == expected_gf
         assert {s: enum_set(s, 18) for s in SET_IDS} == expected_sets
         assert table_A(24) == expected_table
+
+    @pytest.mark.parametrize("setid", SET_IDS)
+    def test_transfer_counts_the_walk_beyond_the_reference_range(self, setid):
+        # The per-size generator stops at 30; the walk lists every member to 45.
+        order = 45
+        walked = Counter(node[0] for node in _walk_gap4(setid, order))
+        assert weighted_gf(setid, order).terms == Series._raw(V, order, dict(walked)).terms
+        if setid == SET_AVEE:
+            tally: Counter = Counter()
+            for key, c in walked.items():
+                size, length, two, four, over = V.unpack(key)
+                tally[size, length - two - four + 2 * four, two + over] += c
+            assert table_A(order) == tally
+
+
+# The largest non-q exponent of each gap-4 family's series at its entry's
+# max_order: x^k, for the most parts k of a member, whose parts are at least
+# 4 apart.  Each is far below LIMIT.
+LARGEST_NON_Q_EXPONENT = {
+    ("thm51-a", SET_A): 7,
+    ("thm51-b", SET_A_NO_1BAR): 7,
+    ("thm51-c", SET_A_NO_1_1BAR): 7,
+    ("thm51-d", SET_A_NO_1_1BAR_2_3BAR): 7,
+    ("avee-split", SET_AVEE): 6,
+}
+
+
+@pytest.mark.parametrize("identity, setid", list(LARGEST_NON_Q_EXPONENT))
+def test_largest_non_q_exponent_at_max_order_is_below_the_limit(identity, setid):
+    order = REGISTRY[identity].max_order
+    largest = max(max(mono[1:]) for mono, _ in weighted_gf(setid, order).items())
+    assert largest == LARGEST_NON_Q_EXPONENT[identity, setid]
+    assert largest < LIMIT

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import identities, series
 from qident.borel import borel_apply
 from qident.multisum import MultiSumSpec, eval_sum
 from qident.products import _divide_binomial
@@ -633,13 +634,30 @@ def test_mul_matches_the_tuple_product(vars, data):
 
 @pytest.mark.parametrize("scale, nbytes", [(1, 1), (2**4, 2), (2**10, 4), (2**26, 8), (2**40, 11), (2**100, 26)])
 def test_mul_decodes_every_slot_width(scale, nbytes):
-    # Dense factors whose bound max|a| max|b| min(len a, len b), with min(len)
-    # 7, needs slots of ``nbytes``; the signs alternate, so digits borrow.
+    # Dense factors whose bound min(max|a| sum|b|, max|b| sum|a|) needs slots
+    # of ``nbytes``; the signs alternate, so digits borrow.  Within the order
+    # 7, b keeps six terms, three of scale and three of scale + 1, and a's
+    # largest is scale + 1, so the bound is (scale + 1)(6 scale + 3).
     vs = QXY_VARS
     a = Series(vs, 9, [((d, d % 3, 0), (-1) ** d * (scale + d % 2)) for d in range(10)])
     b = Series(vs, 7, [((d, 0, d % 2), (-1) ** (d // 2) * (scale + d % 2)) for d in range(2, 9)])
-    assert _slot_bytes((scale + 1) ** 2 * 7) == nbytes
+    assert _slot_bytes((scale + 1) * (6 * scale + 3)) == nbytes
     _product_matches_the_tuple_product(a, b)
+
+
+def test_quad_product_at_its_max_order_decodes_native_words(monkeypatch):
+    # (-xq;q^2)_inf (-yq^2;q^4)_inf at order 530: max|a| sum|b| is a 59-bit
+    # bound, where max|a| max|b| min(len a, len b) was 64 bits and sent the
+    # product to 9-byte slots, decoded chunk by chunk.
+    widths = []
+
+    def spy(bound: int) -> int:
+        widths.append(_slot_bytes(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(series, "_slot_bytes", spy)
+    identities._quad_lhs(identities.REGISTRY["quad"].max_order)
+    assert widths == [8]
 
 
 @pytest.mark.parametrize(
