@@ -18,7 +18,7 @@ from typing import Callable
 from . import partitions
 from .borel import borel_apply
 from .lpi import LpiSpec, compose, decompose, f_vector, gap4_ideal, g_vector, language, matrices
-from .multisum import MultiSumSpec, eval_sum, quinvariate_spec, verify_matrix_relation
+from .multisum import MultiSumSpec, binomial_sum, eval_sum, quinvariate_spec, verify_matrix_relation
 from .partitions import (
     SET_A,
     SET_A_NO_1BAR,
@@ -30,10 +30,9 @@ from .partitions import (
 )
 from .products import (
     PochSpec,
-    _divide_binomial,
-    _times_binomial,
     euler1,
     euler2,
+    poch_finite,
     poch_inf,
     poch_inverse,
     qbinom,
@@ -147,10 +146,25 @@ def _qbinom_product(order: int) -> Series:
 
 def _tri_single_lhs(order: int) -> Series:
     vs = QXY_VARS
-    p1 = _times_binomial(poch_inf(PochSpec(vs.m(x=1, q=1), 1, sign=-1), vs, order), vs.m(x=1), -1)
-    p2 = _times_binomial(poch_inf(PochSpec(vs.m(x=1, y=1, q=1), 1), vs, order), vs.m(x=1, y=1), 1)
+    p1 = poch_finite(PochSpec(vs.m(x=1), 1, order + 1, sign=-1), vs, order)
+    p2 = poch_finite(PochSpec(vs.m(x=1, y=1), 1, order + 1), vs, order)
     p3 = poch_inverse([PochSpec(vs.m(x=2, y=1, q=2), 2)], vs, order)
     return p1 * p2 * p3
+
+
+def _tri_single_summands(ops):
+    """The summands of ``_tri_single_rhs`` from the operations of ``binomial_sum``."""
+    vs = QXY_VARS
+    core = ops.one()
+    n = 0
+    while not ops.is_zero(core):
+        yield ops.times(core, vs.m(x=2, y=2, q=4 * n), 1)
+        n += 1
+        core = ops.shift(core, vs.m(x=1, q=n - 1))
+        core = ops.times(core, vs.m(x=1, y=1, q=n - 1), 1)
+        core = ops.times(core, vs.m(y=1, q=2 * n - 2), 1)
+        core = ops.divide(core, vs.m(q=n), 1)
+        core = ops.divide(core, vs.m(x=2, y=1, q=2 * n), 1)
 
 
 def _tri_single_rhs(order: int) -> Series:
@@ -158,21 +172,10 @@ def _tri_single_rhs(order: int) -> Series:
 
     The core (the summand without its bracket) for n is the one for n - 1
     times x q^{n-1} (1 - xyq^{n-1}) (1 - yq^{2n-2}), divided by
-    (1 - q^n) (1 - x^2yq^{2n}); no product or inverse is formed.
+    (1 - q^n) (1 - x^2yq^{2n}), by ``binomial_sum``; no product or inverse
+    is formed.
     """
-    vs = QXY_VARS
-    terms = []
-    core = Series.one(vs, order)
-    n = 0
-    while not core.is_zero():
-        terms.append(_times_binomial(core, vs.m(x=2, y=2, q=4 * n), 1))
-        n += 1
-        core = core.mul_monomial(vs.m(x=1, q=n - 1))
-        core = _times_binomial(core, vs.m(x=1, y=1, q=n - 1), 1)
-        core = _times_binomial(core, vs.m(y=1, q=2 * n - 2), 1)
-        core = _divide_binomial(core, vs.m(q=n), 1)
-        core = _divide_binomial(core, vs.m(x=2, y=1, q=2 * n), 1)
-    return Series.sum(vs, order, terms)
+    return binomial_sum(_tri_single_summands, QXY_VARS, order)
 
 
 # -- the quadruple sums and their Borel bridge ------------------------------------

@@ -17,6 +17,14 @@ to n_r divides the univariate list by 1 - q^{A_r n_r}, one prefix pass over
 a copy, so the walk forms no product and inverts nothing.  Rank 1 with
 alpha 0 or the base gives Euler's two sums, ``products.euler1``/``euler2``.
 
+``binomial_sum`` builds the single sums whose summands carry signed
+binomials, such as (a; q)_n, which no spec here expresses: each summand is
+the one before times a monomial and binomials 1 - s*A, divided by others.
+The series it carries forward are packed along q, one int per non-q part
+with one slot per q-degree, so that each of those steps is one big-int
+shift and add per int; its slot comes from the same builder run first on
+the univariate majorant, and it has its own decode.
+
 ``rec_step`` splits a node in two exactly as the one-coordinate recurrence
 does (raise beta_r by A_r, or absorb a monomial weight and add alpha's r-th
 row), and ``verify_matrix_relation`` checks the seven-row closure of the
@@ -25,12 +33,20 @@ quinvariate family both symbolically (leaf multisets) and numerically.
 
 from __future__ import annotations
 
+import sys
+from operator import add
+from typing import Callable, Iterable
+
 from .record import Record
-from .series import QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
+from .series import _WORDS, QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
 
 
 class NonTerminatingSum(SeriesError):
     """Some index direction never raises the q-degree; the sum cannot truncate."""
+
+
+class DivergentProduct(SeriesError):
+    """Infinite product or sum whose argument carries no q-degree."""
 
 
 class MultiSumSpec(Record):
@@ -114,6 +130,257 @@ def _divide_q_power(coeffs: list[int], step: int, length: int) -> list[int]:
     for j in range(step, length):
         out[j] += out[j - step]
     return out
+
+
+# -- sums of binomial summands, packed along q ------------------------------------
+
+
+class _Majorant:
+    """The operations of ``binomial_sum`` on a builder's univariate majorant.
+
+    Every sign is +1 and every non-q variable 1, on exact int lists indexed
+    by q-degree 0..order: a monomial moves a list up by its q-degree, a
+    factor 1 - s*A adds a copy moved up by deg(A), and a division by
+    1 - s*A divides by 1 - q^deg(A) through ``_divide_q_power``.  By
+    induction over the steps, each entry bounds the sum of the absolute
+    values of the coefficients of that q-degree in the value that
+    ``_QPacked`` builds by the same steps; ``bound`` is the largest entry of
+    every list made so far.
+    """
+
+    def __init__(self, vars: VarSet, order: int) -> None:
+        self.vars, self.length, self.bound = vars, order + 1, 1
+
+    def _seen(self, t: list[int]) -> list[int]:
+        self.bound = max(self.bound, max(t))
+        return t
+
+    def _degree(self, mono: Mono) -> int:
+        self.vars.pack(mono)  # refuses what _QPacked refuses
+        return mono[0]
+
+    def one(self) -> list[int]:
+        return [1] + [0] * (self.length - 1)
+
+    def load(self, r: Series) -> list[int]:
+        t = [0] * self.length
+        top = self.vars.shifts[0]
+        for key, c in r._terms.items():
+            if key >> top < self.length:
+                t[key >> top] += abs(c)
+        return self._seen(t)
+
+    def shift(self, t: list[int], mono: Mono) -> list[int]:
+        d = self._degree(mono)
+        return ([0] * d + t)[: self.length]
+
+    def times(self, t: list[int], mono: Mono, sign: int) -> list[int]:
+        d = self._degree(mono)
+        if d >= self.length:
+            return t
+        return self._seen(list(map(add, t, [0] * d + t[: self.length - d])))
+
+    def divide(self, t: list[int], mono: Mono, sign: int) -> list[int]:
+        d = self._degree(mono)
+        if d < 1:
+            raise DivergentProduct(f"divisor argument {mono} must carry q-degree >= 1")
+        return self._seen(_divide_q_power(t, d, self.length))
+
+    def is_zero(self, t: list[int]) -> bool:
+        return not any(t)
+
+    def sum(self, values: Iterable[list[int]]) -> list[int]:
+        total = [0] * self.length
+        for t in values:
+            total = list(map(add, total, t))
+        return self._seen(total)
+
+
+class _QPacked:
+    """The operations of ``binomial_sum`` on series packed along q.
+
+    A value maps each non-q part of a key, ``key & ((1 << top) - 1)``, to
+    one int that holds the part's q-polynomial in slots of ``nbytes``, one
+    per q-degree from q^0 up to q^order.  Every int is kept reduced mod
+    2**(width * (order + 1)): the mask is the cut to the slots that can
+    still reach the order, and a slot holds its coefficient mod 2**width.
+    Reduction commutes with sums and with moves up, so every int is exact
+    mod the mask, and a group that is zero there is dropped: a coefficient
+    below half a slot in absolute value, which the majorant proves, reads
+    back from its slot.  A monomial X q^d moves every group to its key plus
+    X, d slots up; so a factor or a division costs one shift and one add
+    per group.  The keys a step makes are checked as they are made.
+    """
+
+    def __init__(self, vars: VarSet, order: int, nbytes: int) -> None:
+        self.vars, self.order, self.nbytes = vars, order, nbytes
+        self.width = 8 * nbytes
+        self.top = vars.shifts[0]
+        self.mask = (1 << self.width * (order + 1)) - 1
+
+    def _split(self, mono: Mono) -> tuple[int, int]:
+        """The non-q part of a monomial's key and its q-degree."""
+        return self.vars.pack(mono) & ((1 << self.top) - 1), mono[0]
+
+    def one(self) -> dict[int, int]:
+        return {0: 1}
+
+    def load(self, r: Series) -> dict[int, int]:
+        """The groups of ``r``, whose order must reach this one."""
+        if r.order < self.order:
+            raise SeriesError(f"a series of order {r.order} cannot give terms up to {self.order}")
+        low, top, width = (1 << self.top) - 1, self.top, self.width
+        out: dict[int, int] = {}
+        for key, c in r._terms.items():
+            if key >> top <= self.order:
+                out[key & low] = out.get(key & low, 0) + (c << width * (key >> top))
+        return {k: p & self.mask for k, p in out.items()}
+
+    def shift(self, t: dict[int, int], mono: Mono) -> dict[int, int]:
+        """t times the monomial: every group moved to its key plus X, d slots up."""
+        part, d = self._split(mono)
+        shift, mask = self.width * d, self.mask
+        out = {}
+        for k, p in t.items():
+            p = p << shift & mask
+            if p:
+                out[k + part] = p
+        if part:
+            _check_keys(self.vars, out)
+        return out
+
+    def times(self, t: dict[int, int], mono: Mono, sign: int) -> dict[int, int]:
+        """t * (1 - sign*X*q^d): each group, moved, is taken from the group of its key plus X."""
+        part, d = self._split(mono)
+        shift, mask = self.width * d, self.mask
+        out = dict(t)
+        for k, p in t.items():
+            moved = p << shift & mask
+            if moved:
+                k += part
+                c = out.get(k, 0)
+                c = (c - moved if sign == 1 else c + moved) & mask
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        if part:
+            _check_keys(self.vars, out)
+        return out
+
+    def divide(self, t: dict[int, int], mono: Mono, sign: int) -> dict[int, int]:
+        """t / (1 - sign*X*q^d), which needs d >= 1.
+
+        Over q alone each group is multiplied by (1 + sign*q^d)(1 + q^2d)
+        (1 + q^4d)..., the factors of the geometric series up to the order,
+        one shift and add each.  Otherwise the quotient Q is t + sign*X*q^d*Q:
+        along each chain of keys k, k + X, k + 2X, ..., Q at k + X is t's
+        group there plus sign times Q at k moved d slots up.  A chain starts
+        at the least key of t that no chain has reached, and ends where the
+        move leaves nothing and t has no group, so Q is zero at the next key
+        and a chain through a later group of t starts afresh there.  Every
+        key is checked before it is added to.
+        """
+        part, d = self._split(mono)
+        if d < 1:
+            raise DivergentProduct(f"divisor argument {mono} must carry q-degree >= 1")
+        width, mask = self.width, self.mask
+        out = {}
+        if not part:
+            for k, p in t.items():
+                p = (p + (p << width * d) if sign == 1 else p - (p << width * d)) & mask
+                e = 2 * d
+                while e <= self.order:
+                    p = (p + (p << width * e)) & mask
+                    e *= 2
+                out[k] = p
+            return out
+        pending = dict(t)
+        for k in sorted(t):
+            if k not in pending:
+                continue
+            p = pending.pop(k)
+            while True:
+                if p:
+                    out[k] = p
+                moved = p << width * d & mask
+                k += part
+                if not moved and k not in pending:
+                    break
+                _check_keys(self.vars, (k,))
+                c = pending.pop(k, 0)
+                p = (c + moved if sign == 1 else c - moved) & mask
+        return out
+
+    def is_zero(self, t: dict[int, int]) -> bool:
+        return not t
+
+    def sum(self, values: Iterable[dict[int, int]]) -> dict[int, int]:
+        acc: dict[int, int] = {}
+        for t in values:
+            for k, p in t.items():
+                acc[k] = acc.get(k, 0) + p
+        out = {}
+        for k, p in acc.items():
+            p &= self.mask
+            if p:
+                out[k] = p
+        return out
+
+    def decode(self, t: dict[int, int]) -> Series:
+        """The series of a value, each group read once from its least nonzero slot.
+
+        The least slot is the group's trailing zero bits over the width.  Half
+        a slot is added to every slot, and each is read back as an unsigned
+        word less half a slot: through ``memoryview.cast`` for a slot of 1, 2,
+        4 or 8 bytes, chunk by chunk with ``int.from_bytes`` for a wider one.
+        """
+        width, nbytes, top, length = self.width, self.nbytes, self.top, self.order + 1
+        order = sys.byteorder
+        half = 1 << (width - 1)
+        bias = int.from_bytes(half.to_bytes(nbytes, order) * length, order)
+        keys: list[int] = []
+        chunks = []
+        for k, p in t.items():
+            lo = ((p & -p).bit_length() - 1) // width
+            n = length - lo
+            chunks.append((((p >> width * lo) + bias) & (self.mask >> width * lo)).to_bytes(nbytes * n, order))
+            start = k + (lo << top)
+            keys += range(start, start + (n << top), 1 << top)
+        data = b"".join(chunks)
+        fmt = _WORDS.get(nbytes)
+        if fmt:
+            words: Iterable[int] = memoryview(data).cast(fmt)
+        else:
+            words = [int.from_bytes(data[i : i + nbytes], order) for i in range(0, len(data), nbytes)]
+        return Series._raw(
+            self.vars, self.order, {key: u - half for key, u in zip(keys, words) if u != half}
+        )
+
+
+def binomial_sum(
+    summands: Callable[[_Majorant | _QPacked], Iterable], vars: VarSet, order: int
+) -> Series:
+    """The sum of the values ``summands(ops)`` yields, each built from the kernel's operations.
+
+    The operations are ``one``, ``load``, ``shift`` by a monomial, ``times``
+    and ``divide`` by a binomial 1 - sign*A, ``is_zero`` and ``sum``; none
+    changes its operand.  ``summands`` runs twice.  First it runs on its
+    univariate majorant (``_Majorant``), whose largest value over every
+    step, plus a sign bit, sets the slot, rounded up to a native word when
+    it fits one.  Then it runs on series packed along q (``_QPacked``),
+    and the sum is decoded once.  No product, inverse or product codec is
+    used, so this is the sum route beside ``eval_sum``.
+    """
+    if order < 0:
+        raise SeriesError("truncation order must be >= 0")
+    majorant = _Majorant(vars, order)
+    majorant.sum(summands(majorant))
+    nbytes = (majorant.bound.bit_length() + 8) // 8
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+    packed = _QPacked(vars, order, nbytes)
+    return packed.decode(packed.sum(summands(packed)))
 
 
 def eval_sum(

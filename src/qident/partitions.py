@@ -25,9 +25,8 @@ members by weight without listing them (``weighted_gf``, ``table_A``).
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from itertools import compress, groupby, product as iter_product
-from operator import itemgetter
+from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .record import Record
@@ -514,50 +513,58 @@ def weighted_gf(setid: str, order: int) -> Series:
 
 # -- the B side of thm15, thmA1 and thmA2 ------------------------------------------
 #
-# Each family has a walk of its own, written out apart from the gap-4 rule,
-# walk and transfer: the two are the two sides of those identities, so they
-# must share no code.
+# Each family has a transfer of its own, written out apart from the gap-4
+# rule, walk and transfer: the two are the two sides of those identities, so
+# they must share no code.
 
 
-def _walk_distinct_4regular(order: int) -> Iterator[tuple[int, int, int]]:
-    """(size, length, odd parts) of every partition into distinct parts, none
-    divisible by 4, of size <= order.
+def _count_distinct_4regular(order: int) -> dict[tuple[int, int], list[int]]:
+    """(length, odd parts) -> how many partitions into distinct parts, none
+    divisible by 4, have each size 0..order.
 
-    One depth-first walk over ascending parts: a node is a partition, and its
-    children add one part larger than its largest, so each partition is
-    reached once.
+    A transfer over part values rather than a walk over the partitions: those
+    with parts at most v are those with parts at most v - 1, and those with a
+    part v added to one of them, which moves its class to (length + 1, odd
+    parts + v % 2) and its counts up v sizes.  Counts are exact int lists.
     """
-    stack = [(0, 0, 0, 1)]  # size, length, odd parts, smallest part allowed next
-    while stack:
-        size, length, odd, low = stack.pop()
-        yield size, length, odd
-        for v in range(low, order - size + 1):
-            if v % 4:
-                stack.append((size + v, length + 1, odd + v % 2, v + 1))
+    length = order + 1
+    counts = {(0, 0): [1] + [0] * order}
+    for v in range(1, length):
+        if v % 4:
+            for (parts, odd), c in list(counts.items()):
+                head = c[: length - v]
+                if any(head):
+                    key, moved = (parts + 1, odd + v % 2), [0] * v + head
+                    counts[key] = list(map(add, counts[key], moved)) if key in counts else moved
+    return counts
 
 
-def _walk_odd_mult_le3(order: int) -> Iterator[tuple[int, int]]:
-    """(size, length) of every partition into odd parts, none appearing more than
-    three times, of size <= order.
+def _count_odd_mult_le3(order: int) -> dict[int, list[int]]:
+    """length -> how many partitions into odd parts, none appearing more than
+    three times, have each size 0..order.
 
-    One depth-first walk over ascending part values: a node's children add one
-    to three copies of an odd value larger than any it holds.
+    A transfer over odd part values, as ``_count_distinct_4regular``: at v,
+    one to three copies of v are added to each partition with smaller parts.
     """
-    stack = [(0, 0, 1)]  # size, length, smallest odd value allowed next
-    while stack:
-        size, length, low = stack.pop()
-        yield size, length
-        for v in range(low, order - size + 1, 2):
+    length = order + 1
+    counts = {0: [1] + [0] * order}
+    for v in range(1, length, 2):
+        for parts, c in list(counts.items()):
             for mult in (1, 2, 3):
-                if size + v * mult > order:
+                if v * mult > order:
                     break
-                stack.append((size + v * mult, length + mult, v + 2))
+                head = c[: length - v * mult]
+                if not any(head):
+                    break
+                key, moved = parts + mult, [0] * (v * mult) + head
+                counts[key] = list(map(add, counts[key], moved)) if key in counts else moved
+    return counts
 
 
 # -- weighted counters ----------------------------------------------------------
 
 # table_X counts every size up to the order in one pass.
-# The A side reads the gap-4 transfer of Avee, the B side the walk of its family.
+# The A side reads the gap-4 transfer of Avee, the B side the transfer of its family.
 
 
 def _table_A_class(key: int) -> tuple[int, int]:
@@ -585,7 +592,12 @@ def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:
 
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
     """(n, m, ell) -> distinct 4-regular partitions of n, m odd parts and ell even parts."""
-    return Counter((n, odd, length - odd) for n, length, odd in _walk_distinct_4regular(order))
+    return {
+        (n, odd, parts - odd): c
+        for (parts, odd), counts in _count_distinct_4regular(order).items()
+        for n, c in enumerate(counts)
+        if c
+    }
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
@@ -598,7 +610,12 @@ def table_A1(order: int) -> dict[tuple[int, int], int]:
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> distinct 4-regular partitions of n into m parts."""
-    return Counter(map(itemgetter(0, 1), _walk_distinct_4regular(order)))
+    out: dict[tuple[int, int], int] = {}
+    for (parts, _), counts in _count_distinct_4regular(order).items():
+        for n, c in enumerate(counts):
+            if c:
+                out[n, parts] = out.get((n, parts), 0) + c
+    return out
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
@@ -611,4 +628,4 @@ def table_A2(order: int) -> dict[tuple[int, int], int]:
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> partitions of n into m odd parts, none appearing more than three times."""
-    return Counter(_walk_odd_mult_le3(order))
+    return {(n, parts): c for parts, counts in _count_odd_mult_le3(order).items() for n, c in enumerate(counts) if c}

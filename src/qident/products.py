@@ -3,9 +3,12 @@
 Products are built over any VarSet (q is always its variable 0) at a given
 truncation order.  An argument is a signed monomial: the product (A; q^m)_n
 multiplies factors (1 - sign*A*q^{mk}) for k = 0..n-1; sign = -1 gives the
-(-A; q^m) family.  Each factor is applied by shift-and-subtract,
-r * (1 - sign*A) = r - sign * r*A, which for a two-term factor costs less
-than a general product (that would pack and unpack all of r).
+(-A; q^m) family.  ``poch_finite`` keeps the partial product packed along
+q: one int per power of A's non-q part, one slot per q-degree.  A factor
+1 - sign*A*q^{mk} is then one shift and one subtract per int, and the
+product is decoded once through the codec of ``Series.__mul__``
+(``_slot_bytes``, ``_unpack``), with its slot sized by the majorant
+prod (1 + q^deg) of the same factors.
 Infinite products require the argument to carry positive q-degree so that
 only finitely many factors differ from 1 below the truncation order.
 
@@ -16,23 +19,25 @@ Analytic Number Theory, Thm 14.8): it forms neither the product nor a
 general inverse.  Over q alone a slice is one int; over several variables
 it is one int of fixed-width slots (Kronecker substitution, Schoenhage
 1982), so a term of the recurrence is one big-int shift-and-add.
-Numerators stay on shift-and-subtract.
+Numerators are ``poch_finite`` products.
 
 Euler's two sums sum_n z^n q^{d*binom(n,2)} / (q^step; q^step)_n, d = 0
 or step, are rank-1 multi-sums, built by ``multisum.eval_sum``.  The signed
 numerator (a; q^step)_n of ``qbinom`` is not, so its summand n is summand
-n - 1 times z and one binomial, divided by 1 - q^{step*n} with
-``_divide_binomial`` (one pass by increasing q-degree that undoes
-shift-and-subtract).  No sum side forms a product or an inverse, and the
-product sides never divide, so the two sides stay on different routes.
+n - 1 times z and one binomial, divided by 1 - q^{step*n}, by
+``multisum.binomial_sum``: its own packing along q, sized by the sum's
+univariate majorant, with its own decode.  No sum side forms a product or
+an inverse or uses the product codec, and the product sides never divide,
+so the two sides stay on different routes.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterable
 
-from .multisum import MultiSumSpec, _divide_q_power, eval_sum
+from .multisum import DivergentProduct, MultiSumSpec, _divide_q_power, binomial_sum, eval_sum
 from .record import Record
 from .series import (
     LIMIT,
@@ -43,12 +48,10 @@ from .series import (
     SeriesError,
     VarSet,
     _check_keys,
+    _slot_bytes,
+    _unpack,
     mono_mul,
 )
-
-
-class DivergentProduct(SeriesError):
-    """Infinite product or sum whose argument carries no q-degree."""
 
 
 class InexactDivision(SeriesError):
@@ -81,60 +84,49 @@ class PochSpec(Record):
         object.__setattr__(self, "sign", sign)
 
 
-def _times_binomial(r: Series, arg: Mono, sign: int) -> Series:
-    """r * (1 - sign*arg) as r - sign * r*arg: one shifted copy and one sum, no product."""
-    shifted = r.mul_monomial(arg)
-    return Series.sum(r.vars, r.order, (r, -shifted if sign == 1 else shifted))
-
-
-def _divide_binomial(r: Series, arg: Mono, sign: int) -> Series:
-    """r / (1 - sign*arg), the inverse of ``_times_binomial``; arg needs q-degree >= 1.
-
-    The quotient s satisfies s = r + sign * s*arg, and arg raises the q-degree,
-    so one pass over q-degrees in increasing order finishes each degree before
-    it is read: every term c*m of s, once final, adds sign*c at m*arg, one
-    key addition.  Each degree's keys are checked before they are read.  The
-    cost is one step per term of s; ``r`` is not modified.
-    """
-    vars = r.vars
-    step = vars.pack(arg)
-    if arg[0] < 1:
-        raise DivergentProduct(f"divisor argument {arg} must carry q-degree >= 1")
-    order = r.order
-    if arg[0] > order:
-        return r
-    top = vars.shifts[0]
-    by_degree: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for m, c in r._terms.items():
-        by_degree[m >> top][m] = c
-    for d, piece in enumerate(by_degree):
-        _check_keys(vars, piece)
-        if d + arg[0] > order:
-            continue
-        for m, c in piece.items():
-            if c:
-                target = m + step
-                dest = by_degree[target >> top]
-                dest[target] = dest.get(target, 0) + sign * c
-    return Series._raw(
-        vars, order, {m: c for piece in by_degree for m, c in piece.items() if c}
-    )
-
-
 def poch_finite(spec: PochSpec, vars: VarSet, order: int) -> Series:
-    """The finite product prod_{k<n} (1 - sign*A*q^{mk}), truncated."""
+    """The finite product prod_{k<n} (1 - sign*A*q^{mk}), truncated, packed along q.
+
+    With A = X q^d, X its non-q part, the product's terms are X^j times a
+    q-polynomial, one int per j with one slot per q-degree from q^0
+    (Kronecker substitution along q, as in ``Series.__mul__``).  A factor
+    1 - sign*X*q^e moves each group e slots up, cut to the slots that can
+    still reach the order, and takes sign times it from group j + 1: one
+    shift and one add per group.  The slot is ``_slot_bytes`` of the
+    largest coefficient of the majorant prod (1 + q^e) over the same
+    factors, which bounds every coefficient of every partial product, and
+    each group is decoded once (``_unpack``).  The largest power of X, the
+    most factors whose q-degrees fit the order together, is checked against
+    ``LIMIT`` before any work.
+    """
     if spec.length is None:
         raise SeriesError("poch_finite needs a finite length")
     if len(spec.argument) != vars.arity:
         raise SeriesError(f"argument {spec.argument} has wrong arity for {vars.names}")
-    q_step = vars.m(q=spec.step)
-    result = Series.one(vars, order)
-    factor_arg = spec.argument
-    for _ in range(spec.length):
-        if factor_arg[0] <= order:
-            result = _times_binomial(result, factor_arg, spec.sign)
-        factor_arg = mono_mul(factor_arg, q_step)
-    return result
+    arg, length, top = spec.argument, order + 1, vars.shifts[0]
+    part = vars.pack(arg) & ((1 << top) - 1)
+    degrees = range(arg[0], length, spec.step)[: spec.length]
+    power = sum(1 for total in accumulate(degrees) if total <= order)
+    for name, e in zip(vars.names[1:], arg[1:]):
+        if power * e >= LIMIT:
+            raise ExponentOverflow(f"{name}^{e} to the power {power} is not below {LIMIT}, past its packed field")
+    bar = [1] + [0] * order
+    for d in degrees:
+        bar = list(map(add, bar, [0] * d + bar[: length - d]))
+    nbytes = _slot_bytes(max(bar))
+    width, mask = 8 * nbytes, (1 << 8 * nbytes * length) - 1
+    groups = {0: 1}
+    for d in degrees:
+        for k, p in list(groups.items()):
+            moved = p << width * d & mask
+            if moved:
+                c = groups.get(k + part, 0)
+                groups[k + part] = (c - moved if spec.sign == 1 else c + moved) & mask
+    return Series._raw(
+        vars,
+        order,
+        {k + (e << top): c for k, p in groups.items() for e, c in enumerate(_unpack(p, length, nbytes)) if c},
+    )
 
 
 def poch_inf(spec: PochSpec, vars: VarSet, order: int) -> Series:
@@ -368,7 +360,7 @@ def euler2(vars: VarSet, order: int, z: Mono, step: int) -> Series:
 
 
 def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
-    """sum_n (a; q^step)_n z^n / (q^step; q^step)_n.
+    """sum_n (a; q^step)_n z^n / (q^step; q^step)_n, by ``binomial_sum``.
 
     Equals (a*z; q^step)_inf / (z; q^step)_inf; the upper argument a may carry
     no q-degree (its Pochhammer factors are finite).  Summand n is summand
@@ -380,12 +372,14 @@ def qbinom(vars: VarSet, order: int, a: Mono, z: Mono, step: int) -> Series:
             raise SeriesError(f"argument {arg} has wrong arity")
     if z[0] < 1:
         raise DivergentProduct(f"summand argument {z} must carry q-degree >= 1")
-    terms = []
-    t = Series.one(vars, order)
-    n = 0
-    while not t.is_zero():
-        terms.append(t)
-        n += 1
-        t = _times_binomial(t.mul_monomial(z), mono_mul(a, vars.m(q=step * (n - 1))), 1)
-        t = _divide_binomial(t, vars.m(q=step * n), 1)
-    return Series.sum(vars, order, terms)
+
+    def summands(ops):
+        t = ops.one()
+        n = 0
+        while not ops.is_zero(t):
+            yield t
+            n += 1
+            t = ops.times(ops.shift(t, z), mono_mul(a, vars.m(q=step * (n - 1))), 1)
+            t = ops.divide(t, vars.m(q=step * n), 1)
+
+    return binomial_sum(summands, vars, order)

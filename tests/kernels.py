@@ -3,14 +3,15 @@
 A kernel is a function that builds one route's values.  Its route is
 
 * ``product``: general products and their slot codec, inversion, the
-  Pochhammer builders and the recurrence of the inverted products;
-* ``sum``: the multi-sum tree walk, division by 1 - q^k and division by a
-  binomial;
-* ``shared``: ``_times_binomial``, which the product builders and the sum
-  sides of ``qbinom`` and ``tri-single`` both apply;
+  Pochhammer builders, which pack along q through that codec, and the
+  recurrence of the inverted products;
+* ``sum``: the multi-sum tree walk, division by 1 - q^k, and
+  ``binomial_sum``, which builds the sum sides of ``qbinom`` and
+  ``tri-single`` from binomial factors and divisions on series packed along
+  q, sized by a univariate majorant, with a decode of its own;
 * ``walk``: the gap-4 rule, the walk that lists its members and the
-  transfer that counts them, the B-side walks and the tables read off them,
-  the oracle's partition generator and the automaton's aggregation;
+  transfer that counts them, the B-side transfers and the tables read off
+  them, the oracle's partition generator and the automaton's aggregation;
 * ``layout``: the packed key layout, which both sides of every identity
   share by design, so it counts as no share.
 
@@ -40,7 +41,7 @@ class Kernel(NamedTuple):
     route: str
 
 
-ROUTES = ("product", "sum", "shared", "walk", "layout")
+ROUTES = ("product", "sum", "walk", "layout")
 
 
 def _table() -> dict[str, Kernel]:
@@ -53,14 +54,16 @@ def _table() -> dict[str, Kernel]:
             ),
         },
         "sum": {
-            "qident.multisum": ("eval_sum", "_divide_q_power"),
-            "qident.products": ("_divide_binomial",),
+            "qident.multisum": (
+                "eval_sum", "_divide_q_power", "binomial_sum",
+                "_Majorant.times", "_Majorant.divide", "_Majorant.sum",
+                "_QPacked.__init__", "_QPacked.shift", "_QPacked.times", "_QPacked.divide", "_QPacked.sum", "_QPacked.decode",
+            ),
         },
-        "shared": {"qident.products": ("_times_binomial",)},
         "walk": {
             "qident.partitions": (
-                "_gap4_parts", "_walk_gap4", "_count_gap4", "_walk_distinct_4regular",
-                "_walk_odd_mult_le3", "_table_A_class", "_collapse", "_ascending_partitions",
+                "_gap4_parts", "_walk_gap4", "_count_gap4", "_count_distinct_4regular",
+                "_count_odd_mult_le3", "_table_A_class", "_collapse", "_ascending_partitions",
             ),
             "qident.lpi": ("language", "f_vector"),
         },

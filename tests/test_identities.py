@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from qident.identities import (
     verify_group,
 )
 from qident.multisum import eval_sum, quinvariate_spec
-from qident.series import QUIN_VARS
+from qident.series import FIELD, LIMIT, QUIN_VARS
 
 
 def test_unknown_identity():
@@ -351,3 +352,60 @@ def test_table_bump_fails_thmA_with_exact_witness(monkeypatch, identity, table, 
     report = verify(identity, 10)
     assert not report.passed
     assert report.witness == witness
+
+
+# -- boundary contracts of the binomial sides at max_order --------------------------
+#
+# Each function gives, for a side at order n, its largest non-q exponent and
+# terms that reach it, derived from the side's factors.
+
+
+def _euler2_rhs_edge(n: int) -> tuple[int, dict]:
+    # (-xq; q)_inf: x^m needs the distinct parts 1..m, which alone give q^(m(m+1)/2).
+    m = (isqrt(8 * n + 1) - 1) // 2
+    return m, {(m * (m + 1) // 2, m): 1}
+
+
+def _qbinom_edge(n: int) -> tuple[int, dict]:
+    # (xyq; q)_inf / (xq; q)_inf: every x carries a q, and y only with x, so
+    # x^n q^n is (xq)^n, or xyq (xq)^(n - 1) with the sign of 1 - xyq.
+    return n, {(n, n, 0): 1, (n, n, 1): -1}
+
+
+def _tri_single_edge(n: int) -> tuple[int, dict]:
+    # (-x; q)_inf (xy; q)_inf / (x^2yq^2; q^2)_inf: every x carries a q but
+    # those of the k = 0 factors 1 + x and 1 - xy, and x^2y at least q^2.  At
+    # odd n, x^(n + 2) q^n takes both of those, (n - 1)/2 copies of x^2yq^2 and
+    # one more of xq or xyq: -x^(n+2) y^((n+1)/2) q^n and +x^(n+2) y^((n+3)/2) q^n.
+    assert n % 2
+    return n + 2, {(n, n + 2, (n + 1) // 2): -1, (n, n + 2, (n + 3) // 2): 1}
+
+
+def _quad_lhs_edge(n: int) -> tuple[int, dict]:
+    # (-xq; q^2)_inf (-yq^2; q^4)_inf: x^m needs the odd parts 1..2m - 1, which
+    # alone give q^(m^2); y^m needs q^(2m^2), so x reaches the larger power.
+    m = isqrt(n)
+    return m, {(m * m, m, 0): 1}
+
+
+EDGES = {
+    ("euler2", 1): _euler2_rhs_edge,
+    ("qbinom", 0): _qbinom_edge,
+    ("qbinom", 1): _qbinom_edge,
+    ("tri-single", 0): _tri_single_edge,
+    ("tri-single", 1): _tri_single_edge,
+    ("quad", 0): _quad_lhs_edge,
+}
+
+
+@pytest.mark.parametrize(
+    "identity, side", list(EDGES), ids=[f"{i}-{('lhs', 'rhs')[k]}" for i, k in EDGES]
+)
+def test_largest_non_q_exponent_of_a_binomial_side_at_max_order(identity, side):
+    n = REGISTRY[identity].max_order
+    series = REGISTRY[identity].sides[side](n)
+    largest, terms = EDGES[identity, side](n)
+    fields = series.vars.shifts[1:]
+    assert max(key >> shift & FIELD for key in series._terms for shift in fields) == largest
+    assert {mono: series.coeff(mono) for mono in terms} == terms
+    assert largest < LIMIT

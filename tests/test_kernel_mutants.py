@@ -2,14 +2,15 @@
 
 Each mutant changes one piece of text in one kernel of ``tests/kernels.py``:
 the exponent of the division in ``eval_sum``, the part rule or the
-multiplicity cap of a B-side walk, the containment test of ``f_vector``'s
-base, the degree weight, the sign power, the divisor or the slot width of
-``poch_inverse``'s recurrence, the q-offset of a pair of groups, the
-decoded digit or the slot width of ``Series.__mul__``'s packed product, one
-constant or sign of ``_divide_binomial`` or ``_times_binomial``, the tight
-gap or the slot width of the gap-4 transfer ``_count_gap4``, Avee's
-exception in the gap-4 rule ``_gap4_parts``, or the weight of the collapse
-of ``table_A``.  The mutant replaces the kernel
+multiplicity cap of a B-side transfer, the containment test of
+``f_vector``'s base, the degree weight, the sign power, the divisor or the
+slot width of ``poch_inverse``'s recurrence, the q-offset of a pair of
+groups, the decoded digit or the slot width of ``Series.__mul__``'s packed
+product, the sign or the cut of ``poch_finite``, the sign of a factor or of
+a division's chain, the doubling step, the cut or the slot width of
+``binomial_sum``, the tight gap or the slot width of the gap-4 transfer
+``_count_gap4``, Avee's exception in the gap-4 rule ``_gap4_parts``, or the
+weight of the collapse of ``table_A``.  The mutant replaces the kernel
 wherever the package binds it (``kernels.binders``),
 and every registry entry whose reach holds the kernel (``kernels.reach``, the
 kernels each side or runner calls at the default order) must then fail at
@@ -48,11 +49,12 @@ import importlib
 import inspect
 import textwrap
 from collections import Counter
+from math import comb
 
 import pytest
 
 import kernels
-from qident import identities, lpi, partitions
+from qident import identities, lpi, multisum, partitions
 from qident.identities import REGISTRY, verify
 from qident.partitions import SET_A
 from qident.products import InexactDivision, PochSpec, poch_inf, poch_inverse
@@ -65,9 +67,9 @@ _WEIGHT = "d * spec.sign ** m"
 KERNEL_MUTANTS = {
     "eval_sum divides by 1 - q^(A(n+1))": ("eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n + 1),"),
     "eval_sum divides by 1 - q^(A(n-1))": ("eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n - 1),"),
-    "4-regular rule v % 4 -> v % 2": ("_walk_distinct_4regular", "if v % 4:", "if v % 2:"),
-    "multiplicity cap 3 -> 2": ("_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2)"),
-    "multiplicity cap 3 -> 4": ("_walk_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)"),
+    "4-regular rule v % 4 -> v % 2": ("_count_distinct_4regular", "if v % 4:", "if v % 2:"),
+    "multiplicity cap 3 -> 2": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2)"),
+    "multiplicity cap 3 -> 4": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)"),
     "f_vector base not a subset": ("f_vector", " if t <= link", ""),
     "poch_inverse degree weight d -> d + 1": ("_log_derivative", _WEIGHT, "(d + 1) * spec.sign ** m"),
     "poch_inverse degree weight d -> d - 1": ("_log_derivative", _WEIGHT, "(d - 1) * spec.sign ** m"),
@@ -79,14 +81,23 @@ KERNEL_MUTANTS = {
     "product q-offset da + db -> da + db + 1": ("Series.__mul__", "d = da + db", "d = da + db + 1"),
     "product digit u - half -> u - half + 1": ("_unpack", "u - half", "u - half + 1"),
     "product slot one byte narrower": ("_slot_bytes", "(bound.bit_length() + 8) // 8", "bound.bit_length() // 8"),
-    "_divide_binomial new key starts at 1": ("_divide_binomial", "dest.get(target, 0)", "dest.get(target, 1)"),
-    "_divide_binomial carries -sign*c": ("_divide_binomial", "0) + sign * c", "0) - sign * c"),
-    # _times_binomial applies 1 - A for sign +1 and 1 + A for sign -1.  The
-    # first two mutants apply 1 + A for both (Series has no unary plus, so
-    # -shifted loses its minus); the third applies 1 - A for both.
-    "_times_binomial sign test 1 -> 0": ("_times_binomial", "sign == 1", "sign == 0"),
-    "_times_binomial -shifted -> +shifted": ("_times_binomial", "-shifted if", "shifted if"),
-    "_times_binomial +shifted -> -shifted": ("_times_binomial", "else shifted)", "else -shifted)"),
+    "poch_finite factor sign flipped": (
+        "poch_finite", "c - moved if spec.sign == 1 else c + moved", "c + moved if spec.sign == 1 else c - moved",
+    ),
+    "poch_finite cut one slot short": (
+        "poch_finite", "(1 << 8 * nbytes * length) - 1", "(1 << 8 * nbytes * (length - 1)) - 1",
+    ),
+    "binomial_sum factor sign flipped": (
+        "_QPacked.times", "c - moved if sign == 1 else c + moved", "c + moved if sign == 1 else c - moved",
+    ),
+    "binomial_sum chain sign flipped": (
+        "_QPacked.divide", "c + moved if sign == 1 else c - moved", "c - moved if sign == 1 else c + moved",
+    ),
+    "binomial_sum doubling step e * 2 -> e + d": ("_QPacked.divide", "e *= 2", "e += d"),
+    "binomial_sum cut one slot short": ("_QPacked.__init__", "(order + 1)) - 1", "order) - 1"),
+    "binomial_sum slot one byte narrower": (
+        "binomial_sum", "(majorant.bound.bit_length() + 8) // 8", "majorant.bound.bit_length() // 8",
+    ),
     "gap-4 transfer tight gap v - 4 -> v - 3": ("_count_gap4", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
     "gap-4 Avee 1 then overlined 5 dropped": ("_gap4_parts", "avee and v == 5", "False"),
     "gap-4 transfer slot one byte narrower": (
@@ -95,8 +106,6 @@ KERNEL_MUTANTS = {
     "table_A collapse weight k -> k + 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight + 1) * ell)"),
     "table_A collapse weight k -> k - 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight - 1) * ell)"),
 }
-
-_PLUS_A = ("_times_binomial sign test 1 -> 0", "_times_binomial -shifted -> +shifted")
 
 # (label, entry) -> reason: an entry that reaches the mutated kernel but cannot
 # see the mutant.  It must still pass under the mutant, so that a change that
@@ -116,21 +125,9 @@ UNSEEN = {
         )
         for identity in ("euler1", "qbinom")
     },
-    **{
-        (label, "qbinom"): (
-            "its sum builds (a; q)_n and its product (az; q)_inf, both by _times_binomial; "
-            "the mutant makes them (-a; q)_n and (-az; q)_inf, and the q-binomial theorem "
-            "still holds with a -> -a"
-        )
-        for label in _PLUS_A
-    },
-    **{
-        (label, identity): "every factor it applies has sign -1, where the mutant still applies 1 + A"
-        for label in _PLUS_A
-        for identity in ("euler2", "quad", "borel-bridge-lhs")
-    },
-    ("_times_binomial +shifted -> -shifted", "qbinom"): (
-        "every factor it applies has sign +1, where the mutant still applies 1 - A"
+    ("binomial_sum chain sign flipped", "qbinom"): (
+        "every division its sum makes is by 1 - q^(step*n), which has no non-q part, "
+        "so no chain of keys is walked"
     ),
     **{
         ("gap-4 Avee 1 then overlined 5 dropped", identity): (
@@ -199,11 +196,19 @@ EQUIVALENT = {
         "test_sign_mutant_fails_on_a_negated_argument kills it"
     ),
     "product slot one byte narrower": (
-        "at default orders the mutant's slot still holds every coefficient (qbinom: a 21-bit "
-        "bound, 2 bytes under the mutant for coefficients of at most 13 bits; tri-single: 18- "
-        "and 20-bit bounds, 2 bytes for coefficients of at most 12 bits), or rounds up to a "
-        "wider one (quad and borel-bridge-lhs: a 7-bit bound, whose 0 bytes round up to 2); "
+        "at default orders the mutant's slot still holds every coefficient (poch_finite in "
+        "euler2, qbinom and tri-single: a 9-bit majorant, 1 byte under the mutant for "
+        "coefficients of at most 7 bits; __mul__ in qbinom: a 21-bit bound, 2 bytes for "
+        "coefficients of at most 13 bits; in tri-single: 18- and 20-bit bounds, 2 bytes for "
+        "at most 12 bits), or rounds up to a wider one (quad and borel-bridge-lhs: 2-, 3- and "
+        "7-bit bounds, whose 0 bytes round up to 2); "
         "test_narrow_product_slot_mutant_fails_where_the_bound_is_reached kills it"
+    ),
+    "binomial_sum slot one byte narrower": (
+        "at default orders the majorant of qbinom's and tri-single's sums is 17 bits, so the "
+        "slot is 4 bytes, and the mutant's 2 bytes still hold every value they reach (the "
+        "sums' coefficients are at most 13 and 10 bits); "
+        "test_narrow_binomial_slot_mutant_fails_where_the_majorant_is_reached kills it"
     ),
     "gap-4 transfer slot one byte narrower": (
         "at default orders every family has fewer than 256 members of any size, so the "
@@ -314,11 +319,15 @@ def test_every_unseen_row_names_a_kernel_mutant_and_an_entry_that_reaches_it(rea
         assert identity in kernels.reached(reach, KERNEL_MUTANTS[label][0]), (label, identity)
 
 
-@pytest.mark.parametrize("label", sorted(_PLUS_A))
-def test_a_shared_kernel_mutant_cancels_on_its_entry(monkeypatch, reach, label):
-    assert "qbinom" in kernels.reached(reach, KERNEL_MUTANTS[label][0])
-    assert "qbinom" not in _install(monkeypatch, label, reach)
-    assert verify("qbinom").passed
+def test_a_binomial_factor_sign_mutant_fails_qbinom(monkeypatch, reach):
+    # qbinom's sum side applies (a; q)_n through binomial_sum and its product
+    # side (az; q)_inf through poch_finite, so a sign fault in either factor
+    # kernel no longer cancels between the two sides.
+    label = "binomial_sum factor sign flipped"
+    sides = reach["qbinom"]
+    assert "_QPacked.times" in sides[0] and "_QPacked.times" not in sides[1]
+    assert "qbinom" in _install(monkeypatch, label, reach)
+    assert _fails("qbinom")
 
 
 def test_every_mutated_function_is_a_kernel():
@@ -372,6 +381,24 @@ def test_narrow_product_slot_mutant_fails_where_the_bound_is_reached(monkeypatch
     assert a * b == expected
     _install_kernel_mutant(monkeypatch, "product slot one byte narrower")
     assert a * b != expected
+
+
+@pytest.mark.parametrize("k", [10, 18, 34, 68])
+def test_narrow_binomial_slot_mutant_fails_where_the_majorant_is_reached(monkeypatch, k):
+    # (1 + q)^k: every factor has sign -1, so the value is its own majorant,
+    # and the middle binomial C(k, k/2) has 8, 16, 32 and 65 bits.  The slots
+    # are 2, 4, 8 and 9 bytes wide; the mutant's 1, 2, 4 and 8 bytes cannot
+    # hold it.
+    def summands(ops):
+        t = ops.one()
+        for _ in range(k):
+            t = ops.times(t, (1,), -1)
+        yield t
+
+    expected = Series(Q_VARS, k, [((e,), comb(k, e)) for e in range(k + 1)])
+    assert multisum.binomial_sum(summands, Q_VARS, k) == expected
+    _install_kernel_mutant(monkeypatch, "binomial_sum slot one byte narrower")
+    assert multisum.binomial_sum(summands, Q_VARS, k) != expected
 
 
 def test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch):

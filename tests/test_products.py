@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import copy
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernels
@@ -14,11 +15,9 @@ from qident.products import (
     InexactDivision,
     PochSpec,
     SlotBoxTooLarge,
-    _divide_binomial,
     _divide_q_power,
     _exact_quotient,
     _packed_inverse,
-    _times_binomial,
     euler1,
     euler2,
     inv_qpoch,
@@ -119,6 +118,25 @@ class TestPochFinite:
             factor_arg = (arg[0] + step * k,) + arg[1:]
             reference = reference * Series(vs, order, [(vs.unit, 1), (factor_arg, -sign)])
         assert poch_finite(PochSpec(arg, step, length, sign), vs, order) == reference
+
+
+    def test_a_negative_exponent_raises(self):
+        for arg in ((-1, 1), (1, -1)):
+            with pytest.raises(SeriesError, match="negative exponent"):
+                poch_finite(PochSpec(arg, 1, 3), QX_VARS, 5)
+
+    def test_a_power_past_the_limit_raises_before_any_work(self, monkeypatch):
+        # (y^(LIMIT/4) q; q)_10: the q-degrees 1 + 2 + 3 + 4 fit order 10, so
+        # y^LIMIT could be reached; at order 9 only three factors fit together.
+        def refuse(*args):
+            raise AssertionError("poch_finite began to build")
+
+        vs, spec = QXY_VARS, PochSpec(QXY_VARS.m(y=LIMIT // 4, q=1), 1, 10)
+        assert max(mono[2] for mono in poch_finite(spec, vs, 9).terms) == 3 * LIMIT // 4
+        for name in ("_slot_bytes", "_unpack"):
+            monkeypatch.setattr(products, name, refuse)
+        with pytest.raises(ExponentOverflow, match=r"\by\b"):
+            poch_finite(spec, vs, 10)
 
 
 class TestPochInf:
@@ -502,7 +520,7 @@ def test_an_oversized_slot_box_raises_before_any_slice():
         poch_inverse(specs, QX_VARS, 50)
 
 
-# -- division by a binomial --------------------------------------------------------
+# -- the operations of binomial_sum ------------------------------------------------
 
 
 @st.composite
@@ -518,29 +536,50 @@ def qxy_series(draw):
     return Series(QXY_VARS, order, terms)
 
 
-# q-degree >= 1 and a nonzero x exponent, so the quotient spreads over x and y too
-divisor_args = st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(0, 3))
+# q-degree >= 1; x and y exponents from 0, so that a divisor over q alone
+# (the doubling steps) and one with a non-q part (a chain of keys) are drawn
+divisor_args = st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(0, 3))
+
+
+def _apply(r: Series, step) -> Series:
+    """The series of ``step(ops, value of r)``, built by ``binomial_sum`` at r's order."""
+    return multisum.binomial_sum(lambda ops: [step(ops, ops.load(r))], r.vars, r.order)
 
 
 @given(qxy_series(), divisor_args, st.sampled_from((1, -1)))
+# 1 + x^2q^2 over 1 - xq: the chain from 1 runs through x, not in the
+# operand, into x^2, which is, and must not start afresh there
+@example(Series(QXY_VARS, 6, [((0, 0, 0), 1), ((2, 2, 0), 1)]), (1, 1, 0), 1)
 @settings(max_examples=150, deadline=None)
 def test_divide_binomial_equals_product_by_inverse(r, arg, sign):
     binomial = Series(QXY_VARS, r.order, [(QXY_VARS.unit, 1), (arg, -sign)])
-    assert _divide_binomial(r, arg, sign) == r * binomial.invert()
+    assert _apply(r, lambda ops, t: ops.divide(t, arg, sign)) == r * binomial.invert()
+    assert _apply(r, lambda ops, t: ops.times(t, arg, sign)) == r * binomial
+    assert _apply(r, lambda ops, t: ops.shift(t, arg)) == r.mul_monomial(arg)
 
 
 @given(qxy_series(), divisor_args, st.sampled_from((1, -1)))
 @settings(max_examples=100, deadline=None)
 def test_times_binomial_undoes_divide_binomial(r, arg, sign):
-    assert _times_binomial(_divide_binomial(r, arg, sign), arg, sign) == r
+    assert _apply(r, lambda ops, t: ops.times(ops.divide(t, arg, sign), arg, sign)) == r
 
 
 def test_divide_binomial_leaves_its_operand_alone():
     vs = QXY_VARS
     r = Series(vs, 10, [(vs.unit, 1), (vs.m(q=1, y=2), -3), (vs.m(q=4, x=1), 5)])
     before = dict(r.terms)
-    quotient = _divide_binomial(r, vs.m(q=2, x=1), 1)
+    unchanged = []
+
+    def step(ops, t):
+        kept = copy.copy(t)
+        out = ops.shift(ops.times(ops.divide(t, vs.m(q=2, x=1), 1), vs.m(q=1), -1), vs.m(y=1))
+        out = ops.divide(out, vs.m(q=3), -1)
+        unchanged.append(t == kept)
+        return out
+
+    quotient = _apply(r, step)
     assert r.terms == before
+    assert unchanged == [True, True]  # the majorant's list and the packed groups
     assert quotient.terms != before
 
 
@@ -549,24 +588,52 @@ def test_divide_binomial_refuses_bad_arguments():
         def items(self):
             raise AssertionError("the operand was read")
 
-        __iter__ = values = keys = items
+        __iter__ = values = keys = __getitem__ = items
+
+    class UntouchableList(list):
+        def __getitem__(self, index):
+            raise AssertionError("the operand was read")
+
+        __iter__ = __getitem__
 
     vs = QXY_VARS
-    r = Series._raw(vs, 10, Untouchable({0: 1}))
-    with pytest.raises(DivergentProduct):
-        _divide_binomial(r, vs.m(x=1, y=1), 1)
-    with pytest.raises(SeriesError):
-        _divide_binomial(r, (1, 1), 1)
-    with pytest.raises(SeriesError):
-        _divide_binomial(r, (1, -1, 0), -1)
+    for ops, t in (
+        (multisum._QPacked(vs, 10, 1), Untouchable({0: 1})),
+        (multisum._Majorant(vs, 10), UntouchableList([1] * 11)),
+    ):
+        with pytest.raises(DivergentProduct):
+            ops.divide(t, vs.m(x=1, y=1), 1)
+        with pytest.raises(SeriesError):
+            ops.divide(t, (1, 1), 1)
+        with pytest.raises(SeriesError):
+            ops.divide(t, (1, -1, 0), -1)
 
 
 def test_divide_binomial_past_the_order_is_the_identity():
     vs = QXY_VARS
     r = Series(vs, 6, [(vs.unit, 2), (vs.m(q=3, x=1), -1), (vs.m(q=6, y=4), 7)])
-    got = _divide_binomial(r, vs.m(q=7, x=1), -1)
-    assert got.order == r.order
-    assert got.terms == r.terms
+    for arg in (vs.m(q=7, x=1), vs.m(q=7)):
+        got = _apply(r, lambda ops, t: ops.divide(t, arg, -1))
+        assert got.order == r.order
+        assert got.terms == r.terms
+
+
+def test_binomial_sum_names_the_variable_as_the_key_is_made():
+    # x^(LIMIT - 1) times 1 - xq makes x^LIMIT; y^(LIMIT - 3) divided by
+    # 1 - yq reaches y^LIMIT at the fourth key of its chain.
+    vs = QXY_VARS
+    near_x = Series(vs, 5, [(vs.m(x=LIMIT - 1), 1)])
+    near_y = Series(vs, 5, [(vs.m(y=LIMIT - 3), 1)])
+    for r, step, name in (
+        (near_x, lambda ops, t: ops.times(t, vs.m(x=1, q=1), 1), "x"),
+        (near_x, lambda ops, t: ops.shift(t, vs.m(x=1, q=1)), "x"),
+        (near_y, lambda ops, t: ops.divide(t, vs.m(y=1, q=1), 1), "y"),
+    ):
+        with pytest.raises(ExponentOverflow, match=rf"\b{name}\b"):
+            _apply(r, step)
+    assert _apply(near_y, lambda ops, t: ops.divide(t, vs.m(y=1, q=2), 1)).terms == {
+        vs.m(y=LIMIT - 3 + j, q=2 * j): 1 for j in range(3)
+    }
 
 
 # -- the prefix pass of the knapsack -----------------------------------------------
@@ -611,13 +678,13 @@ def test_a_pass_that_changes_its_input_corrupts_eval_sum(monkeypatch):
     st.integers(0, 14),
 )
 def test_prefix_pass_is_division_by_a_binomial(coeffs, step, length):
-    # The same quotient as _divide_binomial, which divides a multivariate series.
+    # The same quotient as binomial_sum's division, which divides a multivariate series.
     vs = Q_VARS
     got = _divide_q_power(coeffs, step, length)
     assert len(got) == length
     if length:
         r = Series(vs, length - 1, [(vs.m(q=e), c) for e, c in enumerate(coeffs)])
-        assert got == _divide_binomial(r, vs.m(q=step), 1).q_coefficients()
+        assert got == _apply(r, lambda ops, t: ops.divide(t, vs.m(q=step), 1)).q_coefficients()
 
 
 def test_inv_qpoch_matches_series_invert():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from qident import identities, series
 from qident.borel import borel_apply
-from qident.multisum import MultiSumSpec, eval_sum
-from qident.products import _divide_binomial
+from qident.multisum import MultiSumSpec, binomial_sum, eval_sum
 from qident.series import (
     LIMIT,
     QUIN_VARS,
@@ -723,7 +722,11 @@ OVERFLOWS = {
         "x", lambda: Series(VS3, 5, [((0, LIMIT - 1, 1), 1)]).substitute("y", (0, 1, 0))
     ),
     "borel_apply": ("x", lambda: borel_apply(Series._raw(VS3, LIMIT**2, {LIMIT << VS3.shifts[1]: 1}))),
-    "_divide_binomial": ("x", lambda: _divide_binomial(Series(VS, 6, [((0, LIMIT - 3), 1)]), (1, 1), 1)),
+    # the fourth key of the chain of x^(LIMIT - 3) divided by 1 - xq is x^LIMIT
+    "binomial_sum divide": (
+        "x",
+        lambda: binomial_sum(lambda ops: [ops.divide(ops.load(Series(VS, 6, [((0, LIMIT - 3), 1)])), (1, 1), 1)], VS, 6),
+    ),
     "eval_sum": (
         "x", lambda: eval_sum(MultiSumSpec(((2,),), (1,), ((LIMIT // 2,),)), (1,), VS, 10)
     ),
