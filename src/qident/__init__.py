@@ -10,6 +10,7 @@ from .identities import (
     verify_group,
 )
 from .lpi import (
+    Automaton,
     LinkingViolation,
     LpiError,
     LpiSpec,

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import partitions
 from .borel import borel_apply
-from .lpi import LpiSpec, compose, decompose, f_vector, gap4_ideal, g_vector, language, matrices
+from .lpi import Automaton, LpiSpec, compose, decompose, gap4_ideal, g_vector, language, matrices
 from .multisum import MultiSumSpec, binomial_sum, eval_sum, quinvariate_spec, verify_matrix_relation
 from .partitions import (
     SET_A,
@@ -265,8 +265,9 @@ def _quin_sides(setid: str) -> tuple[Side, Side]:
 
 
 def _run_g_system(order: int) -> tuple[bool, str | None]:
-    # The right side sums over the incidence matrix, not f_vector: g_vector
-    # already uses f_vector, and a fault in it would then cancel out.
+    # The right side sums over the incidence matrix with Series.sum, not
+    # through the aggregation plan that the packed recursion runs, so a
+    # fault in that plan cannot cancel out.
     spec = gap4_ideal()
     a, weights = matrices(spec)
     g = g_vector(spec, order)
@@ -283,8 +284,8 @@ def _run_g_system(order: int) -> tuple[bool, str | None]:
 def _run_f_system(order: int) -> tuple[bool, str | None]:
     spec = gap4_ideal()
     a, weights = matrices(spec)
-    g = g_vector(spec, order)
-    f = f_vector(spec, g)
+    automaton = Automaton(spec, order)
+    f = [automaton.f(k) for k in range(spec.size)]
     # Column j of the right side, W_j * F_j(xq^4), is built once for every row.
     columns = [
         s.substitute("x", QUIN_VARS.m(x=1, q=4)).mul_monomial(w) for s, w in zip(f, weights)
@@ -301,7 +302,7 @@ def _run_f_system(order: int) -> tuple[bool, str | None]:
         return False, "F_2 != F_3"
     if f[4] != f[5]:
         return False, "F_5 != F_6"
-    if f[6] != g[0]:
+    if f[6] != automaton.g(0):
         return False, "F_7 != G_1"
     return True, None
 
@@ -345,13 +346,15 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
 
 # The max_order of the Andrews-Gordon ladder (the least over its nine
 # entries), euler1, euler2, qbinom, tri-single, quad-new, quad,
-# borel-bridge-rhs, h-matrix, f-system, lpi-eq-A, thm51-a..d, thm15, thmA1,
-# thmA2 and avee-split is the largest multiple of 5 at which the entry runs
-# serially within 2 s (median over every run at that order, each in a fresh
-# process, on a 2-core machine, Python 3.11); the other budgets are older.
-# euler1, qbinom and quad-new were last derived with their inverted products
-# on packed slots; at 440, euler1's largest exponent x^440 stays below LIMIT.
-# lpi-eq-A was last derived with its oracle drawing partitions by accel_asc.
+# borel-bridge-rhs, h-matrix, g-system, f-system, lpi-eq-A, thm51-a..d,
+# thm15, thmA1, thmA2 and avee-split is the largest multiple of 5 at which the
+# entry runs serially within 2 s (median over every run at that order, each in
+# a fresh process, on a 2-core machine, Python 3.11); the other budgets are
+# older.  euler1, qbinom and quad-new were last derived with their inverted
+# products on packed slots; at 440, euler1's largest exponent x^440 stays
+# below LIMIT.  lpi-eq-A was last derived with its oracle drawing partitions
+# by accel_asc, g-system and f-system with the automaton run on q-packed
+# groups.
 def _entries() -> list[Entry]:
     out = [
         Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", sides=_ag_sides(2, 2)),
@@ -384,8 +387,8 @@ def _entries() -> list[Entry]:
               sides=(lambda n: borel_apply(_quad_new_rhs(n)), _quad_rhs)),
         Entry("h-matrix", 24, 300, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=lambda n: verify_matrix_relation(order=n)),
         Entry("lpi-eq-A", 30, 55, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
-        Entry("g-system", 20, 30, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
-        Entry("f-system", 20, 240, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
+        Entry("g-system", 20, 435, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
+        Entry("f-system", 20, 390, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
         Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", sides=_quin_sides(SET_A)),
         Entry("thm51-b", 20, 100, "quinvariate enumeration without overlined 1 vs multi-sum", sides=_quin_sides(SET_A_NO_1BAR)),
         Entry("thm51-c", 20, 105, "quinvariate enumeration without 1, overlined 1 vs multi-sum", sides=_quin_sides(SET_A_NO_1_1BAR)),
@@ -558,8 +561,8 @@ def named_series(name: str, order: int, spec: LpiSpec | None = None) -> Series:
         if not 1 <= k <= ideal.size:
             raise UnknownIdentity(name)
         _check_series_budget(name, order, _PARAMETRIC_SERIES_BUDGET)
-        g = g_vector(ideal, order)
-        return g[k - 1] if name[0] == "g" else f_vector(ideal, g)[k - 1]
+        automaton = Automaton(ideal, order)
+        return automaton.g(k - 1) if name[0] == "g" else automaton.f(k - 1)
     if name.startswith("h:"):
         try:
             beta = tuple(int(p) for p in name[2:].split(","))

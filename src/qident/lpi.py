@@ -10,18 +10,27 @@ The weight of a block is the quinvariate statistic monomial
 x^length y1^r2mod4 y2^r0mod4 z^over q^size.  G_k collects the weights of all
 language members whose offset-0 block is block k; the vector of G_k satisfies
 G = W . A . G(x -> x q^T) with W the diagonal of block weights and A the 0/1
-linking incidence, which is how g_vector computes them.  F_k = sum of G_j over
-the linking set of block k (f_vector), each distinct set summed once from the
-largest summed set it contains.
+linking incidence.  F_k = sum of G_j over the linking set of block k, each
+distinct set summed once from the largest summed set it contains (``_plan``).
+
+``Automaton`` runs that recursion once, depth by depth, on series packed
+along q (one int per non-q part of a weight, one unsigned slot per
+q-degree) and decodes only the series a caller reads; ``g_vector`` reads
+every G_k.  ``f_vector`` forms the same sums over whole series.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from itertools import chain, compress
+from typing import Callable, Sequence, TypeVar
 
 from .partitions import EMPTY, InvalidOverpartition, Overpartition, Part, stats, weight_monomial
 from .record import Record
-from .series import Mono, QUIN_VARS, Series
+from .series import _WORDS, Mono, QUIN_VARS, Series, _check_keys
+
+T = TypeVar("T")
 
 
 class LpiError(ValueError):
@@ -204,6 +213,8 @@ def language(spec: LpiSpec, n: int) -> list[Overpartition]:
     The walk carries each chain as its (block, depth) pairs and the chain's
     size; a parts tuple is built only for a chain of size n.
     """
+    if n < 0:
+        raise LpiError(f"n must be >= 0, got {n}")
     out = [EMPTY] if n == 0 else []
     t = spec.modulus
     sizes = [b.size for b in spec.blocks]
@@ -232,41 +243,177 @@ def language(spec: LpiSpec, n: int) -> list[Overpartition]:
 
 
 def g_vector(spec: LpiSpec, order: int) -> list[Series]:
-    """All G_k at once via the depth-indexed recursion.
-
-    G_k at depth d is G_k with x already shifted to x*q^{T*d}; beyond
-    d = ceil(order/T) every nonempty member's weight exceeds the order, so the
-    vector degenerates to (1, 0, ..., 0) and the recursion unwinds to depth 0.
-    """
-    t = spec.modulus
-    k = spec.size
-    weights = spec.weights()
-    depth_limit = order // t + 1
-    current = [Series.one(QUIN_VARS, order)] + [Series.zero(QUIN_VARS, order) for _ in range(k - 1)]
-    for d in range(depth_limit - 1, -1, -1):
-        current = [
-            total.mul_monomial((w[0] + t * d * w[1], *w[1:]))
-            for w, total in zip(weights, f_vector(spec, current))
-        ]
-    return current
+    """All G_k, decoded from one packed run of the automaton (``Automaton``)."""
+    automaton = Automaton(spec, order)
+    return [automaton.g(k) for k in range(spec.size)]
 
 
 def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
     """For each block k, the sum of vec[j] over the linking set of block k.
 
-    Each distinct linking set is summed once, smaller sets first, starting
-    from the largest set already summed that it contains and adding the
-    blocks that set lacks; a set with no summed subset is summed from
-    scratch.  Blocks with equal linking sets share one series.  The gap-4
-    sets are nested, so its seven sums add 7 series, not 31.
+    The Series face of the aggregation ``_plan`` that the packed automaton
+    runs on its groups: each distinct set is one ``Series.sum``.
     """
+    if len(vec) != spec.size:
+        raise LpiError("one series per block")
     vars, order = vec[0].vars, vec[0].order
-    sums: dict[frozenset[int], Series] = {}
-    for link in sorted(set(spec.linking), key=lambda s: (len(s), sorted(s))):
-        base = max((t for t in sums if t <= link), key=len, default=frozenset())
-        start = [sums[base]] if base else []
-        sums[link] = Series.sum(vars, order, start + [vec[j] for j in sorted(link - base)])
+    sums = _aggregate(_plan(spec), vec, lambda parts: Series.sum(vars, order, parts))
     return [sums[link] for link in spec.linking]
+
+
+# -- the automaton, packed along q ----------------------------------------------
+
+Plan = list[tuple[frozenset[int], frozenset[int], list[int]]]
+
+
+def _plan(spec: LpiSpec) -> Plan:
+    """How the sum over each linking set is formed: (set, base, blocks added), in summing order.
+
+    Each distinct linking set is summed once, smaller sets first, starting
+    from the largest set already summed that it contains, its base, and
+    adding the blocks that the base lacks; a set with no summed subset has
+    the empty base and is summed from scratch.  Blocks with equal linking
+    sets share one sum.  The gap-4 sets are nested, so its seven sums add 7
+    terms, not 31.
+    """
+    plan: Plan = []
+    for link in sorted(set(spec.linking), key=lambda s: (len(s), sorted(s))):
+        base = max((t for t, _, _ in plan if t <= link), key=len, default=frozenset())
+        plan.append((link, base, sorted(link - base)))
+    return plan
+
+
+def _aggregate(plan: Plan, vec: Sequence[T], total: Callable[[list[T]], T]) -> dict[frozenset[int], T]:
+    """linking set -> the sum of ``vec`` over it, each set formed by ``total`` as ``plan`` says."""
+    sums: dict[frozenset[int], T] = {}
+    for link, base, added in plan:
+        sums[link] = total(([sums[base]] if base else []) + [vec[j] for j in added])
+    return sums
+
+
+def _add_groups(parts: list[dict[int, int]]) -> dict[int, int]:
+    """The sum of q-packed groups, one int add per key.
+
+    No group dict is changed once it is built, so a single part is its own
+    sum; otherwise the largest part is copied and the others added into it.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    big, *rest = sorted(parts, key=len, reverse=True)
+    acc = dict(big)
+    get = acc.get
+    for part in rest:
+        for k, p in part.items():
+            acc[k] = get(k, 0) + p
+    return acc
+
+
+def _native(nbytes: int) -> int:
+    """``nbytes`` rounded up to a native word of 1, 2, 4 or 8 bytes when it fits one."""
+    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
+
+
+def _words(data: bytes, nbytes: int) -> Sequence[int]:
+    """The unsigned slots of ``nbytes`` in ``data``, lowest first, read in native byte order."""
+    fmt = _WORDS.get(nbytes)
+    if fmt:
+        return memoryview(data).cast(fmt)
+    return [int.from_bytes(data[i : i + nbytes], sys.byteorder) for i in range(0, len(data), nbytes)]
+
+
+def _g_groups(spec: LpiSpec, plan: Plan, order: int, keys: list[int], width: int) -> list[dict[int, int]]:
+    """The q-packed groups of every G_k: non-q key -> one int of unsigned ``width``-bit slots, one per q-degree.
+
+    ``keys[k]`` is the non-q part of block k's weight.  At depth d block k
+    adds its key and moves each group of F_k up q + T*d*x slots, its weight's
+    q- and x-exponents, after a cut to the order + 1 - (q + T*d*x) slots that
+    can still fit.  Every key made is checked against the guard mask before
+    the next depth adds to it, so a field that reaches ``LIMIT`` raises
+    ``ExponentOverflow`` before it could carry.
+    """
+    t = spec.modulus
+    steps = [(w[0], w[1], key, link) for w, key, link in zip(spec.weights(), keys, spec.linking)]
+    vec: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(spec.size - 1)]
+    for d in range(order // t, -1, -1):
+        sums = _aggregate(plan, vec, _add_groups)
+        vec = []
+        for q, x, key, link in steps:
+            e, groups = q + t * d * x, sums[link]
+            if e > order:
+                vec.append({})
+            elif not (e or key):  # the empty block
+                vec.append(groups)
+            else:
+                keep, shift = (1 << width * (order + 1 - e)) - 1, width * e
+                vec.append({k + key: m << shift for k, p in groups.items() if (m := p & keep)})
+        _check_keys(QUIN_VARS, chain.from_iterable(vec))
+    return vec
+
+
+def _decode(groups: dict[int, int], order: int, nbytes: int) -> Series:
+    """The series of q-packed groups: slot n of the int at non-q key k is the coefficient of k * q^n.
+
+    Each group is read from its lowest nonzero slot to its highest, and all
+    of them in one buffer.
+    """
+    top, width = QUIN_VARS.shifts[0], 8 * nbytes
+    chunks, keys = [], []
+    for k, p in groups.items():
+        lo, hi = ((p & -p).bit_length() - 1) // width, (p.bit_length() - 1) // width + 1
+        chunks.append((p >> width * lo).to_bytes((hi - lo) * nbytes, sys.byteorder))
+        keys.append(range(k + (lo << top), k + (hi << top), 1 << top))
+    words = _words(b"".join(chunks), nbytes)
+    return Series._raw(QUIN_VARS, order, dict(zip(compress(chain.from_iterable(keys), words), filter(None, words))))
+
+
+class Automaton:
+    """G_k and F_k of an ideal to an order, run once on q-packed groups.
+
+    The depth recursion of G = W . A . G(x -> x q^T) runs on groups:
+    each G_k and F_k is a dict from the non-q part of a weight to one int
+    that packs, one unsigned slot per q-degree, the coefficients of that
+    weight (``_g_groups``).  The F sums are int adds through the
+    aggregation ``_plan`` that ``f_vector`` also runs.  ``g(k)`` and
+    ``f(k)`` decode one series each, so a caller pays only for what it reads.
+
+    Every coefficient at every depth counts language members of one size:
+    a chain that starts at depth d with block k becomes a member once d
+    empty blocks lead it, which places every block at its own offset, so
+    distinct chains give distinct members, and an F sum adds chains with
+    distinct first blocks.  So no slot is larger than the members of its
+    size.  A first pass of the same recursion with the non-q keys dropped
+    counts those: a member of size n is an overpartition of n, an ordinary
+    partition of n - a and one into distinct overlined parts of a, and
+    there are at most 2**m partitions of m, so there are at most
+    (n + 1) * 2**n of them, and slots that hold (order + 1) * 2**order
+    count them without a carry.  Its largest count sets the slot of the run
+    with the keys, rounded up to a native word, so no slot of that run
+    carries either.
+    """
+
+    __slots__ = ("spec", "order", "_nbytes", "_g", "_f")
+
+    def __init__(self, spec: LpiSpec, order: int) -> None:
+        if order < 0:
+            raise LpiError(f"order must be >= 0, got {order}")
+        plan = _plan(spec)
+        wide = _native((((order + 1) << order).bit_length() + 7) // 8)
+        flat = _g_groups(spec, plan, order, [0] * spec.size, 8 * wide)
+        members = sum(g.get(0, 0) for g in flat)
+        totals = _words(members.to_bytes((order + 1) * wide, sys.byteorder), wide)  # members by size
+        nbytes = _native((max(totals).bit_length() + 7) // 8)
+        keys = [QUIN_VARS.pack((0, *w[1:])) for w in spec.weights()]
+        g = _g_groups(spec, plan, order, keys, 8 * nbytes)
+        self.spec, self.order, self._nbytes = spec, order, nbytes
+        self._g, self._f = g, _aggregate(plan, g, _add_groups)
+
+    def g(self, k: int) -> Series:
+        """G_k, for the 0-based block index k."""
+        return _decode(self._g[k], self.order, self._nbytes)
+
+    def f(self, k: int) -> Series:
+        """F_k, the sum of G_j over the linking set of the 0-based block k."""
+        return _decode(self._f[self.spec.linking[k]], self.order, self._nbytes)
 
 
 def matrices(spec: LpiSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[Mono, ...]]:

@@ -11,7 +11,9 @@ A kernel is a function that builds one route's values.  Its route is
   q, sized by a univariate majorant, with a decode of its own;
 * ``walk``: the gap-4 rule, the walk that lists its members and the
   transfer that counts them, the B-side transfers and the tables read off
-  them, the oracle's partition generator and the automaton's aggregation;
+  them, the oracle's partition generator, and the block automaton: its
+  aggregation plan, its depth recursion on groups packed along q, sized by
+  a first pass without the non-q variables, and their decode;
 * ``layout``: the packed key layout, which both sides of every identity
   share by design, so it counts as no share.
 
@@ -65,7 +67,10 @@ def _table() -> dict[str, Kernel]:
                 "_gap4_parts", "_walk_gap4", "_count_gap4", "_count_distinct_4regular",
                 "_count_odd_mult_le3", "_table_A_class", "_collapse", "_ascending_partitions",
             ),
-            "qident.lpi": ("language", "f_vector"),
+            "qident.lpi": (
+                "language", "_plan", "_aggregate", "_add_groups", "_g_groups", "_words", "_decode",
+                "Automaton.__init__",
+            ),
         },
         "layout": {"qident.series": ("_field_shifts", "_check_keys")},
     }

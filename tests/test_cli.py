@@ -337,8 +337,8 @@ class TestCoeffs:
         "series, budget, builder",
         [
             ("gf-A", identities.REGISTRY["thm51-a"].max_order, "weighted_gf"),
-            ("f3", identities._PARAMETRIC_SERIES_BUDGET, "g_vector"),
-            ("g7", identities._PARAMETRIC_SERIES_BUDGET, "g_vector"),
+            ("f3", identities._PARAMETRIC_SERIES_BUDGET, "Automaton"),
+            ("g7", identities._PARAMETRIC_SERIES_BUDGET, "Automaton"),
             ("h:1,1,2,4", identities._PARAMETRIC_SERIES_BUDGET, "eval_sum"),
         ],
     )

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -223,18 +224,15 @@ def test_linking_bit_mutant_fails_lpi_eq_A(monkeypatch, i, j):
 
 @pytest.mark.parametrize("identity", ["g-system", "f-system"])
 def test_faulty_linking_sum_fails_the_automaton_systems(monkeypatch, identity):
-    # g_vector and F both use f_vector; each system sums its right side over the
-    # incidence matrix instead, so a fault in f_vector cannot cancel out.
-    real = lpi.f_vector
+    # The packed recursion and its F sums form every linking set as lpi._plan
+    # says; each system sums its right side over the incidence matrix with
+    # Series.sum instead, so a fault in the plan cannot cancel out.
+    real = lpi._plan
 
-    def drops_block_7(spec, vec):
-        return [
-            total - vec[6] if 6 in link and len(link) > 1 else total
-            for total, link in zip(real(spec, vec), spec.linking)
-        ]
+    def drops_block_7(spec):
+        return [(link, base, [j for j in added if j != 6 or len(link) == 1]) for link, base, added in real(spec)]
 
-    monkeypatch.setattr(lpi, "f_vector", drops_block_7)
-    monkeypatch.setattr(identities, "f_vector", drops_block_7)
+    monkeypatch.setattr(lpi, "_plan", drops_block_7)
     report = verify(identity)
     assert not report.passed
     assert re.match(r"[GF]_\d: ", report.witness)
@@ -272,8 +270,7 @@ def test_named_series_budgets(monkeypatch):
     # Every builder is replaced, so only the budget check does any work.
     for name, (identity, _) in list(identities._SERIES_SIDES.items()):
         monkeypatch.setitem(identities._SERIES_SIDES, name, (identity, lambda n: n))
-    monkeypatch.setattr(identities, "g_vector", lambda spec, n: [n] * spec.size)
-    monkeypatch.setattr(identities, "f_vector", lambda spec, g: g)
+    monkeypatch.setattr(identities, "Automaton", lambda spec, n: SimpleNamespace(g=lambda k: n, f=lambda k: n))
     monkeypatch.setattr(identities, "eval_sum", lambda spec, beta, vs, n: n)
     # the orders the benchmark exports series at (perfbench/workloads.py)
     exported = {"rr1-lhs": 200, "rr2-lhs": 200, "h:5,5,6,8": 70}

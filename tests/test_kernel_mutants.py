@@ -2,9 +2,10 @@
 
 Each mutant changes one piece of text in one kernel of ``tests/kernels.py``:
 the exponent of the division in ``eval_sum``, the part rule or the
-multiplicity cap of a B-side transfer, the containment test of
-``f_vector``'s base, the degree weight, the sign power, the divisor or the
-slot width of ``poch_inverse``'s recurrence, the q-offset of a pair of
+multiplicity cap of a B-side transfer, the containment test of the linking
+plan's base, the slot width, the depth shift or the decode's start slot of
+the packed block automaton, the degree weight, the sign power, the divisor
+or the slot width of ``poch_inverse``'s recurrence, the q-offset of a pair of
 groups, the decoded digit or the slot width of ``Series.__mul__``'s packed
 product, the sign or the cut of ``poch_finite``, the sign of a factor or of
 a division's chain, the doubling step, the cut or the slot width of
@@ -54,6 +55,7 @@ from math import comb
 import pytest
 
 import kernels
+import lpi_reference
 from qident import identities, lpi, multisum, partitions
 from qident.identities import REGISTRY, verify
 from qident.partitions import SET_A
@@ -70,7 +72,14 @@ KERNEL_MUTANTS = {
     "4-regular rule v % 4 -> v % 2": ("_count_distinct_4regular", "if v % 4:", "if v % 2:"),
     "multiplicity cap 3 -> 2": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2)"),
     "multiplicity cap 3 -> 4": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)"),
-    "f_vector base not a subset": ("f_vector", " if t <= link", ""),
+    "linking plan base not a subset": ("_plan", " if t <= link", ""),
+    "automaton slot one byte narrower": (
+        "Automaton.__init__", "(max(totals).bit_length() + 7) // 8", "(max(totals).bit_length() - 1) // 8",
+    ),
+    "automaton depth shift T*d -> T*(d+1)": ("_g_groups", "t * d * x", "t * (d + 1) * x"),
+    "automaton decode starts one slot late": (
+        "_decode", "((p & -p).bit_length() - 1) // width", "((p & -p).bit_length() - 1) // width + 1",
+    ),
     "poch_inverse degree weight d -> d + 1": ("_log_derivative", _WEIGHT, "(d + 1) * spec.sign ** m"),
     "poch_inverse degree weight d -> d - 1": ("_log_derivative", _WEIGHT, "(d - 1) * spec.sign ** m"),
     "poch_inverse divides by n + 1": ("_exact_quotient", "divmod(c, n)", "divmod(c, n + 1)"),
@@ -186,10 +195,15 @@ AG_MUTANTS = {
 }
 
 EQUIVALENT = {
-    "f_vector base not a subset": (
+    "linking plan base not a subset": (
         "the gap-4 linking sets form a chain, and sets are summed smaller first, "
         "so every set already summed is a subset of the next one; "
         "test_f_vector_base_mutant_fails_on_sets_that_are_not_nested kills it"
+    ),
+    "automaton slot one byte narrower": (
+        "at default orders the gap-4 language has fewer than 256 members of any size, so the "
+        "slot is 1 byte, and the mutant's 0 bytes round up to 2; "
+        "test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes kills it"
     ),
     "poch_inverse sign power dropped": (
         "every factor the registry inverts has sign +1, where s**m is 1; "
@@ -345,7 +359,7 @@ def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     vec = [Series.monomial(QUIN_VARS, 4, QUIN_VARS.m(x=j)) for j in range(spec.size)]
     expected = [Series.sum(QUIN_VARS, 4, (vec[j] for j in link)) for link in linking]
     assert lpi.f_vector(spec, vec) == expected
-    _install_kernel_mutant(monkeypatch, "f_vector base not a subset")
+    _install_kernel_mutant(monkeypatch, "linking plan base not a subset")
     assert lpi.f_vector(spec, vec) != expected
 
 
@@ -412,6 +426,18 @@ def test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch
     _install_kernel_mutant(monkeypatch, "gap-4 transfer slot one byte narrower")
     with pytest.raises(OverflowError):
         partitions.weighted_gf(SET_A, order)
+
+
+def test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch):
+    # At order 70 the gap-4 language has up to 13 bits of members of one size,
+    # so the slot is 2 bytes, and F_1 has a coefficient of 9 bits, past the
+    # mutant's one byte.  Its carries corrupt the groups they reach.
+    order, spec = 70, lpi.gap4_ideal()
+    expected = lpi.f_vector(spec, lpi_reference.g_vector(spec, order))[0]
+    assert max(expected.terms.values()) >= 256
+    assert lpi.Automaton(spec, order).f(0) == expected
+    _install_kernel_mutant(monkeypatch, "automaton slot one byte narrower")
+    assert lpi.Automaton(spec, order).f(0) != expected
 
 
 # label -> (old text, new text) in partitions._ascending_partitions, the

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lpi_reference
 from qident.lpi import (
+    Automaton,
     LinkingViolation,
     LpiError,
     LpiSpec,
@@ -36,7 +38,7 @@ from qident.partitions import (
     oracle_members,
     weighted_gf,
 )
-from qident.series import QUIN_VARS, Series
+from qident.series import LIMIT, QUIN_VARS, ExponentOverflow, Series
 
 V = QUIN_VARS
 IDEAL = gap4_ideal()
@@ -151,6 +153,10 @@ class TestLanguage:
         for n in range(19):
             assert set(language(IDEAL, n)) == oracle_members(SET_A, n)
 
+    def test_a_negative_size_is_refused(self):
+        with pytest.raises(LpiError, match="n must be >= 0"):
+            language(IDEAL, -1)
+
     def test_no_duplicates(self):
         for n in range(21):
             members = language(IDEAL, n)
@@ -201,6 +207,61 @@ class TestGandF:
         f = f_vector(IDEAL, g_vector(IDEAL, order))
         for k, beta in enumerate(betas):
             assert f[k] == eval_sum(spec, beta, V, order)
+
+
+# A block with a repeated part, nested linking sets, modulus 3.
+REPEATED = LpiSpec(
+    (EMPTY, Overpartition.of(1, 1), Overpartition.of((2, True)), Overpartition.of((1, True), 3), Overpartition.of(3)),
+    (frozenset(range(5)), frozenset({0, 1}), frozenset({0, 1, 2, 4}), frozenset({0, 1, 2, 3, 4}), frozenset({0, 1, 4})),
+    3,
+)
+# The gap-4 blocks with linking sets that are not nested.
+UNNESTED = IDEAL.replace(
+    linking=(IDEAL.linking[0], frozenset({0, 1, 2}), frozenset({0, 3}), frozenset({0, 1, 5}),
+             frozenset({0, 2, 4, 6}), frozenset({0, 3, 4}), frozenset({0}))
+)
+
+
+class TestPackedAutomaton:
+    @pytest.mark.parametrize("spec", [IDEAL, REPEATED, UNNESTED], ids=["gap4", "repeated", "unnested"])
+    @pytest.mark.parametrize("order", [0, 1, 3, 4, 5, 30, 100])
+    def test_matches_the_series_recursion(self, spec, order):
+        g = lpi_reference.g_vector(spec, order)
+        f = f_vector(spec, g)
+        automaton = Automaton(spec, order)
+        assert [automaton.g(k) for k in range(spec.size)] == g
+        assert [automaton.f(k) for k in range(spec.size)] == f
+        assert g_vector(spec, order) == g
+
+    def test_the_sets_of_the_custom_ideals(self):
+        assert any(1 < len(b.parts) != len(set(b.parts)) for b in REPEATED.blocks)
+        links = set(UNNESTED.linking)
+        assert any(not (a <= b or b <= a) for a in links for b in links)
+
+    def test_a_field_past_limit_raises_naming_it(self):
+        # 2047 ones, then a single part T + 1 = 2048 at depth 1: a member of
+        # size 4095 with 2048 parts, one more x than a packed field holds.
+        ones = Overpartition.of(*[1] * (LIMIT - 1))
+        spec = LpiSpec(
+            (EMPTY, ones, Overpartition.of(1)),
+            (frozenset({0, 1, 2}), frozenset({0, 2}), frozenset({0})),
+            LIMIT - 1,
+        )
+        assert Automaton(spec, 2 * LIMIT - 2).f(0).coeff(V.m(q=LIMIT - 1, x=LIMIT - 1)) == 1
+        with pytest.raises(ExponentOverflow, match=f"of x reaches {LIMIT}"):
+            Automaton(spec, 2 * LIMIT - 1)
+
+    def test_a_negative_order_is_refused(self):
+        with pytest.raises(LpiError):
+            Automaton(IDEAL, -1)
+        with pytest.raises(LpiError):
+            g_vector(IDEAL, -1)
+
+    @pytest.mark.parametrize("count", [3, 9])
+    def test_f_vector_takes_one_series_per_block(self, count):
+        vec = [Series.one(V, 4)] * count
+        with pytest.raises(LpiError, match="one series per block"):
+            f_vector(IDEAL, vec)
 
 
 @st.composite
