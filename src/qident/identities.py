@@ -335,7 +335,9 @@ def _run_thmA(k: int, order: int) -> tuple[bool, str | None]:
 
 
 def _avee_split_rhs(order: int, shift: int = 8) -> Series:
-    base = weighted_gf(SET_A_NO_1BAR, order)
+    # The base is thm51-b's multi-sum, which thm51-b checks against the transfer's
+    # count of A-no-1bar, so the two sides share no kernel.
+    base = eval_sum(quinvariate_spec(), _SET_BETA[SET_A_NO_1BAR], QUIN_VARS, order)
     return base + base.substitute("x", QUIN_VARS.m(x=1, q=shift)).mul_monomial(
         QUIN_VARS.m(x=2, z=1, q=6)
     )
@@ -354,7 +356,7 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
 # products on packed slots; at 440, euler1's largest exponent x^440 stays
 # below LIMIT.  lpi-eq-A was last derived with its oracle drawing partitions
 # by accel_asc, g-system and f-system with the automaton run on q-packed
-# groups.
+# groups, and avee-split with thm51-b's multi-sum as its right side's base.
 def _entries() -> list[Entry]:
     out = [
         Entry("rr1", 50, 200, "product over parts = 1,4 mod 5 vs the gap-2 single sum", sides=_ag_sides(2, 2)),
@@ -396,7 +398,7 @@ def _entries() -> list[Entry]:
         Entry("thm15", 25, 100, "trivariate refined counts: variant family vs distinct 4-regular partitions", runner=_run_thm15),
         Entry("thmA1", 25, 95, "double-weight counts (table_A collapsed by m + ell) vs distinct 4-regular partitions", runner=lambda n: _run_thmA(1, n)),
         Entry("thmA2", 25, 95, "triple/double-weight counts (table_A collapsed by m + 2ell) vs odd parts of multiplicity <= 3", runner=lambda n: _run_thmA(2, n)),
-        Entry("avee-split", 20, 90, "variant family splits as base family plus x^2 z q^6 shifted copy",
+        Entry("avee-split", 20, 425, "variant family's transfer equals the thm51-b multi-sum plus its x^2 z q^6 shifted copy",
               sides=(lambda n: weighted_gf(SET_AVEE, n), _avee_split_rhs)),
     ]
     # Deliberately broken variants: one exponent off by one in each.
@@ -513,15 +515,20 @@ def _check_series_budget(name: str, order: int, budget: int) -> None:
         raise OrderBudgetExceeded(f"{name}: order {order} exceeds the resource budget {budget}")
 
 
+# The budget of ``enum --set``: its walk lists every member up to size n, far
+# more work than the transfer behind gf-<family>.  The largest multiple of 5
+# at which a fresh ``qident enum --set X --n N`` stays within 2 s for every X
+# (2 cores, Python 3.11): A, the slowest, took 1.4 s at 115 and 2.0 s at 120.
+_WALK_BUDGET = 115
+
+
 def check_enum_budget(setid: str | None, n: int) -> None:
     """Refuse an enumeration at size ``n`` over budget, before any work.
 
-    Enumerating family X at size n walks the members that ``gf-X`` counts at
-    order n, so it shares that name's budget; a custom ideal's language
-    (``setid`` None) shares the budget of f<k>/g<k>.
+    A family is listed by the gap-4 walk, within ``_WALK_BUDGET``; a custom
+    ideal's language (``setid`` None) shares the budget of f<k>/g<k>.
     """
-    name = "f<k>/g<k>" if setid is None else f"gf-{setid}"
-    budget = _PARAMETRIC_SERIES_BUDGET if setid is None else REGISTRY[_SERIES_SIDES[name][0]].max_order
+    name, budget = ("f<k>/g<k>", _PARAMETRIC_SERIES_BUDGET) if setid is None else ("the gap-4 walk", _WALK_BUDGET)
     if n > budget:
         raise OrderBudgetExceeded(f"enum: n {n} exceeds the resource budget {budget} of {name}")
 

@@ -22,13 +22,12 @@ every G_k.  ``f_vector`` forms the same sums over whole series.
 from __future__ import annotations
 
 import json
-import sys
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Sequence, TypeVar
 
-from .partitions import EMPTY, InvalidOverpartition, Overpartition, Part, stats, weight_monomial
+from .partitions import EMPTY, InvalidOverpartition, Overpartition, Part, _count_bytes, _decode, stats, weight_monomial
 from .record import Record
-from .series import _WORDS, Mono, QUIN_VARS, Series, _check_keys
+from .series import Mono, QUIN_VARS, Series, _check_keys
 
 T = TypeVar("T")
 
@@ -308,19 +307,6 @@ def _add_groups(parts: list[dict[int, int]]) -> dict[int, int]:
     return acc
 
 
-def _native(nbytes: int) -> int:
-    """``nbytes`` rounded up to a native word of 1, 2, 4 or 8 bytes when it fits one."""
-    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
-
-
-def _words(data: bytes, nbytes: int) -> Sequence[int]:
-    """The unsigned slots of ``nbytes`` in ``data``, lowest first, read in native byte order."""
-    fmt = _WORDS.get(nbytes)
-    if fmt:
-        return memoryview(data).cast(fmt)
-    return [int.from_bytes(data[i : i + nbytes], sys.byteorder) for i in range(0, len(data), nbytes)]
-
-
 def _g_groups(spec: LpiSpec, plan: Plan, order: int, keys: list[int], width: int) -> list[dict[int, int]]:
     """The q-packed groups of every G_k: non-q key -> one int of unsigned ``width``-bit slots, one per q-degree.
 
@@ -350,22 +336,6 @@ def _g_groups(spec: LpiSpec, plan: Plan, order: int, keys: list[int], width: int
     return vec
 
 
-def _decode(groups: dict[int, int], order: int, nbytes: int) -> Series:
-    """The series of q-packed groups: slot n of the int at non-q key k is the coefficient of k * q^n.
-
-    Each group is read from its lowest nonzero slot to its highest, and all
-    of them in one buffer.
-    """
-    top, width = QUIN_VARS.shifts[0], 8 * nbytes
-    chunks, keys = [], []
-    for k, p in groups.items():
-        lo, hi = ((p & -p).bit_length() - 1) // width, (p.bit_length() - 1) // width + 1
-        chunks.append((p >> width * lo).to_bytes((hi - lo) * nbytes, sys.byteorder))
-        keys.append(range(k + (lo << top), k + (hi << top), 1 << top))
-    words = _words(b"".join(chunks), nbytes)
-    return Series._raw(QUIN_VARS, order, dict(zip(compress(chain.from_iterable(keys), words), filter(None, words))))
-
-
 class Automaton:
     """G_k and F_k of an ideal to an order, run once on q-packed groups.
 
@@ -386,9 +356,10 @@ class Automaton:
     partition of n - a and one into distinct overlined parts of a, and
     there are at most 2**m partitions of m, so there are at most
     (n + 1) * 2**n of them, and slots that hold (order + 1) * 2**order
-    count them without a carry.  Its largest count sets the slot of the run
-    with the keys, rounded up to a native word, so no slot of that run
-    carries either.
+    count them without a carry.  ``partitions._count_bytes`` sizes the slot
+    of the run with the keys from it, so no slot of that run carries either,
+    and ``partitions._decode`` decodes its groups: the walk route has one
+    count codec, which the gap-4 transfer shares.
     """
 
     __slots__ = ("spec", "order", "_nbytes", "_g", "_f")
@@ -397,11 +368,10 @@ class Automaton:
         if order < 0:
             raise LpiError(f"order must be >= 0, got {order}")
         plan = _plan(spec)
-        wide = _native((((order + 1) << order).bit_length() + 7) // 8)
-        flat = _g_groups(spec, plan, order, [0] * spec.size, 8 * wide)
-        members = sum(g.get(0, 0) for g in flat)
-        totals = _words(members.to_bytes((order + 1) * wide, sys.byteorder), wide)  # members by size
-        nbytes = _native((max(totals).bit_length() + 7) // 8)
+        flat = [0] * spec.size  # the non-q keys dropped: the G_k sum to the members by size
+        nbytes = _count_bytes(
+            lambda width: (g.get(0, 0) for g in _g_groups(spec, plan, order, flat, width)), (order + 1) << order, order
+        )
         keys = [QUIN_VARS.pack((0, *w[1:])) for w in spec.weights()]
         g = _g_groups(spec, plan, order, keys, 8 * nbytes)
         self.spec, self.order, self._nbytes = spec, order, nbytes

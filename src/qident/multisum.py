@@ -38,7 +38,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .record import Record
-from .series import _WORDS, QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, mono_mul
+from .series import _WORDS, QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, _word_bytes, mono_mul
 
 
 class NonTerminatingSum(SeriesError):
@@ -367,8 +367,8 @@ def binomial_sum(
     and ``divide`` by a binomial 1 - sign*A, ``is_zero`` and ``sum``; none
     changes its operand.  ``summands`` runs twice.  First it runs on its
     univariate majorant (``_Majorant``), whose largest value over every
-    step, plus a sign bit, sets the slot, rounded up to a native word when
-    it fits one.  Then it runs on series packed along q (``_QPacked``),
+    step, plus a sign bit, sets the slot, rounded up to a native word by
+    ``series._word_bytes``.  Then it runs on series packed along q (``_QPacked``),
     and the sum is decoded once.  No product, inverse or product codec is
     used, so this is the sum route beside ``eval_sum``.
     """
@@ -376,10 +376,7 @@ def binomial_sum(
         raise SeriesError("truncation order must be >= 0")
     majorant = _Majorant(vars, order)
     majorant.sum(summands(majorant))
-    nbytes = (majorant.bound.bit_length() + 8) // 8
-    if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()
-    packed = _QPacked(vars, order, nbytes)
+    packed = _QPacked(vars, order, _word_bytes(majorant.bound.bit_length() + 1))
     return packed.decode(packed.sum(summands(packed)))
 
 

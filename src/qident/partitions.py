@@ -25,12 +25,12 @@ members by weight without listing them (``weighted_gf``, ``table_A``).
 from __future__ import annotations
 
 import sys
-from itertools import compress, groupby, product as iter_product
+from itertools import chain, compress, groupby, product as iter_product
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .record import Record
-from .series import _WORDS, QUIN_VARS, Series, _check_keys
+from .series import _WORDS, QUIN_VARS, Series, _check_keys, _word_bytes
 
 Part = tuple[int, bool]  # (value, overlined)
 
@@ -419,10 +419,8 @@ def enum_set(setid: str, n: int) -> list[Overpartition]:
     return [Overpartition(_parts_of(node)) for node in _walk_gap4(setid, n) if node[0] >= least]
 
 
-def _count_gap4(
-    setid: str, order: int, label: Callable[[int], Hashable] | None = None
-) -> Iterator[tuple[tuple[Hashable, int], int]]:
-    """((label, size), count) for every nonzero count of the named family's members by weight, size <= order.
+def _count_gap4(setid: str, order: int) -> Series:
+    """The named family's members counted by weight, size <= order, as a quinvariate series.
 
     A transfer over the largest part (Stanley, EC1 4.7) rather than a walk
     over the members.  ``H[v]`` maps the non-q part of a weight,
@@ -440,14 +438,10 @@ def _count_gap4(
     it is at most the members of that size.  A first pass with the non-q
     deltas dropped counts those, in slots that hold 3**order: a member of
     size s is a word over (absent, plain, overlined) at the values 1..s.
-    Its largest count sets the slot, rounded up to a native word, so no
-    slot carries.
-
-    The group keys are checked before decoding: a part adds at most 1 to
-    each non-q field, and every intermediate group lands in the total, so a
-    field that reached ``LIMIT`` is refused before it could carry.  The
-    groups are summed by ``label`` (kept apart by key without one), which no
-    slot overflows either, and each sum is decoded once.
+    ``_count_bytes`` sizes the slot from it, so no slot carries.  The group
+    keys are checked before decoding: a part adds at most 1 to each non-q
+    field, and every intermediate group lands in the total, so a field that
+    reached ``LIMIT`` is refused before it could carry.  ``_decode`` reads them.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -475,40 +469,58 @@ def _count_gap4(
                 below[k] = below.get(k, 0) + p
         return below
 
-    def native(nbytes: int) -> int:  # rounded up to a word of 1, 2, 4 or 8 bytes when it fits one
-        return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
-
-    def slots(packed: Iterable[int], nbytes: int) -> Sequence[int]:  # their unsigned slots, in order
-        data = b"".join([p.to_bytes((order + 1) * nbytes, sys.byteorder) for p in packed])
-        fmt = _WORDS.get(nbytes)
-        if fmt:
-            return memoryview(data).cast(fmt)
-        return [int.from_bytes(data[i : i + nbytes], sys.byteorder) for i in range(0, len(data), nbytes)]
-
-    wide = native(((3**order).bit_length() + 7) // 8)
     flat = [([0] * len(loose), [0] * len(tight)) for loose, tight in steps]
-    totals = slots(transfer(flat, 8 * wide).values(), wide)  # members by size
-    nbytes = native((max(totals).bit_length() + 7) // 8)
+    nbytes = _count_bytes(lambda width: transfer(flat, width).values(), 3**order, order)
     groups = transfer(steps, 8 * nbytes)
     _check_keys(QUIN_VARS, groups)
-    if label:
-        sums: dict[Hashable, int] = {}
-        for k, p in groups.items():
-            c = label(k)
-            sums[c] = sums.get(c, 0) + p
-    else:
-        sums = groups
-    words = slots(sums.values(), nbytes)
-    return zip(compress(iter_product(sums, range(order + 1)), words), filter(None, words))
+    return _decode(groups, order, nbytes)
 
 
 def weighted_gf(setid: str, order: int) -> Series:
-    """Quinvariate generating function of the named family, truncated at order.
+    """Quinvariate generating function of the named family, truncated at order: the transfer's counts."""
+    return _count_gap4(setid, order)
 
-    Its terms are the transfer's counts, keyed by weight and size.
+
+# -- the walk route's count codec ----------------------------------------------------
+#
+# The gap-4 transfer and ``lpi.Automaton`` size their unsigned slots and decode
+# here; no pair entry puts the one against the other.
+
+
+def _words(data: bytes, nbytes: int) -> Sequence[int]:
+    """The unsigned slots of ``nbytes`` in ``data``, lowest first, read in native byte order."""
+    fmt = _WORDS.get(nbytes)
+    if fmt:
+        return memoryview(data).cast(fmt)
+    return [int.from_bytes(data[i : i + nbytes], sys.byteorder) for i in range(0, len(data), nbytes)]
+
+
+def _count_bytes(members: Callable[[int], Iterable[int]], bound: int, order: int) -> int:
+    """Bytes per unsigned slot of a count in which no slot exceeds the members of its size.
+
+    ``members(width)`` runs the count with its non-q keys dropped, in ``width``-bit slots, and
+    yields ints that sum to the members by size 0..order.  ``bound`` bounds each of those, so
+    that run carries nowhere.  Its largest count sets the slot, rounded up to a native word.
     """
-    top = QUIN_VARS.shifts[0]
-    return Series._raw(QUIN_VARS, order, {k + (n << top): c for (k, n), c in _count_gap4(setid, order)})
+    wide = _word_bytes(bound.bit_length())
+    totals = _words(sum(members(8 * wide)).to_bytes((order + 1) * wide, sys.byteorder), wide)
+    return _word_bytes(max(totals).bit_length())
+
+
+def _decode(groups: dict[int, int], order: int, nbytes: int) -> Series:
+    """The series of q-packed groups: slot n of the int at non-q key k is the coefficient of k * q^n.
+
+    Each group is read from its lowest nonzero slot to its highest, and all
+    of them in one buffer; a group with a slot past the order raises ``OverflowError``.
+    """
+    top, width = QUIN_VARS.shifts[0], 8 * nbytes
+    chunks, keys = [], []
+    for k, p in groups.items():
+        lo, hi = ((p & -p).bit_length() - 1) // width, (p.bit_length() - 1) // width + 1
+        chunks.append((p >> width * lo).to_bytes((min(hi, order + 1) - lo) * nbytes, sys.byteorder))
+        keys.append(range(k + (lo << top), k + (hi << top), 1 << top))
+    words = _words(b"".join(chunks), nbytes)
+    return Series._raw(QUIN_VARS, order, dict(zip(compress(chain.from_iterable(keys), words), filter(None, words))))
 
 
 # -- the B side of thm15, thmA1 and thmA2 ------------------------------------------
@@ -576,9 +588,18 @@ def _table_A_class(key: int) -> tuple[int, int]:
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
     """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell.
 
-    The transfer's groups are summed by (m, ell) before they are decoded.
+    The terms of ``weighted_gf(SET_AVEE, order)`` summed by class, each non-q part classed once.
     """
-    return {(n, m, ell): c for ((m, ell), n), c in _count_gap4(SET_AVEE, order, _table_A_class)}
+    top = QUIN_VARS.shifts[0]
+    classes: dict[int, tuple[int, int]] = {}
+    out: dict[tuple[int, int, int], int] = {}
+    for key, c in weighted_gf(SET_AVEE, order)._terms.items():
+        part = key & ((1 << top) - 1)
+        if part not in classes:
+            classes[part] = _table_A_class(part)
+        cls = (key >> top, *classes[part])
+        out[cls] = out.get(cls, 0) + c
+    return out
 
 
 def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:

@@ -233,14 +233,18 @@ def _accumulate(
 _WORDS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot of a balanced digit of absolute value at most ``bound``.
+def _word_bytes(bits: int) -> int:
+    """Bytes per slot of ``bits`` bits, rounded up to a native word of 1, 2, 4 or 8 bytes when they fit one.
 
-    The digit's bits and a sign bit, rounded up to a native word (1, 2, 4 or
-    8 bytes) when they fit in one.
+    Every packed route sizes its slot here; a signed caller adds its sign bit.
     """
-    nbytes = (bound.bit_length() + 8) // 8
+    nbytes = (bits + 7) // 8
     return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot of a balanced digit of absolute value at most ``bound``: its bits and a sign bit."""
+    return _word_bytes(bound.bit_length() + 1)
 
 
 def _pack(digits: list[int], nbytes: int) -> int:

@@ -100,15 +100,18 @@ class TestVerify:
         assert pools == [{"max_workers": 2}]
 
     def test_prefix_over_any_budget_exit_two_before_any_work(self, capsys, monkeypatch):
-        # The Andrews-Gordon ladder allows order 95; avee-split (budget 90),
+        # The Andrews-Gordon ladder allows a higher order than avee-split, which,
         # last in the group, must stop it first.
+        budget = identities.REGISTRY["avee-split"].max_order
+        others = [identities.REGISTRY[i].max_order for i in identities.registry_ids() if i[0] == "a" and i != "avee-split"]
+        assert budget + 5 <= min(others)
         ran = []
         monkeypatch.setattr(identities.Entry, "run", lambda entry, order: ran.append(entry.id))
         for jobs in ((), ("--jobs", "1")):
-            code, out, err = run(capsys, "verify", "a", "--order", "95", *jobs)
+            code, out, err = run(capsys, "verify", "a", "--order", str(budget + 5), *jobs)
             assert code == 2
             assert out == ""
-            assert err == "avee-split: order 95 exceeds the resource budget 90\n"
+            assert err == f"avee-split: order {budget + 5} exceeds the resource budget {budget}\n"
         assert ran == []
 
     def test_prefix_over_every_thm_budget_names_the_first_entry(self, capsys, monkeypatch):
@@ -271,8 +274,8 @@ class TestEnum:
     @pytest.mark.parametrize(
         "args, budget, name",
         [
-            (("--set", "A"), identities.REGISTRY["thm51-a"].max_order, "gf-A"),
-            (("--set", "Avee"), identities.REGISTRY["avee-split"].max_order, "gf-Avee"),
+            (("--set", "A"), identities._WALK_BUDGET, "the gap-4 walk"),
+            (("--set", "Avee"), identities._WALK_BUDGET, "the gap-4 walk"),
             (("--lpi-spec", "ideal.json"), identities._PARAMETRIC_SERIES_BUDGET, "f<k>/g<k>"),
         ],
     )

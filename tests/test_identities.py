@@ -351,7 +351,7 @@ def test_table_bump_fails_thmA_with_exact_witness(monkeypatch, identity, table, 
     assert report.witness == witness
 
 
-# -- boundary contracts of the binomial sides at max_order --------------------------
+# -- boundary contracts of the product and binomial sides at max_order --------------
 #
 # Each function gives, for a side at order n, its largest non-q exponent and
 # terms that reach it, derived from the side's factors.
@@ -393,6 +393,18 @@ EDGES = {
     ("tri-single", 1): _tri_single_edge,
     ("quad", 0): _quad_lhs_edge,
 }
+
+
+def test_euler1_reaches_x_to_its_max_order_below_the_limit():
+    # 1/(xq; q)_inf and its sum: every x carries a q, so the largest power of
+    # x at order n is x^n, reached by (xq)^n alone.  poch_inverse would refuse
+    # a power past LIMIT before any work.
+    n = REGISTRY["euler1"].max_order
+    for side in REGISTRY["euler1"].sides:
+        series = side(n)
+        assert max(key >> series.vars.shifts[1] & FIELD for key in series._terms) == n
+        assert series.coeff((n, n)) == 1
+    assert n < LIMIT
 
 
 @pytest.mark.parametrize(

@@ -3,24 +3,25 @@
 Each mutant changes one piece of text in one kernel of ``tests/kernels.py``:
 the exponent of the division in ``eval_sum``, the part rule or the
 multiplicity cap of a B-side transfer, the containment test of the linking
-plan's base, the slot width, the depth shift or the decode's start slot of
-the packed block automaton, the degree weight, the sign power, the divisor
-or the slot width of ``poch_inverse``'s recurrence, the q-offset of a pair of
-groups, the decoded digit or the slot width of ``Series.__mul__``'s packed
-product, the sign or the cut of ``poch_finite``, the sign of a factor or of
-a division's chain, the doubling step, the cut or the slot width of
-``binomial_sum``, the tight gap or the slot width of the gap-4 transfer
+plan's base, the depth shift of the packed block automaton, the slot width
+or the decode's start slot of the walk route's count codec, which the
+automaton and the gap-4 transfer share, the degree weight, the sign power,
+the divisor or the slot width of ``poch_inverse``'s recurrence, the q-offset
+of a pair of groups, the decoded digit or the slot width of
+``Series.__mul__``'s packed product, the sign or the cut of ``poch_finite``,
+the sign of a factor or of a division's chain, the doubling step, the cut or
+the slot width of ``binomial_sum``, the tight gap of the gap-4 transfer
 ``_count_gap4``, Avee's exception in the gap-4 rule ``_gap4_parts``, or the
 weight of the collapse of ``table_A``.  The mutant replaces the kernel
-wherever the package binds it (``kernels.binders``),
-and every registry entry whose reach holds the kernel (``kernels.reach``, the
-kernels each side or runner calls at the default order) must then fail at
-its default order with a witness: a mismatch, or the coefficient that the
-recurrence's checked division by n found inexact.  An entry that reaches the
-kernel but cannot see the mutant is listed in ``UNSEEN`` with the reason,
-and must still pass under it, so that a change that lets it see the mutant
-shows here.  A mutant that no entry can see is listed in ``EQUIVALENT``
-with the reason, and a test of its own must kill it.
+wherever the package binds it (``kernels.binders``), and every registry
+entry whose reach holds the kernel (``kernels.reach``, the kernels each side
+or runner calls at the default order) must then fail at its default order
+with a witness: a mismatch, or the coefficient that the recurrence's checked
+division by n found inexact.  An entry that reaches the kernel but cannot see
+the mutant is listed in ``UNSEEN`` with the reason, and must still pass
+under it, so that a change that lets it see the mutant shows here.  A mutant
+that no entry can see is listed in ``EQUIVALENT`` with the reason, and a
+test of its own must kill it.
 
 Side mutants change one constant of a registry side: the shift monomial of
 ``quad``'s and ``quad-new``'s sum sides one q-power up or down, each entry
@@ -37,10 +38,11 @@ draws every partition from.  Each must fail ``lpi-eq-A`` at its default
 order or the count check, p(n) distinct ascending partitions of each n <= 30,
 with a witness.
 
-Two more mutants change the packed layout of ``Series`` keys, which no entry
-can see, since both sides of an identity share one layout: the x and y1
-fields swapped, and the guard check dropped.  ``_layout_holds`` must fail
-under each.
+Three more mutants change the packed layout, which no entry can see, since
+both sides of an identity share one layout: the x and y1 fields of
+``Series`` keys swapped, the guard check dropped, and a partial byte
+rounded down by the native-word rule that sizes every packed slot.
+``_layout_holds`` must fail under each.
 """
 
 from __future__ import annotations
@@ -73,11 +75,11 @@ KERNEL_MUTANTS = {
     "multiplicity cap 3 -> 2": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2)"),
     "multiplicity cap 3 -> 4": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)"),
     "linking plan base not a subset": ("_plan", " if t <= link", ""),
-    "automaton slot one byte narrower": (
-        "Automaton.__init__", "(max(totals).bit_length() + 7) // 8", "(max(totals).bit_length() - 1) // 8",
+    "walk count slot one byte narrower": (
+        "_count_bytes", "_word_bytes(max(totals).bit_length())", "_word_bytes(max(totals).bit_length() - 8)",
     ),
     "automaton depth shift T*d -> T*(d+1)": ("_g_groups", "t * d * x", "t * (d + 1) * x"),
-    "automaton decode starts one slot late": (
+    "walk decode starts one slot late": (
         "_decode", "((p & -p).bit_length() - 1) // width", "((p & -p).bit_length() - 1) // width + 1",
     ),
     "poch_inverse degree weight d -> d + 1": ("_log_derivative", _WEIGHT, "(d + 1) * spec.sign ** m"),
@@ -89,7 +91,9 @@ KERNEL_MUTANTS = {
     ),
     "product q-offset da + db -> da + db + 1": ("Series.__mul__", "d = da + db", "d = da + db + 1"),
     "product digit u - half -> u - half + 1": ("_unpack", "u - half", "u - half + 1"),
-    "product slot one byte narrower": ("_slot_bytes", "(bound.bit_length() + 8) // 8", "bound.bit_length() // 8"),
+    "product slot one byte narrower": (
+        "_slot_bytes", "_word_bytes(bound.bit_length() + 1)", "_word_bytes(bound.bit_length() - 7)",
+    ),
     "poch_finite factor sign flipped": (
         "poch_finite", "c - moved if spec.sign == 1 else c + moved", "c + moved if spec.sign == 1 else c - moved",
     ),
@@ -105,13 +109,10 @@ KERNEL_MUTANTS = {
     "binomial_sum doubling step e * 2 -> e + d": ("_QPacked.divide", "e *= 2", "e += d"),
     "binomial_sum cut one slot short": ("_QPacked.__init__", "(order + 1)) - 1", "order) - 1"),
     "binomial_sum slot one byte narrower": (
-        "binomial_sum", "(majorant.bound.bit_length() + 8) // 8", "majorant.bound.bit_length() // 8",
+        "binomial_sum", "_word_bytes(majorant.bound.bit_length() + 1)", "_word_bytes(majorant.bound.bit_length() - 7)",
     ),
     "gap-4 transfer tight gap v - 4 -> v - 3": ("_count_gap4", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
     "gap-4 Avee 1 then overlined 5 dropped": ("_gap4_parts", "avee and v == 5", "False"),
-    "gap-4 transfer slot one byte narrower": (
-        "_count_gap4", "(max(totals).bit_length() + 7) // 8", "(max(totals).bit_length() - 1) // 8",
-    ),
     "table_A collapse weight k -> k + 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight + 1) * ell)"),
     "table_A collapse weight k -> k - 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight - 1) * ell)"),
 }
@@ -200,10 +201,11 @@ EQUIVALENT = {
         "so every set already summed is a subset of the next one; "
         "test_f_vector_base_mutant_fails_on_sets_that_are_not_nested kills it"
     ),
-    "automaton slot one byte narrower": (
-        "at default orders the gap-4 language has fewer than 256 members of any size, so the "
-        "slot is 1 byte, and the mutant's 0 bytes round up to 2; "
-        "test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes kills it"
+    "walk count slot one byte narrower": (
+        "at default orders every gap-4 family and the gap-4 language have fewer than 256 members "
+        "of any size, so the slot of the transfer and of the automaton is 1 byte, and the mutant's "
+        "0 bytes round up to 2; test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes "
+        "and test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes kill it"
     ),
     "poch_inverse sign power dropped": (
         "every factor the registry inverts has sign +1, where s**m is 1; "
@@ -223,11 +225,6 @@ EQUIVALENT = {
         "slot is 4 bytes, and the mutant's 2 bytes still hold every value they reach (the "
         "sums' coefficients are at most 13 and 10 bits); "
         "test_narrow_binomial_slot_mutant_fails_where_the_majorant_is_reached kills it"
-    ),
-    "gap-4 transfer slot one byte narrower": (
-        "at default orders every family has fewer than 256 members of any size, so the "
-        "slot is 1 byte, and the mutant's 0 bytes round up to 2; "
-        "test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes kills it"
     ),
 }
 
@@ -423,7 +420,7 @@ def test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch
     expected = Counter(node[0] for node in partitions._walk_gap4(SET_A, order))
     assert max(expected.values()) >= 256
     assert partitions.weighted_gf(SET_A, order).terms == Series._raw(QUIN_VARS, order, dict(expected)).terms
-    _install_kernel_mutant(monkeypatch, "gap-4 transfer slot one byte narrower")
+    _install_kernel_mutant(monkeypatch, "walk count slot one byte narrower")
     with pytest.raises(OverflowError):
         partitions.weighted_gf(SET_A, order)
 
@@ -431,13 +428,15 @@ def test_narrow_gap4_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch
 def test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes(monkeypatch):
     # At order 70 the gap-4 language has up to 13 bits of members of one size,
     # so the slot is 2 bytes, and F_1 has a coefficient of 9 bits, past the
-    # mutant's one byte.  Its carries corrupt the groups they reach.
+    # mutant's one byte.  Its carries reach the top slot of F_1's groups,
+    # and the decode refuses them.
     order, spec = 70, lpi.gap4_ideal()
     expected = lpi.f_vector(spec, lpi_reference.g_vector(spec, order))[0]
     assert max(expected.terms.values()) >= 256
     assert lpi.Automaton(spec, order).f(0) == expected
-    _install_kernel_mutant(monkeypatch, "automaton slot one byte narrower")
-    assert lpi.Automaton(spec, order).f(0) != expected
+    _install_kernel_mutant(monkeypatch, "walk count slot one byte narrower")
+    with pytest.raises(OverflowError):
+        lpi.Automaton(spec, order).f(0)
 
 
 # label -> (old text, new text) in partitions._ascending_partitions, the
@@ -485,15 +484,25 @@ def test_every_oracle_mutant_is_killed(monkeypatch):
 LAYOUT_MUTANTS = {
     "x and y1 fields swapped": ("_field_shifts", "for j in range(arity)", "for j in (0, 2, 1, *range(3, arity))"),
     "guard check dropped": ("_check_keys", "& vars.guard", "& 0"),
+    "native word rounds a partial byte down": ("_word_bytes", "(bits + 7) // 8", "bits // 8"),
 }
 
 
 def _layout_holds() -> bool:
-    """Whether a layout built now keeps tuple order and refuses a field at LIMIT."""
+    """Whether a layout built now keeps tuple order, refuses a field at LIMIT, and
+    gives a packed product a slot wide enough for its coefficients."""
     vs = varset(*QUIN_VARS.names)
     monos = [vs.m(q=1, x=1), vs.m(y1=LIMIT - 1), vs.m(x=1), vs.m(z=2), vs.unit]
     s = Series(vs, 1, [(m, 1) for m in monos])
     if [m for m, _ in s.items()] != sorted(monos):
+        return False
+    # (255 + 255q)(1 + q): 510 and a sign bit need 10 bits, so 2 bytes, and
+    # a 1-byte slot cannot even pack 255 as a balanced digit.
+    a, b = Series(Q_VARS, 2, [((0,), 255), ((1,), 255)]), Series(Q_VARS, 2, [((0,), 1), ((1,), 1)])
+    try:
+        if (a * b).q_coefficients() != [255, 510, 255]:
+            return False
+    except OverflowError:
         return False
     try:
         s.mul_monomial(vs.m(y1=1))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import re
 import sys
+from pathlib import Path
+from typing import Callable
 
 import pytest
 
 import kernels
+import qident
 
 # entry -> (kernels both of its sides reach, why the share is there).  The
 # layout kernels, which every side reaches, are no share.
@@ -14,10 +19,6 @@ SHARES = {
     "borel-bridge-rhs": (
         {"eval_sum", "_divide_q_power"},
         "both sides are quadruple sums, and the operator maps one onto the other summand by summand",
-    ),
-    "avee-split": (
-        {"_gap4_parts", "_count_gap4"},
-        "both sides are transfer counts of gap-4 families; thm15 checks that transfer against the B transfer",
     ),
 }
 
@@ -93,3 +94,40 @@ def test_the_recorder_restores_the_profiler_it_found():
         assert sys.getprofile() is outer
     finally:
         sys.setprofile(previous)
+
+
+def _sites(match: Callable[[ast.AST], bool]) -> list[str]:
+    """``module.qualname`` of the function around each node of the package's source that ``match`` accepts."""
+    sites = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                sites.append(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    for path in sorted(Path(qident.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    return sites
+
+
+def _rounds_to_a_word(node: ast.AST) -> bool:
+    """Whether ``node`` is ``1 << (n - 1).bit_length()``: n bytes rounded up to a power of two."""
+    return isinstance(node, ast.BinOp) and re.fullmatch(r"1 << \(.+ - 1\)\.bit_length\(\)", ast.unparse(node)) is not None
+
+
+def test_the_native_word_rounding_is_written_once():
+    assert _sites(_rounds_to_a_word) == ["series._word_bytes"]
+    assert kernels.KERNELS["_word_bytes"].route == "layout"
+
+
+def test_each_route_reads_native_words_in_one_decoder():
+    # A decoder shared by both sides of an identity could let a fault cancel,
+    # so the product, sum and walk routes each keep their own.
+    readers = sorted(
+        _sites(lambda node: isinstance(node, ast.Name) and node.id == "_WORDS" and isinstance(node.ctx, ast.Load))
+    )
+    assert readers == ["multisum._QPacked.decode", "partitions._words", "series._unpack"]
+    routes = [kernels.KERNELS[site.split(".", 1)[1]].route for site in readers]
+    assert sorted(routes) == ["product", "sum", "walk"]

@@ -38,7 +38,8 @@ from qident.partitions import (
     oracle_members,
     weighted_gf,
 )
-from qident.series import LIMIT, QUIN_VARS, ExponentOverflow, Series
+from qident.identities import REGISTRY
+from qident.series import FIELD, LIMIT, QUIN_VARS, ExponentOverflow, Series
 
 V = QUIN_VARS
 IDEAL = gap4_ideal()
@@ -262,6 +263,20 @@ class TestPackedAutomaton:
         vec = [Series.one(V, 4)] * count
         with pytest.raises(LpiError, match="one series per block"):
             f_vector(IDEAL, vec)
+
+    # The automaton's largest non-q exponent at the budgets of the entries that
+    # run it: x^k, for the most parts k of a member of size at most the order.
+    # The least member with k parts is 1, 5, 9, ..., 4k - 3, of size 2k^2 - k,
+    # so x^15 first appears at q^435.
+    @pytest.mark.parametrize("identity, largest", [("g-system", 15), ("f-system", 14)])
+    def test_largest_non_q_exponent_at_max_order_is_below_the_limit(self, identity, largest):
+        order = REGISTRY[identity].max_order
+        automaton = Automaton(IDEAL, order)
+        keys = [k for groups in (*automaton._g, *automaton._f.values()) for k in groups]
+        assert max(k >> shift & FIELD for k in keys for shift in V.shifts[1:]) == largest
+        assert max(k >> V.shifts[1] & FIELD for k in keys) == largest
+        assert 2 * largest**2 - largest <= order < 2 * (largest + 1) ** 2 - (largest + 1)
+        assert largest < LIMIT
 
 
 @st.composite

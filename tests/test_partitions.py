@@ -601,7 +601,7 @@ LARGEST_NON_Q_EXPONENT = {
     ("thm51-b", SET_A_NO_1BAR): 7,
     ("thm51-c", SET_A_NO_1_1BAR): 7,
     ("thm51-d", SET_A_NO_1_1BAR_2_3BAR): 7,
-    ("avee-split", SET_AVEE): 6,
+    ("avee-split", SET_AVEE): 14,
 }
 
 
