@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import partitions
 from .borel import borel_apply
-from .lpi import Automaton, LpiSpec, compose, decompose, gap4_ideal, g_vector, language, matrices
+from .lpi import Automaton, LpiSpec, compose, decompose, gap4_ideal, g_vector, language_by_size, matrices
 from .multisum import MultiSumSpec, binomial_sum, eval_sum, quinvariate_spec, verify_matrix_relation
 from .partitions import (
     SET_A,
@@ -25,7 +25,7 @@ from .partitions import (
     SET_A_NO_1_1BAR,
     SET_A_NO_1_1BAR_2_3BAR,
     SET_AVEE,
-    oracle_members,
+    oracle_members_by_size,
     weighted_gf,
 )
 from .products import (
@@ -233,9 +233,10 @@ def _quad_new_rhs(order: int) -> Series:
 
 def _run_lpi_eq_A(order: int) -> tuple[bool, str | None]:
     spec = gap4_ideal()
+    generated_by_size = language_by_size(spec, order)
+    filtered_by_size = oracle_members_by_size(SET_A, order)
     for n in range(order + 1):
-        generated = set(language(spec, n))
-        filtered = oracle_members(SET_A, n)
+        generated, filtered = set(generated_by_size[n]), filtered_by_size[n]
         if generated != filtered:
             extra = next(iter(generated - filtered), None)
             missing = next(iter(filtered - generated), None)
@@ -354,8 +355,9 @@ def _avee_split_rhs(order: int, shift: int = 8) -> Series:
 # a fresh process, on a 2-core machine, Python 3.11); the other budgets are
 # older.  euler1, qbinom and quad-new were last derived with their inverted
 # products on packed slots; at 440, euler1's largest exponent x^440 stays
-# below LIMIT.  lpi-eq-A was last derived with its oracle drawing partitions
-# by accel_asc, g-system and f-system with the automaton run on q-packed
+# below LIMIT.  lpi-eq-A was last derived with both sides built once for every
+# size (one sweep over the partitions for the oracle, one chain walk for the
+# language), g-system and f-system with the automaton run on q-packed
 # groups, and avee-split with thm51-b's multi-sum as its right side's base.
 def _entries() -> list[Entry]:
     out = [
@@ -388,7 +390,7 @@ def _entries() -> list[Entry]:
         Entry("borel-bridge-rhs", 20, 200, "coefficient-boost operator maps one quadruple sum to the other",
               sides=(lambda n: borel_apply(_quad_new_rhs(n)), _quad_rhs)),
         Entry("h-matrix", 24, 300, "seven-row recurrence closure of the quinvariate multi-sum family, symbolic and numeric", runner=lambda n: verify_matrix_relation(order=n)),
-        Entry("lpi-eq-A", 30, 55, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
+        Entry("lpi-eq-A", 30, 60, "block-automaton language equals the gap-4 overpartition family, with round-trip", runner=_run_lpi_eq_A),
         Entry("g-system", 20, 435, "automaton series satisfy G = W.A.G(x -> xq^4)", runner=_run_g_system),
         Entry("f-system", 20, 390, "aggregated series satisfy F = A.W.F(x -> xq^4) with F(0) = 1", runner=_run_f_system),
         Entry("thm51-a", 20, 95, "quinvariate enumeration of the full gap-4 family vs multi-sum", sides=_quin_sides(SET_A)),

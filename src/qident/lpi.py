@@ -49,9 +49,15 @@ class LinkingViolation(NotInLanguage):
 
 
 class LpiSpec(Record):
-    """A linked partition ideal: its blocks, the linking set of each, and the modulus."""
+    """A linked partition ideal: its blocks, the linking set of each, and the modulus.
 
-    __slots__ = _fields = ("blocks", "linking", "modulus")
+    ``block_index`` maps each block's parts tuple to its index.  It follows
+    from ``blocks``, so a spec compares, hashes, pickles and prints by its
+    three fields alone.
+    """
+
+    __slots__ = ("blocks", "linking", "modulus", "block_index")
+    _fields = ("blocks", "linking", "modulus")
 
     def __init__(
         self,
@@ -80,6 +86,7 @@ class LpiSpec(Record):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "linking", linking)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "block_index", {b.parts: i for i, b in enumerate(blocks)})
 
     @property
     def size(self) -> int:
@@ -179,10 +186,9 @@ def decompose(spec: LpiSpec, op: Overpartition) -> tuple[int, ...]:
 
     Parts with value in [i*T+1, (i+1)*T] belong to the block at offset i*T.
     ``op``'s parts are canonical, so each offset's parts, shifted back, are
-    looked up as a canonical parts tuple among the blocks' own.
+    looked up as a canonical parts tuple in the spec's ``block_index``.
     """
     t = spec.modulus
-    index = {b.parts: i for i, b in enumerate(spec.blocks)}
     if not op.parts:
         return ()
     depth = (op.parts[-1][0] - 1) // t
@@ -193,7 +199,7 @@ def decompose(spec: LpiSpec, op: Overpartition) -> tuple[int, ...]:
     chain: list[int] = []
     prev = 0
     for i, bucket in enumerate(buckets):
-        k = index.get(tuple(bucket))
+        k = spec.block_index.get(tuple(bucket))
         if k is None:
             block = Overpartition(tuple(bucket))
             raise UnknownBlock(f"offset {i * t}: block {block.render() or 'empty'} not in alphabet")
@@ -206,39 +212,67 @@ def decompose(spec: LpiSpec, op: Overpartition) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def language(spec: LpiSpec, n: int) -> list[Overpartition]:
-    """The language members of size n (depth-first over chains).
+Chain = tuple[tuple[int, int], ...]  # (block, depth) of each nonempty block, shallowest first
 
-    The walk carries each chain as its (block, depth) pairs and the chain's
-    size; a parts tuple is built only for a chain of size n.
+
+def _chains(spec: LpiSpec, order: int, least: int) -> list[list[Chain]]:
+    """The chains of each size from ``least`` to ``order``: ``chains[n]`` lists those of size n, depth first.
+
+    One walk visits every chain of size <= order once and keeps those of
+    size at least ``least``.  A chain lists its nonempty blocks with their
+    depths, so its member's parts are each block's shifted by depth * T.
+    A nonempty block at depth d adds its size plus d * T per part, and an
+    empty one defers everything one offset deeper; since any nonempty block
+    at depth d adds at least d * T + 1, a branch ends once that no longer
+    fits.
     """
-    if n < 0:
-        raise LpiError(f"n must be >= 0, got {n}")
-    out = [EMPTY] if n == 0 else []
     t = spec.modulus
     sizes = [b.size for b in spec.blocks]
     lengths = [len(b) for b in spec.blocks]
+    chains: list[list[Chain]] = [[] for _ in range(order + 1)]
 
-    def rec(prev: int, depth: int, acc_size: int, chain: tuple[tuple[int, int], ...]) -> None:
+    def walk(prev: int, depth: int, acc_size: int, chain: Chain) -> None:
         offset = depth * t
-        # Any nonempty block at this offset adds at least offset + 1.
-        if acc_size + offset + 1 > n:
+        if acc_size + offset + 1 > order:
             return
         for k in spec.linking[prev]:
             if k == 0:
                 continue
             size = acc_size + sizes[k] + offset * lengths[k]
-            if size == n:
-                out.append(Overpartition(tuple(
-                    (v + d * t, o) for j, d in chain + ((k, depth),) for v, o in spec.blocks[j].parts
-                )))
-            elif size < n:
-                rec(k, depth + 1, size, chain + ((k, depth),))
-        # An empty block defers everything one offset deeper.
-        rec(0, depth + 1, acc_size, chain)
+            if size <= order:
+                longer = chain + ((k, depth),)
+                if size >= least:
+                    chains[size].append(longer)
+                walk(k, depth + 1, size, longer)
+        walk(0, depth + 1, acc_size, chain)
 
-    rec(0, 0, 0, ())
-    return out
+    if least == 0:
+        chains[0].append(())  # the empty chain
+    walk(0, 0, 0, ())
+    return chains
+
+
+def _member(spec: LpiSpec, chain: Chain) -> Overpartition:
+    """The member of a chain that ``_chains`` made: each block's parts shifted by its depth times T."""
+    t = spec.modulus
+    return Overpartition(tuple((v + d * t, o) for j, d in chain for v, o in spec.blocks[j].parts))
+
+
+def language(spec: LpiSpec, n: int) -> list[Overpartition]:
+    """The language members of size n, from one chain walk to n (``_chains``).
+
+    A parts tuple is built only for a chain of size n.
+    """
+    if n < 0:
+        raise LpiError(f"n must be >= 0, got {n}")
+    return [_member(spec, chain) for chain in _chains(spec, n, n)[n]]
+
+
+def language_by_size(spec: LpiSpec, order: int) -> list[list[Overpartition]]:
+    """``language(spec, n)`` for every n <= order, indexed by n, from one chain walk to the order."""
+    if order < 0:
+        raise LpiError(f"order must be >= 0, got {order}")
+    return [[_member(spec, chain) for chain in chains] for chains in _chains(spec, order, 0)]
 
 
 def g_vector(spec: LpiSpec, order: int) -> list[Series]:

@@ -10,16 +10,19 @@ part value may be overlined; overlines carry no size.  The central objects are
 * the variant family ``Avee``: overlines only on odd parts larger than 1, the
   same gap rule, except that an overlined 5 and a plain 1 may coexist.
 
-Two independent enumeration routes are provided.  The oracle draws every
-partition of n, unpruned, from one generator, ``_ascending_partitions``
-(Kelleher and O'Sullivan's ``accel_asc``), and expands the overline choices
-of those whose plain parts pass the gap clause ``_gap_ok`` pairwise into
+Two independent enumeration routes are provided.  The oracle sweeps every
+partition of every size up to an order once, unpruned, in one depth-first
+pass, ``_ascending_sweep``, which flags a partition with a pair that fails
+the gap clause ``_gap_ok`` and lets its descendants inherit the flag.  It
+expands the overline choices of the partitions without the flag into
 canonical parts tuples, which per-family tuple predicates filter; no
-overline choice can rescue a partition that fails, so nothing is lost.  The
-other route reads the gap rule from one table of parts by value,
-``_gap4_parts``.  A gap-constrained walk lists every member up to an order
-in one pass (``enum_set``), and a transfer over the largest part counts the
-members by weight without listing them (``weighted_gf``, ``table_A``).
+overline choice can rescue a partition that fails, so nothing is lost.  It
+gives the members of one size (``oracle_members``) or of every size at
+once (``oracle_members_by_size``).  The other route reads the gap rule
+from one table of parts by value, ``_gap4_parts``.  A gap-constrained walk
+lists every member up to an order in one pass (``enum_set``), and a
+transfer over the largest part counts the members by weight without
+listing them (``weighted_gf``, ``table_A``).
 """
 
 from __future__ import annotations
@@ -198,41 +201,44 @@ def _parts_predicate(setid: str) -> Callable[[tuple[Part, ...]], bool]:
 # -- exhaustive enumeration (the slow oracle) ----------------------------------
 
 
-def _ascending_partitions(n: int) -> Iterator[list[int]]:
-    """Every partition of n exactly once, as a fresh list of parts in ascending order.
+def _ascending_sweep(order: int, ok: Sequence[Sequence[bool]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(size, parts)`` for every ascending partition of size <= order whose consecutive parts pass ``ok``.
 
-    Kelleher and O'Sullivan's ``accel_asc`` ("Generating All Partitions: A
-    Comparison of Two Encodings", arXiv:0909.2331).  ``a[:k]`` holds the
-    parts fixed so far and y what is left of n.  Each outer step raises the
-    last fixed part to x, fills with copies of x while two more still fit,
-    then yields every split of the rest into two parts x <= y and finally
-    the rest as one part.  Partitions come out in lexicographic order.
+    One depth-first pass over ascending lists of parts (Knuth, TAOCP 4A,
+    7.2.1.4) visits every partition of every size <= order exactly once: the
+    children of a partition append one part at least its largest, smallest
+    first, so the partitions of one size come out in lexicographic order.
+    ``ok[lo][hi]`` says whether part hi may follow part lo, and each
+    partition with two or more parts reads it once, for its last pair.  A
+    partition fails when one of its consecutive pairs fails, so a failing
+    pair sets a flag that its descendants inherit; the walk still goes on
+    below it, and only partitions without the flag are yielded.  So the
+    walk is the same whatever the table holds.  ``parts`` is a fresh tuple,
+    smallest part first; the empty partition comes first.
     """
-    if n == 0:
-        yield []
-        return
-    a = [0] * (n + 1)
-    k, y = 1, n - 1
-    while k:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        last = k + 1
-        while x <= y:
-            a[k] = x
-            a[last] = y
-            yield a[:k + 2]
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield a[:k + 1]
+    parts = [0] * (order + 1)
+    first = [True] * (order + 1)  # the first part follows nothing, so every value passes
+
+    def below(k: int, last: int, size: int, failed: bool) -> Iterator[tuple[int, tuple[int, ...]]]:
+        row = ok[last] if k else first
+        for v in range(last or 1, order - size + 1):
+            flag = not row[v] or failed
+            parts[k] = v
+            if not flag:
+                yield size + v, tuple(parts[:k + 1])
+            if size + 2 * v <= order:  # room for one more part, at least v
+                yield from below(k + 1, v, size + v, flag)
+
+    yield 0, ()
+    yield from below(0, 0, 0, False)
 
 
-def _runs(parts: list[int]) -> tuple[tuple[int, int], ...]:
+def _all_pass(order: int) -> list[list[bool]]:
+    """The pair table that passes every pair, so that the sweep yields every partition."""
+    return [[True] * (order + 1)] * (order + 1)
+
+
+def _runs(parts: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """An ascending list of parts as ((value, multiplicity), ...)."""
     return tuple((v, sum(1 for _ in run)) for v, run in groupby(parts))
 
@@ -240,10 +246,11 @@ def _runs(parts: list[int]) -> tuple[tuple[int, int], ...]:
 def _partitions_by_multiplicity(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Partitions of n as ((value, multiplicity), ...) with ascending values.
 
-    The lists of ``_ascending_partitions``, in its order, grouped into runs of
-    equal parts; there is no other partition enumerator.
+    The partitions of size n that ``_ascending_sweep`` yields through the
+    all-pass table, in its order, grouped into runs of equal parts; there is
+    no other partition enumerator.
     """
-    return map(_runs, _ascending_partitions(n))
+    return (_runs(parts) for size, parts in _ascending_sweep(n, _all_pass(n)) if size == n)
 
 
 def _overlinings(partition: tuple[tuple[int, int], ...]) -> Iterator[tuple[Part, ...]]:
@@ -270,35 +277,44 @@ def enum_overpartitions(n: int) -> list[Overpartition]:
     return [Overpartition(parts) for parts in _overpartition_parts(n)]
 
 
+def _oracle(setid: str, order: int, least: int) -> list[set[Overpartition]]:
+    """The named family's members of each size from ``least`` to ``order``, by its predicate; none below.
+
+    One sweep to the order (``_ascending_sweep``) through a table
+    ``ok[lo][hi]`` of ``_gap_ok`` on plain parts, built here on each call so
+    that a changed gap clause reaches it.  Only a partition whose consecutive
+    parts all pass (each value once, consecutive values at least 4 apart) is
+    yielded; one of a size in range is grouped into (value, multiplicity)
+    runs and has its overline choices expanded, and each expanded tuple goes
+    through the family predicate.  Nothing is lost: every family predicate
+    requires ``_gap_ok`` of each consecutive pair, ``_gap_ok`` ignores the
+    lower part's overline, and an overlined upper part never passes where
+    the plain one fails.  The one exception, Avee's plain 1 before an
+    overlined 5, has plain values that pass.
+    """
+    if order < 0:
+        raise ValueError("n must be >= 0")
+    pred = _parts_predicate(setid)
+    ok = [[_gap_ok((lo, False), (hi, False)) for hi in range(order + 1)] for lo in range(order + 1)]
+    members: list[set[Overpartition]] = [set() for _ in range(order + 1)]
+    for size, parts in _ascending_sweep(order, ok):
+        if size >= least:
+            members[size].update(Overpartition(op) for op in _overlinings(_runs(parts)) if pred(op))
+    return members
+
+
 def oracle_members(setid: str, n: int) -> set[Overpartition]:
     """Members of the named family with size n, by the family predicate.
 
-    The exhaustive counterpart of ``enum_set``.  It draws every partition of n
-    from ``_ascending_partitions`` and tests its values first, against a table
-    ``ok[lo][hi]`` of ``_gap_ok`` on plain parts built on each call: only a
-    partition whose consecutive parts all pass (each value once, consecutive
-    values at least 4 apart) is grouped into (value, multiplicity) runs and
-    has its overline choices expanded, and each expanded tuple goes through
-    the family predicate.  Nothing is lost: every family predicate requires
-    ``_gap_ok`` of each consecutive pair, ``_gap_ok`` ignores the lower
-    part's overline, and an overlined upper part never passes where the
-    plain one fails.  The one exception, Avee's plain 1 before an overlined
-    5, has plain values that pass.
+    The exhaustive counterpart of ``enum_set``: every partition of every size
+    <= n is swept, and overlines are expanded at size n alone (``_oracle``).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    pred = _parts_predicate(setid)
-    ok = [[_gap_ok((lo, False), (hi, False)) for hi in range(n + 1)] for lo in range(n + 1)]
-    members = set()
-    for parts in _ascending_partitions(n):
-        prev = parts[0] if parts else 0
-        for v in parts[1:]:
-            if not ok[prev][v]:
-                break
-            prev = v
-        else:
-            members.update(Overpartition(op) for op in _overlinings(_runs(parts)) if pred(op))
-    return members
+    return _oracle(setid, n, n)[n]
+
+
+def oracle_members_by_size(setid: str, order: int) -> list[set[Overpartition]]:
+    """``oracle_members(setid, n)`` for every n <= order, indexed by n, from one sweep to the order."""
+    return _oracle(setid, order, 0)
 
 
 # -- the gap rule, the walk that lists members, the transfer that counts them --

@@ -9,13 +9,14 @@ A kernel is a function that builds one route's values.  Its route is
   ``binomial_sum``, which builds the sum sides of ``qbinom`` and
   ``tri-single`` from binomial factors and divisions on series packed along
   q, sized by a univariate majorant, with a decode of its own;
-* ``walk``: the gap-4 rule, the walk that lists its members and the
-  transfer that counts them, the B-side transfers and the tables read off
-  them, the oracle's partition generator, the block automaton (its
-  aggregation plan and its depth recursion on groups packed along q), and
-  the one count codec that the transfer and the automaton share: the size
-  pass that sets their slot from a first run without the non-q variables,
-  the word reader and the decode;
+* ``walk``: the oracle's one sweep over every partition up to an order,
+  the gap-4 rule, the walk that lists its members and the transfer that
+  counts them, the B-side transfers and the tables read off them, the walk
+  over the block automaton's chains and the language built from it, the
+  block automaton (its aggregation plan and its depth recursion on groups
+  packed along q), and the one count codec that the transfer and the
+  automaton share: the size pass that sets their slot from a first run
+  without the non-q variables, the word reader and the decode;
 * ``layout``: the packed key layout and the rounding of a slot to a native
   word, which both sides of every identity share by design, so they count
   as no share.
@@ -67,11 +68,10 @@ def _table() -> dict[str, Kernel]:
         },
         "walk": {
             "qident.partitions": (
-                "_gap4_parts", "_walk_gap4", "_count_gap4", "_count_distinct_4regular",
-                "_count_odd_mult_le3", "_table_A_class", "_collapse", "_ascending_partitions",
-                "_count_bytes", "_words", "_decode",
+                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "_count_gap4", "_count_distinct_4regular",
+                "_count_odd_mult_le3", "_table_A_class", "_collapse", "_count_bytes", "_words", "_decode",
             ),
-            "qident.lpi": ("language", "_plan", "_aggregate", "_add_groups", "_g_groups", "Automaton.__init__"),
+            "qident.lpi": ("_chains", "language", "_plan", "_aggregate", "_add_groups", "_g_groups", "Automaton.__init__"),
         },
         "layout": {"qident.series": ("_field_shifts", "_check_keys", "_word_bytes")},
     }

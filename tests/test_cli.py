@@ -430,3 +430,24 @@ class TestList:
         for line in out.splitlines():
             doc = json.loads(line)
             assert {"id", "default_order", "description"} == set(doc)
+
+
+def test_main_builds_one_parser_and_a_usage_error_leaves_it_correct(capsys, monkeypatch):
+    # The parser is built on the first call, not at import, and every later
+    # call reuses it, also after one that it refused.
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "verify", "thm51-a", "--order", "12", "--json")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "thm51-a", "--order", "twelve")
+        assert exc.value.code == 2
+        assert "invalid int value: 'twelve'" in capsys.readouterr().err
+        again = run(capsys, "verify", "thm51-a", "--order", "12", "--json")
+        assert [code for code, *_ in (first, again)] == [0, 0]
+        assert [json.loads(out)["order"] for _, out, _ in (first, again)] == [12, 12]
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()

@@ -182,24 +182,25 @@ def pool_modules():
 import qident, qident.cli
 qident.identities.registry_ids(include_negative=True)
 after_import = pool_modules()
+parsers_at_import = qident.cli._parser.cache_info().currsize
 qident.identities.verify_group(["thm51-a", "thm51-b"], order=5, jobs=1)
 after_one_job = pool_modules()
 qident.identities.verify_group(["thm51-a", "thm51-b"], order=5, jobs=2)
 after_two_jobs = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
 records = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
-print(json.dumps([after_import, after_one_job, after_two_jobs, records]))
+print(json.dumps([after_import, after_one_job, after_two_jobs, records, parsers_at_import]))
 """
 
 
 def test_import_loads_no_worker_pool_until_it_is_read():
     # The record classes are plain slotted classes, so start-up loads neither
-    # dataclasses nor the inspect it imports.
+    # dataclasses nor the inspect it imports; nor does it build the CLI parser.
     src = Path(identities.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-I", "-c", _IMPORT_SET, str(src)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert json.loads(done.stdout) == [[], [], ["multiprocessing", "concurrent.futures.process"], []]
+    assert json.loads(done.stdout) == [[], [], ["multiprocessing", "concurrent.futures.process"], [], 0]
 
 
 def _linking_mutant(i: int, j: int):

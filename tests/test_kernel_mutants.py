@@ -32,11 +32,13 @@ or down, or its product's residue set with one residue dropped or swapped
 for the excluded i.  They go through the same loop and count in the same
 kill rate.
 
-Oracle mutants change one comparison or constant of
-``partitions._ascending_partitions``, the generator the exhaustive oracle
-draws every partition from.  Each must fail ``lpi-eq-A`` at its default
-order or the count check, p(n) distinct ascending partitions of each n <= 30,
-with a witness.
+Oracle mutants change one bound, step or flag of
+``partitions._ascending_sweep``, the one sweep over every partition up to an
+order that the exhaustive oracle draws from.  Each must fail ``lpi-eq-A`` at
+its default order or a count check, with a witness: through the all-pass
+table the sweep to 30 yields p(n) distinct ascending partitions of each
+n <= 30, and through the table that fails equal neighbours q(n), those into
+distinct parts.
 
 Three more mutants change the packed layout, which no entry can see, since
 both sides of an identity share one layout: the x and y1 fields of
@@ -52,7 +54,9 @@ import importlib
 import inspect
 import textwrap
 from collections import Counter
+from itertools import islice
 from math import comb
+from typing import Callable
 
 import pytest
 
@@ -343,7 +347,7 @@ def test_a_binomial_factor_sign_mutant_fails_qbinom(monkeypatch, reach):
 
 def test_every_mutated_function_is_a_kernel():
     mutated = {name for name, _, _ in KERNEL_MUTANTS.values()}
-    mutated |= {name for name, _, _ in LAYOUT_MUTANTS.values()} | {"_ascending_partitions"}
+    mutated |= {name for name, _, _ in LAYOUT_MUTANTS.values()} | {"_ascending_sweep"}
     assert sorted(mutated - set(kernels.KERNELS)) == []
 
 
@@ -439,45 +443,65 @@ def test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes(monkey
         lpi.Automaton(spec, order).f(0)
 
 
-# label -> (old text, new text) in partitions._ascending_partitions, the
-# oracle's partition generator.  A mutant that only drops partitions with a
-# repeated part cannot change lpi-eq-A, since no member has one; the count
-# check kills it instead.
+# label -> (old text, new text) in partitions._ascending_sweep, the oracle's
+# sweep.  A mutant that only drops partitions with a repeated part cannot
+# change lpi-eq-A, since no member has one; the p(n) count kills it instead,
+# and the q(n) count kills one that lets a failing pair's descendants pass.
 ORACLE_MUTANTS = {
-    "accel_asc fills while 2x < y": ("while 2 * x <= y", "while 2 * x < y"),
-    "accel_asc splits while x < y": ("while x <= y", "while x < y"),
-    "accel_asc rest x + y - 2": ("y = x + y - 1", "y = x + y - 2"),
+    "sweep part bound one short": ("order - size + 1)", "order - size)"),
+    "sweep recurses only while size + 2v < order": ("size + 2 * v <= order", "size + 2 * v < order"),
+    "sweep next value steps by 2": ("order - size + 1)", "order - size + 1, 2)"),
+    "sweep flag not inherited": ("not row[v] or failed", "not row[v]"),
 }
 
 
-def _miscount(generate, top: int = 30) -> str | None:
-    """A witness that ``generate(n)`` is not the p(n) distinct ascending
-    partitions of n for some n <= top, or None.  p(n) is read off Euler's
-    1/(q; q)_inf, and at most p(n) + 1 lists are read per n."""
-    expected = poch_inverse([PochSpec(Q_VARS.m(q=1), 1)], Q_VARS, top).q_coefficients()
+def _count_rules(top: int = 30) -> dict[str, tuple[Callable[[int, int], bool], list[int]]]:
+    """count -> (pair rule, its number of partitions of each n <= top): p(n) read
+    off Euler's 1/(q; q)_inf, and q(n), into distinct parts, off (-q; q)_inf."""
+    q = PochSpec(Q_VARS.m(q=1), 1)
+    return {
+        "p(n)": (lambda lo, hi: True, poch_inverse([q], Q_VARS, top).q_coefficients()),
+        "q(n)": (lambda lo, hi: lo != hi, poch_inf(q.replace(sign=-1), Q_VARS, top).q_coefficients()),
+    }
+
+
+def _miscount(sweep, rule: Callable[[int, int], bool], expected: list[int]) -> str | None:
+    """A witness that ``sweep(top, ok)``, with ``ok[lo][hi] = rule(lo, hi)`` and top
+    ``len(expected) - 1``, does not yield expected[n] distinct ascending partitions
+    of each n <= top whose consecutive parts pass, or None.  At most
+    ``sum(expected) + 1`` items are read."""
+    top = len(expected) - 1
+    ok = [[rule(lo, hi) for hi in range(top + 1)] for lo in range(top + 1)]
+    drawn = list(islice(sweep(top, ok), sum(expected) + 1))
+    for size, p in drawn:
+        if not (0 <= size <= top and sum(p) == size and list(p) == sorted(p) and min(p, default=1) >= 1):
+            return f"size {size}: {p} drawn"
+        if not all(ok[a][b] for a, b in zip(p, p[1:])):
+            return f"size {size}: {p} drawn, which has a failing pair"
     for n in range(top + 1):
-        drawn = [tuple(parts) for parts, _ in zip(generate(n), range(expected[n] + 1))]
-        bad = [p for p in drawn if sum(p) != n or list(p) != sorted(p) or min(p, default=1) < 1]
-        if bad or len(set(drawn)) != len(drawn) or len(drawn) != expected[n]:
-            return f"n = {n}: {len(set(drawn))} distinct of {len(drawn)} drawn, p(n) = {expected[n]}"
+        of_n = [p for size, p in drawn if size == n]
+        if len(set(of_n)) != len(of_n) or len(of_n) != expected[n]:
+            return f"n = {n}: {len(set(of_n))} distinct of {len(of_n)} drawn, expected {expected[n]}"
     return None
 
 
 def test_every_oracle_mutant_is_killed(monkeypatch):
-    assert _miscount(partitions._ascending_partitions) is None
+    counts = _count_rules()
+    assert [_miscount(partitions._ascending_sweep, *c) for c in counts.values()] == [None] * len(counts)
     killed_by = {}
     for label, (old, new) in ORACLE_MUTANTS.items():
         with monkeypatch.context() as patch:
-            fn = _kernel_mutant("_ascending_partitions", old, new)
-            kernels.install(patch, "_ascending_partitions", fn)
+            fn = _kernel_mutant("_ascending_sweep", old, new)
+            kernels.install(patch, "_ascending_sweep", fn)
             report = verify("lpi-eq-A")
             assert report.order == REGISTRY["lpi-eq-A"].default_order
             witnesses = {"lpi-eq-A": report.witness} if not report.passed else {}
-            if count := _miscount(fn):
-                witnesses["count"] = count
+            for name, count in counts.items():
+                if witness := _miscount(fn, *count):
+                    witnesses[name] = witness
         assert witnesses and all(witnesses.values()), label
         killed_by[label] = sorted(witnesses)
-    print(f"oracle generator mutants and what kills them: {killed_by}")
+    print(f"oracle sweep mutants and what kills them: {killed_by}")
 
 
 # label -> (kernel, old text, new text)

@@ -19,6 +19,7 @@ from qident.lpi import (
     gap4_ideal,
     g_vector,
     language,
+    language_by_size,
     matrices,
 )
 from qident.multisum import (
@@ -53,6 +54,11 @@ class TestSpecShape:
         assert IDEAL.size == 7
         assert IDEAL.blocks[0] == EMPTY
         assert IDEAL.modulus == 4
+
+    def test_block_index_follows_the_blocks_and_stays_out_of_the_fields(self):
+        assert IDEAL.block_index == {b.parts: i for i, b in enumerate(IDEAL.blocks)}
+        assert "block_index" not in repr(IDEAL)
+        assert IDEAL.replace(modulus=5).block_index == IDEAL.block_index
 
     def test_block_weights(self):
         weights = IDEAL.weights()
@@ -157,6 +163,14 @@ class TestLanguage:
     def test_a_negative_size_is_refused(self):
         with pytest.raises(LpiError, match="n must be >= 0"):
             language(IDEAL, -1)
+
+    def test_by_size_is_the_language_of_every_size(self):
+        by_size = language_by_size(IDEAL, 30)
+        assert len(by_size) == 31
+        assert all(by_size[n] == language(IDEAL, n) for n in range(31))
+        assert language_by_size(IDEAL, 0) == [[EMPTY]]
+        with pytest.raises(LpiError, match="order must be >= 0"):
+            language_by_size(IDEAL, -1)
 
     def test_no_duplicates(self):
         for n in range(21):

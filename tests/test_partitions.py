@@ -24,6 +24,7 @@ from qident.partitions import (
     enum_set,
     in_A,
     oracle_members,
+    oracle_members_by_size,
     stats,
     table_A,
     table_A1,
@@ -36,7 +37,8 @@ from qident.partitions import (
     _FORBIDDEN,
     _gap_ok,
     _walk_gap4,
-    _ascending_partitions,
+    _all_pass,
+    _ascending_sweep,
     _overpartition_parts,
     _partitions_by_multiplicity,
     _parts_in_A,
@@ -44,7 +46,8 @@ from qident.partitions import (
     _parts_predicate,
 )
 from qident.identities import REGISTRY, verify
-from qident.series import LIMIT, QUIN_VARS, Series
+from qident.products import PochSpec, poch_inf
+from qident.series import LIMIT, Q_VARS, QUIN_VARS, Series
 
 V = QUIN_VARS
 
@@ -150,6 +153,18 @@ def partition_numbers(n_max: int) -> list[int]:
     return c
 
 
+class _CountingRow(list):
+    """A row of a pair table that counts, in ``reads["reads"]``, how often it is indexed."""
+
+    def __init__(self, row, reads: Counter) -> None:
+        super().__init__(row)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads["reads"] += 1
+        return super().__getitem__(i)
+
+
 def reference_enum_overpartitions(n: int) -> list[Overpartition]:
     """The object-building oracle: one Overpartition per partition and overline mask."""
     out = []
@@ -239,44 +254,80 @@ class TestOracleRoute:
                 assert oracle_members(setid, n) == full, (setid, n)
 
     def test_oracle_draws_every_partition(self, monkeypatch):
-        real = partitions._ascending_partitions
-        drawn = []
+        # The oracle sweeps once to n, through the table of _gap_ok on plain
+        # parts.  The sweep reads that table once for each partition with two
+        # or more parts, whatever the table holds, so a failing pair prunes
+        # nothing; and the oracle takes every partition that passes.
+        real = partitions._ascending_sweep
+        sweeps = []
 
-        def counting(n):
-            for parts in real(n):
-                drawn.append(tuple(parts))
-                yield parts
+        def recording(order, ok):
+            reads = Counter()
+            drawn = list(real(order, [_CountingRow(row, reads) for row in ok]))
+            sweeps.append((order, ok, reads["reads"], drawn))
+            yield from drawn
 
-        monkeypatch.setattr(partitions, "_ascending_partitions", counting)
+        monkeypatch.setattr(partitions, "_ascending_sweep", recording)
         expected = partition_numbers(20)
         for n in range(21):
-            drawn.clear()
+            sweeps.clear()
             oracle_members(SET_A, n)
-            assert len(drawn) == len(set(drawn)) == expected[n], n
-            assert all(sum(p) == n for p in drawn), n
+            ((order, ok, reads, drawn),) = sweeps
+            assert order == n
+            assert ok == [[_gap_ok((lo, False), (hi, False)) for hi in range(n + 1)] for lo in range(n + 1)]
+            assert reads == sum(expected[: n + 1]) - 1 - n, n  # the empty and the one-part partitions read none
+            everything = list(real(n, _all_pass(n)))
+            assert drawn == [(size, p) for size, p in everything if all(ok[a][b] for a, b in zip(p, p[1:]))], n
 
     def test_ascending_partitions_are_every_partition_once(self):
+        # Through the all-pass table the sweep to 30 yields p(n) distinct
+        # partitions of each n <= 30, those of one size in lexicographic order.
         expected = partition_numbers(30)
+        drawn = list(_ascending_sweep(30, _all_pass(30)))
+        assert drawn[0] == (0, ())
+        assert all(sum(p) == size and list(p) == sorted(p) and min(p, default=1) >= 1 for size, p in drawn)
         for n in range(31):
-            drawn = [tuple(parts) for parts in _ascending_partitions(n)]
-            assert len(drawn) == len(set(drawn)) == expected[n], n
-            assert all(sum(p) == n and list(p) == sorted(p) and min(p, default=1) >= 1 for p in drawn), n
+            of_n = [p for size, p in drawn if size == n]
+            assert len(of_n) == len(set(of_n)) == expected[n], n
+            assert of_n == sorted(of_n), n
+        assert len(drawn) == sum(expected)
+
+    def test_sweep_without_equal_neighbours_yields_the_partitions_into_distinct_parts(self):
+        # q(n), read off (-q; q)_inf: a pair fails when its parts are equal,
+        # and a partition with a failing pair anywhere is not yielded.
+        top = 30
+        expected = poch_inf(PochSpec(Q_VARS.m(q=1), 1, sign=-1), Q_VARS, top).q_coefficients()
+        ok = [[lo != hi for hi in range(top + 1)] for lo in range(top + 1)]
+        drawn = list(_ascending_sweep(top, ok))
+        assert all(a < b for _, p in drawn for a, b in zip(p, p[1:]))
+        assert Counter(size for size, _ in drawn) == Counter(dict(enumerate(expected)))
+        assert len(set(drawn)) == len(drawn)
 
     def test_partitions_by_multiplicity_groups_the_ascending_lists(self):
         for n in range(16):
             grouped = [tuple(v for v, m in p for _ in range(m)) for p in _partitions_by_multiplicity(n)]
-            assert grouped == [tuple(parts) for parts in _ascending_partitions(n)], n
+            assert grouped == [p for size, p in _ascending_sweep(n, _all_pass(n)) if size == n], n
             assert all(a[0] < b[0] for p in _partitions_by_multiplicity(n) for a, b in zip(p, p[1:])), n
 
+    def test_oracle_by_size_is_the_oracle_at_every_size(self):
+        for setid in SET_IDS:
+            by_size = oracle_members_by_size(setid, 22)
+            assert by_size == [oracle_members(setid, n) for n in range(23)], setid
+        with pytest.raises(ValueError):
+            oracle_members_by_size(SET_A, -1)
+
     def test_oracle_does_not_use_the_walk(self, monkeypatch):
-        expected = {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS}
+        def draw():
+            return {s: ([oracle_members(s, n) for n in range(19)], oracle_members_by_size(s, 18)) for s in SET_IDS}
+
+        expected = draw()
 
         def refuse(*args):
             raise AssertionError("the oracle called the gap-4 walk, transfer or rule")
 
         for name in ("_walk_gap4", "_count_gap4", "_gap4_parts"):
             monkeypatch.setattr(partitions, name, refuse)
-        assert {s: [oracle_members(s, n) for n in range(19)] for s in SET_IDS} == expected
+        assert draw() == expected
 
     def test_oracle_value_test_follows_the_gap_clause(self, monkeypatch):
         # A gap clause loosened to accept a difference of 3 must reach the
