@@ -11,25 +11,27 @@ x^length y1^r2mod4 y2^r0mod4 z^over q^size.  G_k collects the weights of all
 language members whose offset-0 block is block k; the vector of G_k satisfies
 G = W . A . G(x -> x q^T) with W the diagonal of block weights and A the 0/1
 linking incidence.  F_k = sum of G_j over the linking set of block k, each
-distinct set summed once from the largest summed set it contains (``_plan``).
+distinct set summed once from the largest summed set it contains (``_plan``),
+and the vector of F_k satisfies F = A . W . F(x -> x q^T).
+
+``gap4_ideal`` and ``matrices`` state the seven-block system of the gap-4
+family once: the automaton runs it, and the multi-sum closure of
+``multisum.verify_matrix_relation`` reads its incidence and weights.
 
 ``Automaton`` runs that recursion once, depth by depth, on series packed
 along q (one int per non-q part of a weight, one unsigned slot per
 q-degree) and decodes only the series a caller reads; ``g_vector`` reads
-every G_k.  ``f_vector`` forms the same sums over whole series.
+every G_k.  The F sums are formed there and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Callable, Sequence, TypeVar
 
 from .partitions import EMPTY, InvalidOverpartition, Overpartition, Part, _count_bytes, _decode, stats, weight_monomial
 from .record import Record
 from .series import Mono, QUIN_VARS, Series, _check_keys
-
-T = TypeVar("T")
 
 
 class LpiError(ValueError):
@@ -281,19 +283,6 @@ def g_vector(spec: LpiSpec, order: int) -> list[Series]:
     return [automaton.g(k) for k in range(spec.size)]
 
 
-def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
-    """For each block k, the sum of vec[j] over the linking set of block k.
-
-    The Series face of the aggregation ``_plan`` that the packed automaton
-    runs on its groups: each distinct set is one ``Series.sum``.
-    """
-    if len(vec) != spec.size:
-        raise LpiError("one series per block")
-    vars, order = vec[0].vars, vec[0].order
-    sums = _aggregate(_plan(spec), vec, lambda parts: Series.sum(vars, order, parts))
-    return [sums[link] for link in spec.linking]
-
-
 # -- the automaton, packed along q ----------------------------------------------
 
 Plan = list[tuple[frozenset[int], frozenset[int], list[int]]]
@@ -316,11 +305,11 @@ def _plan(spec: LpiSpec) -> Plan:
     return plan
 
 
-def _aggregate(plan: Plan, vec: Sequence[T], total: Callable[[list[T]], T]) -> dict[frozenset[int], T]:
-    """linking set -> the sum of ``vec`` over it, each set formed by ``total`` as ``plan`` says."""
-    sums: dict[frozenset[int], T] = {}
+def _aggregate(plan: Plan, vec: list[dict[int, int]]) -> dict[frozenset[int], dict[int, int]]:
+    """linking set -> the sum of the groups of ``vec`` over it, each set formed as ``plan`` says."""
+    sums: dict[frozenset[int], dict[int, int]] = {}
     for link, base, added in plan:
-        sums[link] = total(([sums[base]] if base else []) + [vec[j] for j in added])
+        sums[link] = _add_groups(([sums[base]] if base else []) + [vec[j] for j in added])
     return sums
 
 
@@ -355,7 +344,7 @@ def _g_groups(spec: LpiSpec, plan: Plan, order: int, keys: list[int], width: int
     steps = [(w[0], w[1], key, link) for w, key, link in zip(spec.weights(), keys, spec.linking)]
     vec: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(spec.size - 1)]
     for d in range(order // t, -1, -1):
-        sums = _aggregate(plan, vec, _add_groups)
+        sums = _aggregate(plan, vec)
         vec = []
         for q, x, key, link in steps:
             e, groups = q + t * d * x, sums[link]
@@ -377,8 +366,9 @@ class Automaton:
     each G_k and F_k is a dict from the non-q part of a weight to one int
     that packs, one unsigned slot per q-degree, the coefficients of that
     weight (``_g_groups``).  The F sums are int adds through the
-    aggregation ``_plan`` that ``f_vector`` also runs.  ``g(k)`` and
-    ``f(k)`` decode one series each, so a caller pays only for what it reads.
+    aggregation ``_plan``; blocks with equal linking sets share one sum, so
+    their ``f`` decode the same groups.  ``g(k)`` and ``f(k)`` decode one
+    series each, so a caller pays only for what it reads.
 
     Every coefficient at every depth counts language members of one size:
     a chain that starts at depth d with block k becomes a member once d
@@ -409,7 +399,7 @@ class Automaton:
         keys = [QUIN_VARS.pack((0, *w[1:])) for w in spec.weights()]
         g = _g_groups(spec, plan, order, keys, 8 * nbytes)
         self.spec, self.order, self._nbytes = spec, order, nbytes
-        self._g, self._f = g, _aggregate(plan, g, _add_groups)
+        self._g, self._f = g, _aggregate(plan, g)
 
     def g(self, k: int) -> Series:
         """G_k, for the 0-based block index k."""

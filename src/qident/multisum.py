@@ -28,7 +28,10 @@ the univariate majorant, and it has its own decode.
 ``rec_step`` splits a node in two exactly as the one-coordinate recurrence
 does (raise beta_r by A_r, or absorb a monomial weight and add alpha's r-th
 row), and ``verify_matrix_relation`` checks the seven-row closure of the
-quinvariate family both symbolically (leaf multisets) and numerically.
+quinvariate family both symbolically (leaf multisets) and numerically.  The
+closure is the system of the gap-4 linked partition ideal, so its incidence
+and weights are read from ``lpi``; the betas of its rows and the coordinate
+chains that realize them are facts of this family and live here.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import sys
 from operator import add
 from typing import Callable, Iterable
 
+from .lpi import gap4_ideal, matrices
 from .record import Record
 from .series import _WORDS, QUIN_VARS, Mono, Series, SeriesError, VarSet, _check_keys, _word_bytes, mono_mul
 
@@ -510,28 +514,6 @@ RELATION_BETAS: tuple[tuple[int, int, int, int], ...] = (
     (5, 5, 6, 8),
 )
 
-#: 0/1 incidence of the closure relation (which shifted columns feed each row).
-RELATION_MATRIX: tuple[tuple[int, ...], ...] = (
-    (1, 1, 1, 1, 1, 1, 1),
-    (1, 1, 0, 1, 1, 1, 1),
-    (1, 1, 0, 1, 1, 1, 1),
-    (1, 0, 0, 1, 1, 1, 1),
-    (1, 0, 0, 0, 1, 0, 1),
-    (1, 0, 0, 0, 1, 0, 1),
-    (1, 0, 0, 0, 0, 0, 0),
-)
-
-#: Diagonal weight monomials (1, xq, xzq, xy1q^2, xq^3, xzq^3, xy2q^4).
-RELATION_WEIGHTS: tuple[Mono, ...] = (
-    QUIN_VARS.m(),
-    QUIN_VARS.m(x=1, q=1),
-    QUIN_VARS.m(x=1, z=1, q=1),
-    QUIN_VARS.m(x=1, y1=1, q=2),
-    QUIN_VARS.m(x=1, q=3),
-    QUIN_VARS.m(x=1, z=1, q=3),
-    QUIN_VARS.m(x=1, y2=1, q=4),
-)
-
 #: Coordinate chains whose leaf multisets realize each row of the relation.
 #: Only the first row's chain is forced; the rest were found by hand and are
 #: certified by the exact leaf comparison below.
@@ -549,10 +531,15 @@ RELATION_PLANS: tuple[tuple[int, ...], ...] = (
 def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
     """Check the seven-row closure of the quinvariate family to ``order``.
 
-    Each row is checked symbolically (leaf multisets) and numerically.
-    Returns ``(passed, witness)``; the witness names the first failing row.
+    Row k reads H(beta_k) as the sum, over the blocks j that block k links
+    to, of W_j * H(beta_j) with x -> xq^4: the system F = A . W . F(xq^4)
+    of the gap-4 ideal, whose incidence A and weights W come from
+    ``lpi.matrices``.  Each row is checked symbolically (leaf multisets) and
+    numerically.  Returns ``(passed, witness)``; the witness names the first
+    failing row.
     """
     spec, vars = quinvariate_spec(), QUIN_VARS
+    incidence, weights = matrices(gap4_ideal())
     evals: dict[tuple[int, ...], Series] = {}
     columns: dict[int, Series] = {}
 
@@ -565,22 +552,18 @@ def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
         """weight_j * H(shifted beta_j), built once for every row that reads it."""
         if j not in columns:
             shifted = shift_beta_for_x(spec, RELATION_BETAS[j], 4)
-            columns[j] = value(shifted).mul_monomial(RELATION_WEIGHTS[j])
+            columns[j] = value(shifted).mul_monomial(weights[j])
         return columns[j]
 
-    for k in range(len(RELATION_BETAS)):
-        row_beta = RELATION_BETAS[k]
-        expected = sorted(
-            (RELATION_WEIGHTS[j], shift_beta_for_x(spec, RELATION_BETAS[j], 4))
-            for j in range(7)
-            if RELATION_MATRIX[k][j]
-        )
+    for k, row_beta in enumerate(RELATION_BETAS):
+        linked = [j for j in range(len(weights)) if incidence[k][j]]
+        expected = sorted((weights[j], shift_beta_for_x(spec, RELATION_BETAS[j], 4)) for j in linked)
         leaves = expand_tree(spec, vars, row_beta, list(RELATION_PLANS[k]))
         got = sorted((leaf.weight, leaf.beta) for leaf in leaves)
         if got != expected:
             return False, f"row {k + 1}: leaf multiset {got} != expected {expected}"
         lhs = value(row_beta)
-        rhs = Series.sum(vars, order, (column(j) for j in range(7) if RELATION_MATRIX[k][j]))
+        rhs = Series.sum(vars, order, (column(j) for j in linked))
         mm = lhs.first_mismatch(rhs, order)
         if mm is not None:
             return False, f"row {k + 1}: {mm.render(vars)}"

@@ -17,8 +17,8 @@ the gap clause ``_gap_ok`` and lets its descendants inherit the flag.  It
 expands the overline choices of the partitions without the flag into
 canonical parts tuples, which per-family tuple predicates filter; no
 overline choice can rescue a partition that fails, so nothing is lost.  It
-gives the members of one size (``oracle_members``) or of every size at
-once (``oracle_members_by_size``).  The other route reads the gap rule
+gives the members of every size at once (``oracle_members_by_size``).
+The other route reads the gap rule
 from one table of parts by value, ``_gap4_parts``.  A gap-constrained walk
 lists every member up to an order in one pass (``enum_set``), and a
 transfer over the largest part counts the members by weight without
@@ -277,15 +277,15 @@ def enum_overpartitions(n: int) -> list[Overpartition]:
     return [Overpartition(parts) for parts in _overpartition_parts(n)]
 
 
-def _oracle(setid: str, order: int, least: int) -> list[set[Overpartition]]:
-    """The named family's members of each size from ``least`` to ``order``, by its predicate; none below.
+def oracle_members_by_size(setid: str, order: int) -> list[set[Overpartition]]:
+    """The named family's members of every size <= order, indexed by size, by its predicate.
 
     One sweep to the order (``_ascending_sweep``) through a table
     ``ok[lo][hi]`` of ``_gap_ok`` on plain parts, built here on each call so
     that a changed gap clause reaches it.  Only a partition whose consecutive
     parts all pass (each value once, consecutive values at least 4 apart) is
-    yielded; one of a size in range is grouped into (value, multiplicity)
-    runs and has its overline choices expanded, and each expanded tuple goes
+    yielded; it is grouped into (value, multiplicity) runs and has its
+    overline choices expanded, and each expanded tuple goes
     through the family predicate.  Nothing is lost: every family predicate
     requires ``_gap_ok`` of each consecutive pair, ``_gap_ok`` ignores the
     lower part's overline, and an overlined upper part never passes where
@@ -293,28 +293,13 @@ def _oracle(setid: str, order: int, least: int) -> list[set[Overpartition]]:
     overlined 5, has plain values that pass.
     """
     if order < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError("order must be >= 0")
     pred = _parts_predicate(setid)
     ok = [[_gap_ok((lo, False), (hi, False)) for hi in range(order + 1)] for lo in range(order + 1)]
     members: list[set[Overpartition]] = [set() for _ in range(order + 1)]
     for size, parts in _ascending_sweep(order, ok):
-        if size >= least:
-            members[size].update(Overpartition(op) for op in _overlinings(_runs(parts)) if pred(op))
+        members[size].update(Overpartition(op) for op in _overlinings(_runs(parts)) if pred(op))
     return members
-
-
-def oracle_members(setid: str, n: int) -> set[Overpartition]:
-    """Members of the named family with size n, by the family predicate.
-
-    The exhaustive counterpart of ``enum_set``: every partition of every size
-    <= n is swept, and overlines are expanded at size n alone (``_oracle``).
-    """
-    return _oracle(setid, n, n)[n]
-
-
-def oracle_members_by_size(setid: str, order: int) -> list[set[Overpartition]]:
-    """``oracle_members(setid, n)`` for every n <= order, indexed by n, from one sweep to the order."""
-    return _oracle(setid, order, 0)
 
 
 # -- the gap rule, the walk that lists members, the transfer that counts them --
@@ -384,7 +369,7 @@ def _walk_gap4(setid: str, order: int) -> Iterator[Node]:
     part's delta, and no parts tuple is built.  Members of one size come out
     in lexicographic order of their parts, a plain part before its overlined
     copy.  Only ``enum_set`` walks: it lists members, where the counts need
-    only their number (``_count_gap4``).
+    only their number (``weighted_gf``).
     """
     top = QUIN_VARS.shifts[0]
     # The children a part value v can make, (delta, v + 4, part) in push order:
@@ -435,8 +420,8 @@ def enum_set(setid: str, n: int) -> list[Overpartition]:
     return [Overpartition(_parts_of(node)) for node in _walk_gap4(setid, n) if node[0] >= least]
 
 
-def _count_gap4(setid: str, order: int) -> Series:
-    """The named family's members counted by weight, size <= order, as a quinvariate series.
+def weighted_gf(setid: str, order: int) -> Series:
+    """Quinvariate generating function of the named family, truncated at order: its members counted by weight.
 
     A transfer over the largest part (Stanley, EC1 4.7) rather than a walk
     over the members.  ``H[v]`` maps the non-q part of a weight,
@@ -490,11 +475,6 @@ def _count_gap4(setid: str, order: int) -> Series:
     groups = transfer(steps, 8 * nbytes)
     _check_keys(QUIN_VARS, groups)
     return _decode(groups, order, nbytes)
-
-
-def weighted_gf(setid: str, order: int) -> Series:
-    """Quinvariate generating function of the named family, truncated at order: the transfer's counts."""
-    return _count_gap4(setid, order)
 
 
 # -- the walk route's count codec ----------------------------------------------------

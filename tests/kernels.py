@@ -68,7 +68,7 @@ def _table() -> dict[str, Kernel]:
         },
         "walk": {
             "qident.partitions": (
-                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "_count_gap4", "_count_distinct_4regular",
+                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "weighted_gf", "_count_distinct_4regular",
                 "_count_odd_mult_le3", "_table_A_class", "_collapse", "_count_bytes", "_words", "_decode",
             ),
             "qident.lpi": ("_chains", "language", "_plan", "_aggregate", "_add_groups", "_g_groups", "Automaton.__init__"),

@@ -4,13 +4,19 @@ G_k at depth d is G_k with x already shifted to x*q^{T*d}.  Beyond
 d = order // T every nonempty member's weight exceeds the order, so the
 vector there is (1, 0, ..., 0), and the recursion unwinds to depth 0 with
 one ``f_vector`` per depth and one ``Series.mul_monomial`` per block and
-depth.
+depth.  ``f_vector`` sums each linking set with ``Series.sum`` on its own,
+so the reference shares no aggregation plan with the automaton it checks.
 """
 
 from __future__ import annotations
 
-from qident.lpi import LpiSpec, f_vector
+from qident.lpi import LpiSpec
 from qident.series import QUIN_VARS, Series
+
+
+def f_vector(spec: LpiSpec, vec: list[Series]) -> list[Series]:
+    """For each block k, the sum of vec[j] over the linking set of block k."""
+    return [Series.sum(vec[0].vars, vec[0].order, (vec[j] for j in link)) for link in spec.linking]
 
 
 def g_vector(spec: LpiSpec, order: int) -> list[Series]:

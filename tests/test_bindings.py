@@ -99,14 +99,6 @@ KEPT: dict[str, str] = {
     "Series.coeff": "public Series API: a coefficient by exponent tuple, read by users and tests",
     "Series.q_coefficients": "public Series API: the q-degree sums, read by users and tests",
     "VarSet.unit": "public VarSet API: the unit monomial, the weight of a root SumNode in tests",
-    "oracle_members": (
-        "public partitions API: the oracle's members of one size, which tests compare enum_set "
-        "and language against; lpi-eq-A reads every size at once through oracle_members_by_size"
-    ),
-    "f_vector": (
-        "public lpi API: F_k of any vector of series, the Series face of the aggregation plan "
-        "that the packed automaton runs; the tests' reference recursion reads it"
-    ),
 }
 
 

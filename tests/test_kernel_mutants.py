@@ -11,7 +11,7 @@ of a pair of groups, the decoded digit or the slot width of
 ``Series.__mul__``'s packed product, the sign or the cut of ``poch_finite``,
 the sign of a factor or of a division's chain, the doubling step, the cut or
 the slot width of ``binomial_sum``, the tight gap of the gap-4 transfer
-``_count_gap4``, Avee's exception in the gap-4 rule ``_gap4_parts``, or the
+``weighted_gf``, Avee's exception in the gap-4 rule ``_gap4_parts``, or the
 weight of the collapse of ``table_A``.  The mutant replaces the kernel
 wherever the package binds it (``kernels.binders``), and every registry
 entry whose reach holds the kernel (``kernels.reach``, the kernels each side
@@ -115,7 +115,7 @@ KERNEL_MUTANTS = {
     "binomial_sum slot one byte narrower": (
         "binomial_sum", "_word_bytes(majorant.bound.bit_length() + 1)", "_word_bytes(majorant.bound.bit_length() - 7)",
     ),
-    "gap-4 transfer tight gap v - 4 -> v - 3": ("_count_gap4", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
+    "gap-4 transfer tight gap v - 4 -> v - 3": ("weighted_gf", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
     "gap-4 Avee 1 then overlined 5 dropped": ("_gap4_parts", "avee and v == 5", "False"),
     "table_A collapse weight k -> k + 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight + 1) * ell)"),
     "table_A collapse weight k -> k - 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight - 1) * ell)"),
@@ -354,14 +354,19 @@ def test_every_mutated_function_is_a_kernel():
 def test_f_vector_base_mutant_fails_on_sets_that_are_not_nested(monkeypatch):
     # Block 1 links {0, 1, 2}, block 2 links {0, 3}: neither contains the other,
     # so the mutant starts {0, 1, 2} from {0, 3} and counts block 3 in it.
-    ideal = lpi.gap4_ideal()
+    # The reference recursion sums each set with Series.sum, off the plan.
+    ideal, order = lpi.gap4_ideal(), 12
     linking = (ideal.linking[0], frozenset({0, 1, 2}), frozenset({0, 3}), *[frozenset({0})] * 4)
     spec = ideal.replace(linking=linking)
-    vec = [Series.monomial(QUIN_VARS, 4, QUIN_VARS.m(x=j)) for j in range(spec.size)]
-    expected = [Series.sum(QUIN_VARS, 4, (vec[j] for j in link)) for link in linking]
-    assert lpi.f_vector(spec, vec) == expected
+    expected = lpi_reference.f_vector(spec, lpi_reference.g_vector(spec, order))
+
+    def f_vector() -> list[Series]:
+        automaton = lpi.Automaton(spec, order)
+        return [automaton.f(k) for k in range(spec.size)]
+
+    assert f_vector() == expected
     _install_kernel_mutant(monkeypatch, "linking plan base not a subset")
-    assert lpi.f_vector(spec, vec) != expected
+    assert f_vector() != expected
 
 
 def test_sign_mutant_fails_on_a_negated_argument(monkeypatch):
@@ -435,7 +440,7 @@ def test_narrow_automaton_slot_mutant_fails_where_a_count_needs_two_bytes(monkey
     # mutant's one byte.  Its carries reach the top slot of F_1's groups,
     # and the decode refuses them.
     order, spec = 70, lpi.gap4_ideal()
-    expected = lpi.f_vector(spec, lpi_reference.g_vector(spec, order))[0]
+    expected = lpi_reference.f_vector(spec, lpi_reference.g_vector(spec, order))[0]
     assert max(expected.terms.values()) >= 256
     assert lpi.Automaton(spec, order).f(0) == expected
     _install_kernel_mutant(monkeypatch, "walk count slot one byte narrower")

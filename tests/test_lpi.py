@@ -15,19 +15,13 @@ from qident.lpi import (
     UnknownBlock,
     compose,
     decompose,
-    f_vector,
     gap4_ideal,
     g_vector,
     language,
     language_by_size,
     matrices,
 )
-from qident.multisum import (
-    RELATION_MATRIX,
-    RELATION_WEIGHTS,
-    eval_sum,
-    quinvariate_spec,
-)
+from qident.multisum import RELATION_BETAS, eval_sum, quinvariate_spec
 from qident.partitions import (
     EMPTY,
     Overpartition,
@@ -36,7 +30,7 @@ from qident.partitions import (
     SET_A_NO_1_1BAR,
     SET_A_NO_1_1BAR_2_3BAR,
     enum_set,
-    oracle_members,
+    oracle_members_by_size,
     weighted_gf,
 )
 from qident.identities import REGISTRY
@@ -144,11 +138,6 @@ class TestComposeDecompose:
 
 
 class TestMatrices:
-    def test_matches_relation_constants(self):
-        a, w = matrices(IDEAL)
-        assert a == RELATION_MATRIX
-        assert w == RELATION_WEIGHTS
-
     def test_rows_two_three_equal(self):
         a, _ = matrices(IDEAL)
         assert a[1] == a[2]
@@ -157,8 +146,9 @@ class TestMatrices:
 
 class TestLanguage:
     def test_equals_filtered_enumeration(self):
+        filtered = oracle_members_by_size(SET_A, 18)
         for n in range(19):
-            assert set(language(IDEAL, n)) == oracle_members(SET_A, n)
+            assert set(language(IDEAL, n)) == filtered[n]
 
     def test_a_negative_size_is_refused(self):
         with pytest.raises(LpiError, match="n must be >= 0"):
@@ -192,19 +182,17 @@ class TestGandF:
 
     def test_f_series_match_enumeration(self):
         order = 16
-        f = f_vector(IDEAL, g_vector(IDEAL, order))
+        f = [Automaton(IDEAL, order).f(k) for k in range(IDEAL.size)]
         assert f[0] == weighted_gf(SET_A, order)
         assert f[1] == weighted_gf(SET_A_NO_1BAR, order)
         assert f[3] == weighted_gf(SET_A_NO_1_1BAR, order)
         assert f[4] == weighted_gf(SET_A_NO_1_1BAR_2_3BAR, order)
 
     def test_f_equalities(self):
-        order = 14
-        g = g_vector(IDEAL, order)
-        f = f_vector(IDEAL, g)
-        assert f[1] == f[2]
-        assert f[4] == f[5]
-        assert f[6] == g[0]
+        automaton = Automaton(IDEAL, 14)
+        assert automaton.f(1) == automaton.f(2)
+        assert automaton.f(4) == automaton.f(5)
+        assert automaton.f(6) == automaton.g(0)
 
     def test_sum_of_g_is_f1(self):
         order = 14
@@ -212,16 +200,14 @@ class TestGandF:
         total = Series.zero(V, order)
         for s in g:
             total = total + s
-        assert total == f_vector(IDEAL, g)[0]
+        assert total == Automaton(IDEAL, order).f(0)
 
     def test_f_match_multisum_betas(self):
         order = 16
         spec = quinvariate_spec()
-        betas = ((1, 1, 2, 4), (1, 3, 2, 4), (1, 3, 2, 4), (3, 3, 2, 4),
-                 (3, 5, 6, 4), (3, 5, 6, 4), (5, 5, 6, 8))
-        f = f_vector(IDEAL, g_vector(IDEAL, order))
-        for k, beta in enumerate(betas):
-            assert f[k] == eval_sum(spec, beta, V, order)
+        automaton = Automaton(IDEAL, order)
+        for k, beta in enumerate(RELATION_BETAS):
+            assert automaton.f(k) == eval_sum(spec, beta, V, order)
 
 
 # A block with a repeated part, nested linking sets, modulus 3.
@@ -242,7 +228,7 @@ class TestPackedAutomaton:
     @pytest.mark.parametrize("order", [0, 1, 3, 4, 5, 30, 100])
     def test_matches_the_series_recursion(self, spec, order):
         g = lpi_reference.g_vector(spec, order)
-        f = f_vector(spec, g)
+        f = lpi_reference.f_vector(spec, g)
         automaton = Automaton(spec, order)
         assert [automaton.g(k) for k in range(spec.size)] == g
         assert [automaton.f(k) for k in range(spec.size)] == f
@@ -272,12 +258,6 @@ class TestPackedAutomaton:
         with pytest.raises(LpiError):
             g_vector(IDEAL, -1)
 
-    @pytest.mark.parametrize("count", [3, 9])
-    def test_f_vector_takes_one_series_per_block(self, count):
-        vec = [Series.one(V, 4)] * count
-        with pytest.raises(LpiError, match="one series per block"):
-            f_vector(IDEAL, vec)
-
     # The automaton's largest non-q exponent at the budgets of the entries that
     # run it: x^k, for the most parts k of a member of size at most the order.
     # The least member with k parts is 1, 5, 9, ..., 4k - 3, of size 2k^2 - k,
@@ -294,31 +274,25 @@ class TestPackedAutomaton:
 
 
 @st.composite
-def linked_vectors(draw):
-    """Gap-4 blocks with random valid linking sets, and one small series per block."""
+def linked_ideals(draw):
+    """Gap-4 blocks with random valid linking sets, and a small order."""
     linking = [frozenset(range(IDEAL.size))] + [
         frozenset({0}) | draw(st.frozensets(st.integers(1, IDEAL.size - 1)))
         for _ in range(IDEAL.size - 1)
     ]
-    spec = IDEAL.replace(linking=tuple(linking))
-    vec = [
-        Series(V, draw(st.integers(0, 4)), [
-            (V.m(q=draw(st.integers(0, 4)), x=draw(st.integers(0, 2)), z=draw(st.integers(0, 1))),
-             draw(st.integers(-3, 3)))
-            for _ in range(draw(st.integers(0, 4)))
-        ])
-        for _ in range(IDEAL.size)
-    ]
-    return spec, vec
+    return IDEAL.replace(linking=tuple(linking)), draw(st.integers(0, 24))
 
 
-@given(linked_vectors())
+@given(linked_ideals())
 def test_f_vector_is_the_sum_over_each_linking_set(case):
     # The sets are not nested in general, so a base summed for one set need
-    # not be contained in the next; the result must not depend on that.
-    spec, vec = case
-    expected = [Series.sum(V, vec[0].order, (vec[j] for j in link)) for link in spec.linking]
-    assert f_vector(spec, vec) == expected
+    # not be contained in the next; the automaton's F_k must not depend on
+    # that.  Each is checked against a Series.sum of its decoded G_j.
+    spec, order = case
+    automaton = Automaton(spec, order)
+    g = [automaton.g(j) for j in range(spec.size)]
+    for k, link in enumerate(spec.linking):
+        assert automaton.f(k) == Series.sum(V, order, (g[j] for j in link)), k
 
 
 class TestJson:

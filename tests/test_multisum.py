@@ -6,13 +6,12 @@ import re
 import pytest
 
 from qident import identities, multisum
+from qident.lpi import gap4_ideal, matrices
 from qident.multisum import (
     MultiSumSpec,
     NonTerminatingSum,
     RELATION_BETAS,
-    RELATION_MATRIX,
     RELATION_PLANS,
-    RELATION_WEIGHTS,
     SumNode,
     eval_sum,
     expand_tree,
@@ -26,6 +25,7 @@ from qident.series import QUIN_VARS, Series, SeriesError
 
 V = QUIN_VARS
 SPEC = quinvariate_spec()
+INCIDENCE, WEIGHTS = matrices(gap4_ideal())
 
 
 def collapse_to_q(series):
@@ -198,7 +198,7 @@ def _leaves_of(matrix):
         k = next(rows)
         assert beta == RELATION_BETAS[k]
         return [
-            SumNode(RELATION_WEIGHTS[j], shift_beta_for_x(spec, RELATION_BETAS[j], 4))
+            SumNode(WEIGHTS[j], shift_beta_for_x(spec, RELATION_BETAS[j], 4))
             for j in range(7)
             if matrix[k][j]
         ]
@@ -208,29 +208,30 @@ def _leaves_of(matrix):
 
 class TestMatrixRelation:
     def test_constants_are_consistent(self):
-        assert len(RELATION_BETAS) == len(RELATION_MATRIX) == len(RELATION_PLANS) == 7
-        assert len(RELATION_WEIGHTS) == 7
+        assert len(RELATION_BETAS) == len(INCIDENCE) == len(RELATION_PLANS) == 7
+        assert len(WEIGHTS) == 7
         # rows 2/3 and 5/6 coincide, matching the duplicated beta vectors
-        assert RELATION_MATRIX[1] == RELATION_MATRIX[2]
-        assert RELATION_MATRIX[4] == RELATION_MATRIX[5]
-        assert RELATION_MATRIX[6] == (1, 0, 0, 0, 0, 0, 0)
+        assert INCIDENCE[1] == INCIDENCE[2] and RELATION_BETAS[1] == RELATION_BETAS[2]
+        assert INCIDENCE[4] == INCIDENCE[5] and RELATION_BETAS[4] == RELATION_BETAS[5]
+        assert INCIDENCE[6] == (1, 0, 0, 0, 0, 0, 0)
 
     def test_passes_symbolically_and_numerically(self):
         passed, witness = verify_matrix_relation(order=16)
         assert passed and witness is None, witness
 
     def test_every_matrix_bit_mutant_fails(self, monkeypatch):
-        # Flip each of the 49 bits.  The leaf check must catch it at the
+        # Flip each of the 49 bits of the ideal's incidence, which the check
+        # reads through multisum.matrices.  The leaf check must catch it at the
         # flipped row; so must the series check alone, when the leaf check is
         # handed the mutant's own leaves.
         by_leaves = by_series = 0
         survivors = []
         for k in range(7):
             for j in range(7):
-                rows = [list(row) for row in RELATION_MATRIX]
+                rows = [list(row) for row in INCIDENCE]
                 rows[k][j] ^= 1
                 mutant = tuple(tuple(row) for row in rows)
-                monkeypatch.setattr(multisum, "RELATION_MATRIX", mutant)
+                monkeypatch.setattr(multisum, "matrices", lambda spec, mutant=mutant: (mutant, WEIGHTS))
                 monkeypatch.setattr(multisum, "expand_tree", expand_tree)
                 passed, witness = verify_matrix_relation(order=12)
                 if not passed and witness.startswith(f"row {k + 1}: leaf multiset "):
@@ -243,7 +244,7 @@ class TestMatrixRelation:
                     by_series += 1
                 else:
                     survivors.append(("series", k, j, witness))
-        print(f"RELATION_MATRIX bit mutants killed: {by_leaves}/49 by the leaf check, {by_series}/49 by the series check")
+        print(f"incidence bit mutants killed: {by_leaves}/49 by the leaf check, {by_series}/49 by the series check")
         assert not survivors, survivors
 
     def test_row_five_decomposition(self):

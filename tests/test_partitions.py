@@ -23,7 +23,6 @@ from qident.partitions import (
     enum_overpartitions,
     enum_set,
     in_A,
-    oracle_members,
     oracle_members_by_size,
     stats,
     table_A,
@@ -239,19 +238,16 @@ class TestOracleRoute:
                 if setid == SET_A:
                     assert in_A(op) == expected, op
 
-    def test_oracle_members_negative_size(self):
-        with pytest.raises(ValueError):
-            oracle_members(SET_A, -1)
-
     def test_partition_numbers_start(self):
         assert partition_numbers(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
     def test_oracle_equals_the_full_tuple_filter(self):
+        by_size = {setid: oracle_members_by_size(setid, 25) for setid in SET_IDS}
         for n in range(26):
             tuples = list(_overpartition_parts(n))
             for setid in SET_IDS:
                 full = {Overpartition(p) for p in filter(_parts_predicate(setid), tuples)}
-                assert oracle_members(setid, n) == full, (setid, n)
+                assert by_size[setid][n] == full, (setid, n)
 
     def test_oracle_draws_every_partition(self, monkeypatch):
         # The oracle sweeps once to n, through the table of _gap_ok on plain
@@ -271,7 +267,7 @@ class TestOracleRoute:
         expected = partition_numbers(20)
         for n in range(21):
             sweeps.clear()
-            oracle_members(SET_A, n)
+            oracle_members_by_size(SET_A, n)
             ((order, ok, reads, drawn),) = sweeps
             assert order == n
             assert ok == [[_gap_ok((lo, False), (hi, False)) for hi in range(n + 1)] for lo in range(n + 1)]
@@ -312,20 +308,20 @@ class TestOracleRoute:
     def test_oracle_by_size_is_the_oracle_at_every_size(self):
         for setid in SET_IDS:
             by_size = oracle_members_by_size(setid, 22)
-            assert by_size == [oracle_members(setid, n) for n in range(23)], setid
+            assert by_size == [oracle_members_by_size(setid, n)[n] for n in range(23)], setid
         with pytest.raises(ValueError):
             oracle_members_by_size(SET_A, -1)
 
     def test_oracle_does_not_use_the_walk(self, monkeypatch):
         def draw():
-            return {s: ([oracle_members(s, n) for n in range(19)], oracle_members_by_size(s, 18)) for s in SET_IDS}
+            return {s: oracle_members_by_size(s, 18) for s in SET_IDS}
 
         expected = draw()
 
         def refuse(*args):
             raise AssertionError("the oracle called the gap-4 walk, transfer or rule")
 
-        for name in ("_walk_gap4", "_count_gap4", "_gap4_parts"):
+        for name in ("_walk_gap4", "weighted_gf", "_gap4_parts"):
             monkeypatch.setattr(partitions, name, refuse)
         assert draw() == expected
 
@@ -334,7 +330,7 @@ class TestOracleRoute:
         # oracle's value test too, so that lpi-eq-A sees the extra members.
         real = partitions._gap_ok
         monkeypatch.setattr(partitions, "_gap_ok", lambda lo, hi: hi[0] - lo[0] == 3 or real(lo, hi))
-        assert Overpartition.of(1, 4) in oracle_members(SET_A, 5)
+        assert Overpartition.of(1, 4) in oracle_members_by_size(SET_A, 5)[5]
         report = verify("lpi-eq-A")
         assert not report.passed
         assert re.match(r"size \d+: ", report.witness)
@@ -377,9 +373,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("setid", SET_IDS)
     def test_oracle_equivalence(self, setid):
+        by_size = oracle_members_by_size(setid, 25)
         for n in range(26):
             direct = set(enum_set(setid, n))
-            assert direct == oracle_members(setid, n), f"{setid} differs at n={n}"
+            assert direct == by_size[n], f"{setid} differs at n={n}"
 
 
 class TestWeightedGF:
