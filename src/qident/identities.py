@@ -30,6 +30,7 @@ from .partitions import (
 )
 from .products import (
     PochSpec,
+    distinct_4regular,
     euler1,
     euler2,
     poch_finite,
@@ -198,10 +199,7 @@ def _quad_new_spec() -> MultiSumSpec:
 
 
 def _quad_lhs(order: int) -> Series:
-    vs = QXY_VARS
-    return poch_inf(PochSpec(vs.m(x=1, q=1), 2, sign=-1), vs, order) * poch_inf(
-        PochSpec(vs.m(y=1, q=2), 4, sign=-1), vs, order
-    )
+    return distinct_4regular(QXY_VARS, order, QXY_VARS.m(y=1))
 
 
 def _quad_rhs(order: int, perturb: int = 0) -> Series:
@@ -274,7 +272,7 @@ def _run_g_system(order: int) -> tuple[bool, str | None]:
     spec = gap4_ideal()
     a, weights = matrices(spec)
     g = g_vector(spec, order)
-    shifted = [s.substitute("x", QUIN_VARS.m(x=1, q=4)) for s in g]
+    shifted = [s.substitute("x", QUIN_VARS.m(x=1, q=spec.modulus)) for s in g]
     for k in range(spec.size):
         linked = (shifted[j] for j in range(spec.size) if a[k][j])
         rhs = Series.sum(QUIN_VARS, order, linked).mul_monomial(weights[k])
@@ -289,9 +287,9 @@ def _run_f_system(order: int) -> tuple[bool, str | None]:
     a, weights = matrices(spec)
     automaton = Automaton(spec, order)
     f = [automaton.f(k) for k in range(spec.size)]
-    # Column j of the right side, W_j * F_j(xq^4), is built once for every row.
+    # Column j of the right side, W_j * F_j(xq^T), is built once for every row.
     columns = [
-        s.substitute("x", QUIN_VARS.m(x=1, q=4)).mul_monomial(w) for s, w in zip(f, weights)
+        s.substitute("x", QUIN_VARS.m(x=1, q=spec.modulus)).mul_monomial(w) for s, w in zip(f, weights)
     ]
     for k in range(spec.size):
         rhs = Series.sum(QUIN_VARS, order, (columns[j] for j in range(spec.size) if a[k][j]))

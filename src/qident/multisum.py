@@ -532,14 +532,14 @@ def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
     """Check the seven-row closure of the quinvariate family to ``order``.
 
     Row k reads H(beta_k) as the sum, over the blocks j that block k links
-    to, of W_j * H(beta_j) with x -> xq^4: the system F = A . W . F(xq^4)
+    to, of W_j * H(beta_j) with x -> xq^T: the system F = A . W . F(xq^T)
     of the gap-4 ideal, whose incidence A and weights W come from
-    ``lpi.matrices``.  Each row is checked symbolically (leaf multisets) and
-    numerically.  Returns ``(passed, witness)``; the witness names the first
-    failing row.
+    ``lpi.matrices`` and T from its modulus.  Each row is checked
+    symbolically (leaf multisets) and numerically.  Returns
+    ``(passed, witness)``; the witness names the first failing row.
     """
-    spec, vars = quinvariate_spec(), QUIN_VARS
-    incidence, weights = matrices(gap4_ideal())
+    spec, vars, ideal = quinvariate_spec(), QUIN_VARS, gap4_ideal()
+    incidence, weights = matrices(ideal)
     evals: dict[tuple[int, ...], Series] = {}
     columns: dict[int, Series] = {}
 
@@ -551,13 +551,13 @@ def verify_matrix_relation(order: int) -> tuple[bool, str | None]:
     def column(j: int) -> Series:
         """weight_j * H(shifted beta_j), built once for every row that reads it."""
         if j not in columns:
-            shifted = shift_beta_for_x(spec, RELATION_BETAS[j], 4)
+            shifted = shift_beta_for_x(spec, RELATION_BETAS[j], ideal.modulus)
             columns[j] = value(shifted).mul_monomial(weights[j])
         return columns[j]
 
     for k, row_beta in enumerate(RELATION_BETAS):
         linked = [j for j in range(len(weights)) if incidence[k][j]]
-        expected = sorted((weights[j], shift_beta_for_x(spec, RELATION_BETAS[j], 4)) for j in linked)
+        expected = sorted((weights[j], shift_beta_for_x(spec, RELATION_BETAS[j], ideal.modulus)) for j in linked)
         leaves = expand_tree(spec, vars, row_beta, list(RELATION_PLANS[k]))
         got = sorted((leaf.weight, leaf.beta) for leaf in leaves)
         if got != expected:

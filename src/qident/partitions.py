@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, compress, groupby, product as iter_product
-from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .record import Record
-from .series import _WORDS, QUIN_VARS, Series, _check_keys, _word_bytes
+from .series import _WORDS, QUIN_VARS, QX_VARS, QXY_VARS, Mono, Series, VarSet, _check_keys, _word_bytes
 
 Part = tuple[int, bool]  # (value, overlined)
 
@@ -519,60 +518,12 @@ def _decode(groups: dict[int, int], order: int, nbytes: int) -> Series:
     return Series._raw(QUIN_VARS, order, dict(zip(compress(chain.from_iterable(keys), words), filter(None, words))))
 
 
-# -- the B side of thm15, thmA1 and thmA2 ------------------------------------------
-#
-# Each family has a transfer of its own, written out apart from the gap-4
-# rule, walk and transfer: the two are the two sides of those identities, so
-# they must share no code.
-
-
-def _count_distinct_4regular(order: int) -> dict[tuple[int, int], list[int]]:
-    """(length, odd parts) -> how many partitions into distinct parts, none
-    divisible by 4, have each size 0..order.
-
-    A transfer over part values rather than a walk over the partitions: those
-    with parts at most v are those with parts at most v - 1, and those with a
-    part v added to one of them, which moves its class to (length + 1, odd
-    parts + v % 2) and its counts up v sizes.  Counts are exact int lists.
-    """
-    length = order + 1
-    counts = {(0, 0): [1] + [0] * order}
-    for v in range(1, length):
-        if v % 4:
-            for (parts, odd), c in list(counts.items()):
-                head = c[: length - v]
-                if any(head):
-                    key, moved = (parts + 1, odd + v % 2), [0] * v + head
-                    counts[key] = list(map(add, counts[key], moved)) if key in counts else moved
-    return counts
-
-
-def _count_odd_mult_le3(order: int) -> dict[int, list[int]]:
-    """length -> how many partitions into odd parts, none appearing more than
-    three times, have each size 0..order.
-
-    A transfer over odd part values, as ``_count_distinct_4regular``: at v,
-    one to three copies of v are added to each partition with smaller parts.
-    """
-    length = order + 1
-    counts = {0: [1] + [0] * order}
-    for v in range(1, length, 2):
-        for parts, c in list(counts.items()):
-            for mult in (1, 2, 3):
-                if v * mult > order:
-                    break
-                head = c[: length - v * mult]
-                if not any(head):
-                    break
-                key, moved = parts + mult, [0] * (v * mult) + head
-                counts[key] = list(map(add, counts[key], moved)) if key in counts else moved
-    return counts
-
-
 # -- weighted counters ----------------------------------------------------------
 
-# table_X counts every size up to the order in one pass.
-# The A side reads the gap-4 transfer of Avee, the B side the transfer of its family.
+# table_X counts every size up to the order in one pass.  The A side reads the
+# gap-4 transfer of Avee.  The B side reads the product of distinct 4-regular
+# partitions, ``products.distinct_4regular``: the two sides of thm15, thmA1 and
+# thmA2 are the walk route and the product route, so they share no kernel.
 
 
 def _table_A_class(key: int) -> tuple[int, int]:
@@ -607,14 +558,16 @@ def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:
     return out
 
 
+def _b_table(vars: VarSet, order: int, even: Mono) -> dict[tuple[int, ...], int]:
+    """The terms of ``distinct_4regular(vars, order, even)``, keyed by exponent vector, q first."""
+    from .products import distinct_4regular  # products imports multisum, which imports lpi, which imports this module
+
+    return dict(distinct_4regular(vars, order, even).items())
+
+
 def table_B(order: int) -> dict[tuple[int, int, int], int]:
     """(n, m, ell) -> distinct 4-regular partitions of n, m odd parts and ell even parts."""
-    return {
-        (n, odd, parts - odd): c
-        for (parts, odd), counts in _count_distinct_4regular(order).items()
-        for n, c in enumerate(counts)
-        if c
-    }
+    return _b_table(QXY_VARS, order, QXY_VARS.m(y=1))
 
 
 def table_A1(order: int) -> dict[tuple[int, int], int]:
@@ -627,12 +580,7 @@ def table_A1(order: int) -> dict[tuple[int, int], int]:
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
     """(n, m) -> distinct 4-regular partitions of n into m parts."""
-    out: dict[tuple[int, int], int] = {}
-    for (parts, _), counts in _count_distinct_4regular(order).items():
-        for n, c in enumerate(counts):
-            if c:
-                out[n, parts] = out.get((n, parts), 0) + c
-    return out
+    return _b_table(QX_VARS, order, QX_VARS.m(x=1))
 
 
 def table_A2(order: int) -> dict[tuple[int, int], int]:
@@ -644,5 +592,10 @@ def table_A2(order: int) -> dict[tuple[int, int], int]:
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:
-    """(n, m) -> partitions of n into m odd parts, none appearing more than three times."""
-    return {(n, parts): c for parts, counts in _count_odd_mult_le3(order).items() for n, c in enumerate(counts) if c}
+    """(n, m) -> partitions of n into m odd parts, none appearing more than three times.
+
+    Read as distinct 4-regular partitions of n with a part = 2 mod 4 weighted
+    x^2: since (1 + a)(1 + a^2) = 1 + a + a^2 + a^3, a part 2v with v odd is
+    two copies of v (Glaisher's bijection; Andrews, The Theory of Partitions, ch. 1).
+    """
+    return _b_table(QX_VARS, order, QX_VARS.m(x=2))

@@ -11,6 +11,9 @@ product is decoded once through the codec of ``Series.__mul__``
 prod (1 + q^deg) of the same factors.
 Infinite products require the argument to carry positive q-degree so that
 only finitely many factors differ from 1 below the truncation order.
+``distinct_4regular`` states (-xq; q^2)_inf (-even q^2; q^4)_inf once: it is
+``quad``'s product side, and ``partitions.table_B/B1/B2`` read the B side of
+thm15, thmA1 and thmA2 off it.
 
 An inverted product 1 / prod_i (s_i A_i; q^{step_i})_inf is built by
 ``poch_inverse``, Euler's logarithmic-derivative recurrence over q-degree
@@ -99,6 +102,8 @@ def poch_finite(spec: PochSpec, vars: VarSet, order: int) -> Series:
     most factors whose q-degrees fit the order together, is checked against
     ``LIMIT`` before any work.
     """
+    if order < 0:
+        raise SeriesError("truncation order must be >= 0")
     if spec.length is None:
         raise SeriesError("poch_finite needs a finite length")
     if len(spec.argument) != vars.arity:
@@ -144,6 +149,15 @@ def poch_inf(spec: PochSpec, vars: VarSet, order: int) -> Series:
     return poch_finite(
         PochSpec(spec.argument, spec.step, n_factors, spec.sign), vars, order
     )
+
+
+def distinct_4regular(vars: VarSet, order: int, even: Mono) -> Series:
+    """(-xq; q^2)_inf (-even q^2; q^4)_inf: partitions into distinct parts, none divisible by 4.
+
+    An odd part carries x, and a part = 2 mod 4 carries the monomial ``even``.
+    """
+    odd_parts = poch_inf(PochSpec(vars.m(x=1, q=1), 2, sign=-1), vars, order)
+    return odd_parts * poch_inf(PochSpec(mono_mul(even, vars.m(q=2)), 4, sign=-1), vars, order)
 
 
 def poch(spec: PochSpec, vars: VarSet, order: int) -> Series:
@@ -211,6 +225,8 @@ def poch_inverse(specs: Iterable[PochSpec], vars: VarSet, order: int) -> Series:
     taken of an argument, order // deg_q(A), is checked against ``LIMIT``
     up front; a key made from several powers is checked as it is made.
     """
+    if order < 0:
+        raise SeriesError("truncation order must be >= 0")
     specs = tuple(specs)
     for spec in specs:
         arg = spec.argument
@@ -329,6 +345,8 @@ def inv_qpoch(vars: VarSet, order: int, step: int, n: int) -> Series:
     with step*k past the order are 1 here, and n <= 0 is the empty product.
     Fully independent of invert().
     """
+    if order < 0:
+        raise SeriesError("truncation order must be >= 0")
     counts = [1] + [0] * order
     for k in range(1, min(max(n, 0), order // step) + 1):
         counts = _divide_q_power(counts, step * k, order + 1)

@@ -3,15 +3,18 @@
 A kernel is a function that builds one route's values.  Its route is
 
 * ``product``: general products and their slot codec, inversion, the
-  Pochhammer builders, which pack along q through that codec, and the
-  recurrence of the inverted products;
+  Pochhammer builders, which pack along q through that codec, the product
+  of distinct 4-regular partitions that ``quad`` and the B tables of
+  ``thm15``, ``thmA1`` and ``thmA2`` read, and the recurrence of the
+  inverted products;
 * ``sum``: the multi-sum tree walk, division by 1 - q^k, and
   ``binomial_sum``, which builds the sum sides of ``qbinom`` and
   ``tri-single`` from binomial factors and divisions on series packed along
   q, sized by a univariate majorant, with a decode of its own;
 * ``walk``: the oracle's one sweep over every partition up to an order,
   the gap-4 rule, the walk that lists its members and the transfer that
-  counts them, the B-side transfers and the tables read off them, the walk
+  counts them, the classes and collapses of ``table_A`` that the A side of
+  ``thm15``, ``thmA1`` and ``thmA2`` reads off that transfer, the walk
   over the block automaton's chains and the language built from it, the
   block automaton (its aggregation plan and its depth recursion on groups
   packed along q), and the one count codec that the transfer and the
@@ -55,7 +58,7 @@ def _table() -> dict[str, Kernel]:
         "product": {
             "qident.series": ("Series.__mul__", "_q_groups", "_slot_bytes", "_pack", "_unpack", "Series.invert"),
             "qident.products": (
-                "poch", "poch_finite", "poch_inf", "poch_inverse", "inv_qpoch",
+                "poch", "poch_finite", "poch_inf", "distinct_4regular", "poch_inverse", "inv_qpoch",
                 "_log_derivative", "_exact_quotient", "_q_inverse", "_packed_inverse",
             ),
         },
@@ -68,8 +71,8 @@ def _table() -> dict[str, Kernel]:
         },
         "walk": {
             "qident.partitions": (
-                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "weighted_gf", "_count_distinct_4regular",
-                "_count_odd_mult_le3", "_table_A_class", "_collapse", "_count_bytes", "_words", "_decode",
+                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "weighted_gf",
+                "_table_A_class", "_collapse", "_count_bytes", "_words", "_decode",
             ),
             "qident.lpi": ("_chains", "language", "_plan", "_aggregate", "_add_groups", "_g_groups", "Automaton.__init__"),
         },

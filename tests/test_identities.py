@@ -239,6 +239,15 @@ def test_faulty_linking_sum_fails_the_automaton_systems(monkeypatch, identity):
     assert re.match(r"[GF]_\d: ", report.witness)
 
 
+@pytest.mark.parametrize("identity", ["g-system", "f-system"])
+def test_the_automaton_systems_shift_x_by_the_ideal_modulus(monkeypatch, identity):
+    # The same blocks and linking at modulus 5: the automaton runs
+    # G = W.A.G(x -> xq^5), and each system must read T from the ideal.
+    five = gap4_ideal().replace(modulus=5)
+    monkeypatch.setattr(identities, "gap4_ideal", lambda: five)
+    assert verify(identity, 20).passed
+
+
 def test_named_series_h_matches_eval():
     s = named_series("h:1,1,2,4", 4)
     assert s == eval_sum(quinvariate_spec(), (1, 1, 2, 4), QUIN_VARS, 4)

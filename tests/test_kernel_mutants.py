@@ -1,21 +1,23 @@
 """Mutants of the kernels that build each route's values from one it already has.
 
 Each mutant changes one piece of text in one kernel of ``tests/kernels.py``:
-the exponent of the division in ``eval_sum``, the part rule or the
-multiplicity cap of a B-side transfer, the containment test of the linking
-plan's base, the depth shift of the packed block automaton, the slot width
-or the decode's start slot of the walk route's count codec, which the
+the exponent of the division in ``eval_sum``, the containment test of the
+linking plan's base, the depth shift of the packed block automaton, the slot
+width or the decode's start slot of the walk route's count codec, which the
 automaton and the gap-4 transfer share, the degree weight, the sign power,
 the divisor or the slot width of ``poch_inverse``'s recurrence, the q-offset
 of a pair of groups, the decoded digit or the slot width of
 ``Series.__mul__``'s packed product, the sign or the cut of ``poch_finite``,
-the sign of a factor or of a division's chain, the doubling step, the cut or
-the slot width of ``binomial_sum``, the tight gap of the gap-4 transfer
-``weighted_gf``, Avee's exception in the gap-4 rule ``_gap4_parts``, or the
-weight of the collapse of ``table_A``.  The mutant replaces the kernel
-wherever the package binds it (``kernels.binders``), and every registry
-entry whose reach holds the kernel (``kernels.reach``, the kernels each side
-or runner calls at the default order) must then fail at its default order
+the step of either factor or the sign of the odd one in
+``distinct_4regular``, the product behind ``quad`` and the B tables of
+``thm15``, ``thmA1`` and ``thmA2``, the sign of a factor or of a division's
+chain, the doubling step, the cut or the slot width of ``binomial_sum``, the
+tight gap of the gap-4 transfer ``weighted_gf``, Avee's exception in the
+gap-4 rule ``_gap4_parts``, or the weight of the collapse of ``table_A``.
+The mutant replaces the kernel wherever the package binds it
+(``kernels.binders``), and every registry entry whose reach holds the
+kernel (``kernels.reach``, the kernels each side or runner calls at the
+default order) must then fail at its default order
 with a witness: a mismatch, or the coefficient that the recurrence's checked
 division by n found inexact.  An entry that reaches the kernel but cannot see
 the mutant is listed in ``UNSEEN`` with the reason, and must still pass
@@ -25,12 +27,13 @@ test of its own must kill it.
 
 Side mutants change one constant of a registry side: the shift monomial of
 ``quad``'s and ``quad-new``'s sum sides one q-power up or down, each entry
-of ``quad-new``'s two betas one up or down, and ``avee-split``'s shift
-x -> xq^8 one q-power up.  Andrews-Gordon side mutants change one pair
-(k, i) of the ladder, rr1 and rr2 included: each entry of its beta one up
-or down, or its product's residue set with one residue dropped or swapped
-for the excluded i.  They go through the same loop and count in the same
-kill rate.
+of ``quad-new``'s two betas one up or down, ``avee-split``'s shift
+x -> xq^8 one q-power up, and ``table_B2``'s weight of a part = 2 mod 4,
+which ``thmA2`` reads, x^2 down to x.  Andrews-Gordon side mutants change
+one pair (k, i) of the ladder, rr1 and rr2 included: each entry of its
+beta one up or down, or its product's residue set with one residue dropped
+or swapped for the excluded i.  They go through the same loop and count in
+the same kill rate.
 
 Oracle mutants change one bound, step or flag of
 ``partitions._ascending_sweep``, the one sweep over every partition up to an
@@ -75,9 +78,6 @@ _WEIGHT = "d * spec.sign ** m"
 KERNEL_MUTANTS = {
     "eval_sum divides by 1 - q^(A(n+1))": ("eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n + 1),"),
     "eval_sum divides by 1 - q^(A(n-1))": ("eval_sum", "spec.bases[r] * n,", "spec.bases[r] * (n - 1),"),
-    "4-regular rule v % 4 -> v % 2": ("_count_distinct_4regular", "if v % 4:", "if v % 2:"),
-    "multiplicity cap 3 -> 2": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2)"),
-    "multiplicity cap 3 -> 4": ("_count_odd_mult_le3", "(1, 2, 3)", "(1, 2, 3, 4)"),
     "linking plan base not a subset": ("_plan", " if t <= link", ""),
     "walk count slot one byte narrower": (
         "_count_bytes", "_word_bytes(max(totals).bit_length())", "_word_bytes(max(totals).bit_length() - 8)",
@@ -104,6 +104,9 @@ KERNEL_MUTANTS = {
     "poch_finite cut one slot short": (
         "poch_finite", "(1 << 8 * nbytes * length) - 1", "(1 << 8 * nbytes * (length - 1)) - 1",
     ),
+    "distinct 4-regular even-part step 4 -> 2": ("distinct_4regular", "q=2)), 4,", "q=2)), 2,"),
+    "distinct 4-regular odd-part step 2 -> 1": ("distinct_4regular", "q=1), 2,", "q=1), 1,"),
+    "distinct 4-regular odd-part sign flipped": ("distinct_4regular", "2, sign=-1)", "2, sign=1)"),
     "binomial_sum factor sign flipped": (
         "_QPacked.times", "c - moved if sign == 1 else c + moved", "c + moved if sign == 1 else c - moved",
     ),
@@ -155,7 +158,8 @@ UNSEEN = {
 # beta (alpha's diagonal is (2, 0, 0, 0), and no entry at 1..3 drops to 0).
 _QUAD_NEW_BETAS = ((1, 3, 2, 2), (5, 3, 6, 2))
 
-# label -> (function, old text, new text, entry whose right side it is)
+# label -> (function, old text, new text, entry whose right side it is).  The
+# function is in ``identities``, or for a runner entry a table in ``partitions``.
 SIDE_MUTANTS = {
     "quad shift x^2yq^6 -> q^7": ("_quad_rhs", "q=6)", "q=7)", "quad"),
     "quad shift x^2yq^6 -> q^5": ("_quad_rhs", "q=6)", "q=5)", "quad"),
@@ -167,6 +171,7 @@ SIDE_MUTANTS = {
     for mutated in (beta[:r] + (beta[r] + d,) + beta[r + 1 :] for r in range(4) for d in (1, -1))
 } | {
     "avee-split shift xq^8 -> xq^9": ("_avee_split_rhs", "shift: int = 8", "shift: int = 9", "avee-split"),
+    "table_B2 weight x^2 -> x": ("table_B2", "m(x=2)", "m(x=1)", "thmA2"),
 }
 
 _AG_PAIRS = tuple((k, i) for k in (2, 3, 4) for i in range(1, k + 1))
@@ -220,8 +225,10 @@ EQUIVALENT = {
         "euler2, qbinom and tri-single: a 9-bit majorant, 1 byte under the mutant for "
         "coefficients of at most 7 bits; __mul__ in qbinom: a 21-bit bound, 2 bytes for "
         "coefficients of at most 13 bits; in tri-single: 18- and 20-bit bounds, 2 bytes for "
-        "at most 12 bits), or rounds up to a wider one (quad and borel-bridge-lhs: 2-, 3- and "
-        "7-bit bounds, whose 0 bytes round up to 2); "
+        "at most 12 bits; in the B tables of thm15, thmA1 and thmA2: an 8-bit bound, 1 byte for "
+        "coefficients of at most 5 bits), or rounds up to a wider one (quad and borel-bridge-lhs: "
+        "2-, 3- and 7-bit bounds, and the B tables' poch_finite: 2- and 4-bit majorants, whose "
+        "0 bytes round up to 2); "
         "test_narrow_product_slot_mutant_fails_where_the_bound_is_reached kills it"
     ),
     "binomial_sum slot one byte narrower": (
@@ -260,8 +267,10 @@ def _install(monkeypatch, label: str, reach) -> tuple[str, ...]:
     A kernel mutant replaces the function wherever the package binds it, and
     its entries are those whose reach holds the function, apart from UNSEEN.
     ``REGISTRY`` captured each side when it was built, so a side mutant
-    replaces the entry's right side rather than the module global, and a
-    residue mutant replaces the left side of each entry built from its pair.
+    replaces the entry's right side rather than the module global; a runner
+    reads its tables from ``partitions`` at call time, so a table mutant
+    replaces that global.  A residue mutant replaces the left side of each
+    entry built from its pair.
     An AG side reads ``_ag_beta`` at call time, so a beta mutant replaces
     that global by one that changes the pair's beta only.
     """
@@ -284,8 +293,11 @@ def _install(monkeypatch, label: str, reach) -> tuple[str, ...]:
     if label in SIDE_MUTANTS:
         name, old, new, identity = SIDE_MUTANTS[label]
         entry = REGISTRY[identity]
-        sides = (entry.sides[0], _mutant(identities, name, old, new))
-        monkeypatch.setitem(REGISTRY, identity, entry.replace(sides=sides))
+        if entry.sides is None:
+            monkeypatch.setattr(partitions, name, _mutant(partitions, name, old, new))
+        else:
+            sides = (entry.sides[0], _mutant(identities, name, old, new))
+            monkeypatch.setitem(REGISTRY, identity, entry.replace(sides=sides))
         return (identity,)
     name = _install_kernel_mutant(monkeypatch, label)
     return tuple(i for i in kernels.reached(reach, name) if (label, i) not in UNSEEN)

@@ -12,6 +12,7 @@ import pytest
 
 import kernels
 import qident
+from qident import partitions
 
 # entry -> (kernels both of its sides reach, why the share is there).  The
 # layout kernels, which every side reaches, are no share.
@@ -57,9 +58,10 @@ def test_the_route_matrix_has_exactly_the_known_shares(reach):
 
 # The product codec serves Series.__mul__ and poch_finite alone.  Grouping
 # and packing serve __mul__: the entries that multiply two series at their
-# default order.  The slot width and the decode serve poch_finite too, which
-# euler2's product side reaches without multiplying.
-MULTIPLYING = ["qbinom", "tri-single", "quad", "borel-bridge-lhs"]
+# default order, thm15, thmA1 and thmA2 in their B tables.  The slot width
+# and the decode serve poch_finite too, which euler2's product side reaches
+# without multiplying.
+MULTIPLYING = ["qbinom", "tri-single", "quad", "borel-bridge-lhs", "thm15", "thmA1", "thmA2"]
 PRODUCT_ENTRIES = {
     "Series.__mul__": MULTIPLYING,
     "_q_groups": MULTIPLYING,
@@ -74,6 +76,21 @@ PRODUCT_ENTRIES = {
 def test_the_product_codec_reaches_the_entries_that_multiply(reach, name):
     assert kernels.KERNELS[name].route == "product"
     assert kernels.reached(reach, name) == PRODUCT_ENTRIES[name]
+
+
+# Each side of thm15, thmA1 and thmA2 is one count table: the A tables read
+# the gap-4 transfer, the B tables the product of distinct 4-regular
+# partitions, so no kernel but the layout serves both.
+_TABLE_ROUTES = {
+    **dict.fromkeys((partitions.table_A, partitions.table_A1, partitions.table_A2), "walk"),
+    **dict.fromkeys((partitions.table_B, partitions.table_B1, partitions.table_B2), "product"),
+}
+
+
+@pytest.mark.parametrize("table, route", list(_TABLE_ROUTES.items()), ids=lambda t: getattr(t, "__name__", t))
+def test_each_count_table_stays_on_its_route(table, route):
+    reached = kernels.record(lambda: table(25))
+    assert {kernels.KERNELS[name].route for name in reached} - {"layout"} == {route}
 
 
 def test_every_pair_side_reaches_a_kernel(reach):

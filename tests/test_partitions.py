@@ -448,22 +448,6 @@ class TestCounts:
         assert table_A2(order) == table_B2(order)
         assert table_A(order) == table_B(order)
 
-    def test_B_generating_function_is_the_signed_product(self):
-        # sum B(n,m,l) x^m y^l q^n against (-xq;q^2)_inf (-yq^2;q^4)_inf
-        from qident.products import PochSpec, poch_inf
-        from qident.series import QXY_VARS
-
-        order = 16
-        prod = poch_inf(PochSpec(QXY_VARS.m(x=1, q=1), 2, sign=-1), QXY_VARS, order) * poch_inf(
-            PochSpec(QXY_VARS.m(y=1, q=2), 4, sign=-1), QXY_VARS, order
-        )
-        from qident.partitions import table_B
-
-        terms = [
-            (QXY_VARS.m(q=n, x=m, y=l), c) for (n, m, l), c in table_B(order).items()
-        ]
-        assert Series(QXY_VARS, order, terms) == prod
-
 
 # -- reference generators for the B side: each size generated from scratch -------
 

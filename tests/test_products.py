@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernels
-from qident import identities, multisum, products
+from qident import identities, multisum, partitions, products
 from qident.products import (
     SLOT_BOX_BYTES,
     DivergentProduct,
@@ -71,6 +71,27 @@ def expand_three_binomials(order: int) -> Series:
                 new[key] = new.get(key, 0) + c * dc
         acc = new
     return Series(vs, order, [((eq, ey), c) for (eq, ey), c in acc.items() if c])
+
+
+_ONE = PochSpec(Q_VARS.m(q=1), 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: poch_finite(_ONE.replace(length=3), Q_VARS, -1),
+        lambda: poch_inf(_ONE, Q_VARS, -1),
+        lambda: poch_inverse([_ONE], Q_VARS, -1),
+        lambda: inv_qpoch(Q_VARS, -1, 1, 3),
+        lambda: partitions.table_B(-1),
+        lambda: partitions.table_B1(-1),
+        lambda: partitions.table_B2(-1),
+    ],
+    ids=["poch_finite", "poch_inf", "poch_inverse", "inv_qpoch", "table_B", "table_B1", "table_B2"],
+)
+def test_a_negative_order_raises(build):
+    with pytest.raises(SeriesError, match="order must be >= 0"):
+        build()
 
 
 class TestPochFinite:
