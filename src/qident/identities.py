@@ -320,7 +320,7 @@ def _run_thm15(order: int) -> tuple[bool, str | None]:
 
 
 def _run_thmA(k: int, order: int) -> tuple[bool, str | None]:
-    """thmA<k>: table_A<k>, table_A collapsed by weight k, against table_B<k>."""
+    """thmA<k>: table_A<k>, the Avee counts by class m + k*ell, against table_B<k>."""
     table_a, table_b = {
         1: (partitions.table_A1, partitions.table_B1),
         2: (partitions.table_A2, partitions.table_B2),

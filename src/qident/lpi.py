@@ -392,9 +392,9 @@ class Automaton:
         if order < 0:
             raise LpiError(f"order must be >= 0, got {order}")
         plan = _plan(spec)
-        flat = [0] * spec.size  # the non-q keys dropped: the G_k sum to the members by size
+        zero = [0] * spec.size  # every key mapped to 0: the G_k sum to the members by size
         nbytes = _count_bytes(
-            lambda width: (g.get(0, 0) for g in _g_groups(spec, plan, order, flat, width)), (order + 1) << order, order
+            lambda width: (g.get(0, 0) for g in _g_groups(spec, plan, order, zero, width)), (order + 1) << order, order
         )
         keys = [QUIN_VARS.pack((0, *w[1:])) for w in spec.weights()]
         g = _g_groups(spec, plan, order, keys, 8 * nbytes)

@@ -21,8 +21,8 @@ gives the members of every size at once (``oracle_members_by_size``).
 The other route reads the gap rule
 from one table of parts by value, ``_gap4_parts``.  A gap-constrained walk
 lists every member up to an order in one pass (``enum_set``), and a
-transfer over the largest part counts the members by weight without
-listing them (``weighted_gf``, ``table_A``).
+transfer over the largest part counts the members by a map of their
+weight without listing them (``_gap4_transfer``).
 """
 
 from __future__ import annotations
@@ -419,35 +419,39 @@ def enum_set(setid: str, n: int) -> list[Overpartition]:
     return [Overpartition(_parts_of(node)) for node in _walk_gap4(setid, n) if node[0] >= least]
 
 
-def weighted_gf(setid: str, order: int) -> Series:
-    """Quinvariate generating function of the named family, truncated at order: its members counted by weight.
+def _gap4_transfer(setid: str, order: int, project: Callable[[int], int]) -> Series:
+    """The named family's members of each size <= order, counted by ``project`` of their weight.
 
     A transfer over the largest part (Stanley, EC1 4.7) rather than a walk
-    over the members.  ``H[v]`` maps the non-q part of a weight,
-    ``key & ((1 << top) - 1)``, to one int that packs in unsigned slots, one
-    per size, how many members of that weight have largest part v.  Such a
+    over the members.  ``project`` maps each distinct delta of a part, the
+    non-q part of its weight (``_gap4_parts``), to a packed key once, and a
+    member's key is the sum of its parts' images: setting weights is a ring
+    map, so a map linear in the fields counts what mapping each member's
+    weight would.  ``H[v]`` maps a key to one int that packs in unsigned slots, one
+    per size, how many members of that key have largest part v.  Such a
     member is a smaller one with a part of value v added.  So ``H[v]`` is
     ``below`` (the empty member and every ``H[p]`` with p <= v - 5) times
     each part at v, plus ``H[v - 4]`` times each part allowed at the tight
-    gap (``_gap4_parts``).  Times a part adds its delta to the group's key
-    and moves the int up v slots, after a cut to the order - v + 1 slots
-    that can still fit.  Step v reads ``H[v - 5]`` and ``H[v - 4]`` only, so
-    five are kept.
+    gap.  Times a part adds its image to the group's key and moves the int
+    up v slots, after a cut to the order - v + 1 slots that can still fit.
+    Step v reads ``H[v - 5]`` and ``H[v - 4]`` only, so five are kept.
 
-    Every slot, also of ``below``, counts members of one weight and size, so
-    it is at most the members of that size.  A first pass with the non-q
-    deltas dropped counts those, in slots that hold 3**order: a member of
-    size s is a word over (absent, plain, overlined) at the values 1..s.
+    Every slot, also of ``below``, counts members of one key and size, so
+    it is at most the members of that size.  A first pass through the zero
+    map counts those, in slots that hold 3**order: a member of size s is a
+    word over (absent, plain, overlined) at the values 1..s.
     ``_count_bytes`` sizes the slot from it, so no slot carries.  The group
-    keys are checked before decoding: a part adds at most 1 to each non-q
+    keys are checked before decoding: an image made here adds at most 3 to a
     field, and every intermediate group lands in the total, so a field that
     reached ``LIMIT`` is refused before it could carry.  ``_decode`` reads them.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    steps = [([d for _, d, _ in row], [d for _, d, tight in row if tight]) for row in _gap4_parts(setid, order)]
+    parts = _gap4_parts(setid, order)
 
-    def transfer(steps: list[tuple[list[int], list[int]]], width: int) -> dict[int, int]:
+    def transfer(project: Callable[[int], int], width: int) -> dict[int, int]:
+        image = {d: project(d) for d in {d for row in parts for _, d, _ in row}}
+        steps = [([image[d] for _, d, _ in row], [image[d] for _, d, tight in row if tight]) for row in parts]
         below: dict[int, int] = {0: 1}
         last: list[dict[int, int]] = [{}, {}, {}, {}, {}]  # last[p % 5] = H[p]
         for v in range(1, order + 1):
@@ -469,11 +473,15 @@ def weighted_gf(setid: str, order: int) -> Series:
                 below[k] = below.get(k, 0) + p
         return below
 
-    flat = [([0] * len(loose), [0] * len(tight)) for loose, tight in steps]
-    nbytes = _count_bytes(lambda width: transfer(flat, width).values(), 3**order, order)
-    groups = transfer(steps, 8 * nbytes)
+    nbytes = _count_bytes(lambda width: transfer(lambda d: 0, width).values(), 3**order, order)
+    groups = transfer(project, 8 * nbytes)
     _check_keys(QUIN_VARS, groups)
     return _decode(groups, order, nbytes)
+
+
+def weighted_gf(setid: str, order: int) -> Series:
+    """Quinvariate generating function of the named family, truncated at order: the gap-4 transfer, every field kept."""
+    return _gap4_transfer(setid, order, lambda key: key)
 
 
 # -- the walk route's count codec ----------------------------------------------------
@@ -526,36 +534,24 @@ def _decode(groups: dict[int, int], order: int, nbytes: int) -> Series:
 # thmA2 are the walk route and the product route, so they share no kernel.
 
 
-def _table_A_class(key: int) -> tuple[int, int]:
-    """(m, ell) of ``table_A`` for the non-q part of a weight; r1mod2 is length - r2mod4 - r0mod4."""
+def _table_A_class(key: int, weight: int) -> int:
+    """The packed class of a weight's non-q part: x = m and y1 = ell at weight 0, else x = m + weight*ell.
+
+    m = r1mod2 + 2*r0mod4, with r1mod2 = length - r2mod4 - r0mod4, and ell = r2mod4 + over: both are linear.
+    """
     _, length, two, four, over = QUIN_VARS.unpack(key)
-    return length - two + four, two + over
+    m, ell = length - two + four, two + over
+    return QUIN_VARS.pack(QUIN_VARS.m(x=m + weight * ell, y1=0 if weight else ell))
+
+
+def _avee_classes(order: int, weight: int) -> Iterable[tuple[Mono, int]]:
+    """(exponents, count) of the Avee members of each size <= order by ``_table_A_class``; q, x, y1 first."""
+    return _gap4_transfer(SET_AVEE, order, lambda key: _table_A_class(key, weight)).items()
 
 
 def table_A(order: int) -> dict[tuple[int, int, int], int]:
-    """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell.
-
-    The terms of ``weighted_gf(SET_AVEE, order)`` summed by class, each non-q part classed once.
-    """
-    top = QUIN_VARS.shifts[0]
-    classes: dict[int, tuple[int, int]] = {}
-    out: dict[tuple[int, int, int], int] = {}
-    for key, c in weighted_gf(SET_AVEE, order)._terms.items():
-        part = key & ((1 << top) - 1)
-        if part not in classes:
-            classes[part] = _table_A_class(part)
-        cls = (key >> top, *classes[part])
-        out[cls] = out.get(cls, 0) + c
-    return out
-
-
-def _collapse(table: dict, weight: int) -> dict[tuple[int, int], int]:
-    """The (n, m, ell) counts of ``table_A`` summed into (n, m + weight*ell)."""
-    out: dict[tuple[int, int], int] = {}
-    for (n, m, ell), c in table.items():
-        key = (n, m + weight * ell)
-        out[key] = out.get(key, 0) + c
-    return out
+    """(n, m, ell) -> Avee members of size n with r1mod2 + 2*r0mod4 = m, r2mod4 + over = ell."""
+    return {mono[:3]: c for mono, c in _avee_classes(order, 0)}
 
 
 def _b_table(vars: VarSet, order: int, even: Mono) -> dict[tuple[int, ...], int]:
@@ -575,7 +571,7 @@ def table_A1(order: int) -> dict[tuple[int, int], int]:
 
     That weight is length + over + r0mod4 = m + ell of ``table_A``.
     """
-    return _collapse(table_A(order), 1)
+    return {mono[:2]: c for mono, c in _avee_classes(order, 1)}
 
 
 def table_B1(order: int) -> dict[tuple[int, int], int]:
@@ -588,7 +584,7 @@ def table_A2(order: int) -> dict[tuple[int, int], int]:
 
     That weight is r1mod2 + 2*(over + r2mod4 + r0mod4) = m + 2*ell of ``table_A``.
     """
-    return _collapse(table_A(order), 2)
+    return {mono[:2]: c for mono, c in _avee_classes(order, 2)}
 
 
 def table_B2(order: int) -> dict[tuple[int, int], int]:

@@ -13,13 +13,14 @@ A kernel is a function that builds one route's values.  Its route is
   q, sized by a univariate majorant, with a decode of its own;
 * ``walk``: the oracle's one sweep over every partition up to an order,
   the gap-4 rule, the walk that lists its members and the transfer that
-  counts them, the classes and collapses of ``table_A`` that the A side of
-  ``thm15``, ``thmA1`` and ``thmA2`` reads off that transfer, the walk
-  over the block automaton's chains and the language built from it, the
-  block automaton (its aggregation plan and its depth recursion on groups
-  packed along q), and the one count codec that the transfer and the
-  automaton share: the size pass that sets their slot from a first run
-  without the non-q variables, the word reader and the decode;
+  counts them by a map of their weight, the projection onto the classes
+  of the Avee tables through which the A side of ``thm15``, ``thmA1`` and
+  ``thmA2`` reads that transfer, the walk over the block automaton's
+  chains and the language built from it, the block automaton (its
+  aggregation plan and its depth recursion on groups packed along q), and
+  the one count codec that the transfer and the automaton share: the size
+  pass that sets their slot from a first run with every non-q key mapped
+  to 0, the word reader and the decode;
 * ``layout``: the packed key layout and the rounding of a slot to a native
   word, which both sides of every identity share by design, so they count
   as no share.
@@ -71,8 +72,8 @@ def _table() -> dict[str, Kernel]:
         },
         "walk": {
             "qident.partitions": (
-                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "weighted_gf",
-                "_table_A_class", "_collapse", "_count_bytes", "_words", "_decode",
+                "_ascending_sweep", "_gap4_parts", "_walk_gap4", "_gap4_transfer",
+                "_table_A_class", "_count_bytes", "_words", "_decode",
             ),
             "qident.lpi": ("_chains", "language", "_plan", "_aggregate", "_add_groups", "_g_groups", "Automaton.__init__"),
         },

@@ -336,13 +336,15 @@ def test_beta_mutant_fails_thm51(monkeypatch, identity, setid, slot, delta):
 
 
 # One count of a table raised by 1; the first differing key names the witness.
-# table_A1 and table_A2 are collapses of table_A, so a raised table_A count shows in them.
+# Each A table is its own projection of the gap-4 transfer, so a raised count
+# of table_A shows in thm15 alone, and one of table_A1 or table_A2 in its thmA.
 _TABLE_BUMPS = (
     ("thmA1", "table_B1", (5, 2), "A1(5, 2) = 1 != B1(5, 2) = 2"),
     ("thmA2", "table_B2", (6, 2), "A2(6, 2) = 2 != B2(6, 2) = 3"),
     ("thmA2", "table_B2", (4, 4), "A2(4, 4) = 0 != B2(4, 4) = 1"),
-    ("thmA1", "table_A", (6, 2, 0), "A1(6, 2) = 2 != B1(6, 2) = 1"),
-    ("thmA2", "table_A", (6, 2, 1), "A2(6, 4) = 2 != B2(6, 4) = 1"),
+    ("thmA1", "table_A1", (6, 2), "A1(6, 2) = 2 != B1(6, 2) = 1"),
+    ("thmA2", "table_A2", (6, 4), "A2(6, 4) = 2 != B2(6, 4) = 1"),
+    ("thm15", "table_A", (6, 2, 1), "A(6, 2, 1) = 2 != B(6, 2, 1) = 1"),
 )
 
 

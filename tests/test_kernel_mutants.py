@@ -12,8 +12,9 @@ the step of either factor or the sign of the odd one in
 ``distinct_4regular``, the product behind ``quad`` and the B tables of
 ``thm15``, ``thmA1`` and ``thmA2``, the sign of a factor or of a division's
 chain, the doubling step, the cut or the slot width of ``binomial_sum``, the
-tight gap of the gap-4 transfer ``weighted_gf``, Avee's exception in the
-gap-4 rule ``_gap4_parts``, or the weight of the collapse of ``table_A``.
+tight gap of the gap-4 transfer ``_gap4_transfer``, Avee's exception in
+the gap-4 rule ``_gap4_parts``, or the ell of a part = 2 mod 4 in the
+projection ``_table_A_class`` that the A tables read the transfer through.
 The mutant replaces the kernel wherever the package binds it
 (``kernels.binders``), and every registry entry whose reach holds the
 kernel (``kernels.reach``, the kernels each side or runner calls at the
@@ -28,11 +29,13 @@ test of its own must kill it.
 Side mutants change one constant of a registry side: the shift monomial of
 ``quad``'s and ``quad-new``'s sum sides one q-power up or down, each entry
 of ``quad-new``'s two betas one up or down, ``avee-split``'s shift
-x -> xq^8 one q-power up, and ``table_B2``'s weight of a part = 2 mod 4,
-which ``thmA2`` reads, x^2 down to x.  Andrews-Gordon side mutants change
-one pair (k, i) of the ladder, rr1 and rr2 included: each entry of its
-beta one up or down, or its product's residue set with one residue dropped
-or swapped for the excluded i.  They go through the same loop and count in
+x -> xq^8 one q-power up, ``table_B2``'s weight of a part = 2 mod 4,
+which ``thmA2`` reads, x^2 down to x, and the projection weight k of
+``table_A1`` and ``table_A2``, which ``thmA1`` and ``thmA2`` read, one up
+or down.  Andrews-Gordon side mutants change one pair (k, i) of the
+ladder, rr1 and rr2 included: each entry of its beta one up or down, or
+its product's residue set with one residue dropped or swapped for the
+excluded i.  They go through the same loop and count in
 the same kill rate.
 
 Oracle mutants change one bound, step or flag of
@@ -118,10 +121,9 @@ KERNEL_MUTANTS = {
     "binomial_sum slot one byte narrower": (
         "binomial_sum", "_word_bytes(majorant.bound.bit_length() + 1)", "_word_bytes(majorant.bound.bit_length() - 7)",
     ),
-    "gap-4 transfer tight gap v - 4 -> v - 3": ("weighted_gf", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
+    "gap-4 transfer tight gap v - 4 -> v - 3": ("_gap4_transfer", "last[(v - 4) % 5]", "last[(v - 3) % 5]"),
     "gap-4 Avee 1 then overlined 5 dropped": ("_gap4_parts", "avee and v == 5", "False"),
-    "table_A collapse weight k -> k + 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight + 1) * ell)"),
-    "table_A collapse weight k -> k - 1": ("_collapse", "(n, m + weight * ell)", "(n, m + (weight - 1) * ell)"),
+    "table_A class of an r2 part ell 1 -> 2": ("_table_A_class", "two + over", "2 * two + over"),
 }
 
 # (label, entry) -> reason: an entry that reaches the mutated kernel but cannot
@@ -172,6 +174,12 @@ SIDE_MUTANTS = {
 } | {
     "avee-split shift xq^8 -> xq^9": ("_avee_split_rhs", "shift: int = 8", "shift: int = 9", "avee-split"),
     "table_B2 weight x^2 -> x": ("table_B2", "m(x=2)", "m(x=1)", "thmA2"),
+} | {
+    f"table_A{k} projection weight {k} -> {k + d}": (
+        f"table_A{k}", f"_avee_classes(order, {k})", f"_avee_classes(order, {k + d})", f"thmA{k}",
+    )
+    for k in (1, 2)
+    for d in (1, -1)
 }
 
 _AG_PAIRS = tuple((k, i) for k in (2, 3, 4) for i in range(1, k + 1))

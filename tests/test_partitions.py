@@ -14,6 +14,7 @@ from qident.partitions import (
     InvalidOverpartition,
     Overpartition,
     Part,
+    PartStats,
     SET_A,
     SET_A_NO_1BAR,
     SET_A_NO_1_1BAR,
@@ -35,6 +36,7 @@ from qident.partitions import (
     weighted_gf,
     _FORBIDDEN,
     _gap_ok,
+    _gap4_transfer,
     _walk_gap4,
     _all_pass,
     _ascending_sweep,
@@ -321,7 +323,7 @@ class TestOracleRoute:
         def refuse(*args):
             raise AssertionError("the oracle called the gap-4 walk, transfer or rule")
 
-        for name in ("_walk_gap4", "weighted_gf", "_gap4_parts"):
+        for name in ("_walk_gap4", "_gap4_transfer", "weighted_gf", "_gap4_parts"):
             monkeypatch.setattr(partitions, name, refuse)
         assert draw() == expected
 
@@ -597,6 +599,18 @@ class TestWalkMatchesPerSizeGenerator:
         for order in range(26):
             assert table(order) == reference_tally(members, REFERENCE_KEYS[table], order), order
 
+    def test_avee_tables_equal_the_weighted_count_folded_by_hand(self):
+        # The A tables project each part's weight before the transfer; folding
+        # every weight of the full count after it must give the same counts.
+        order = 120
+        folds = {table: Counter() for table in REFERENCE_KEYS}
+        for (n, length, two, four, over), c in weighted_gf(SET_AVEE, order).items():
+            st = PartStats(n, length, length - two - four, two, four, over)
+            for table, key in REFERENCE_KEYS.items():
+                folds[table][n, *key(st)] += c
+        for table, fold in folds.items():
+            assert table(order) == fold, table.__name__
+
     def test_walk_does_not_use_the_oracle_predicates(self, monkeypatch):
         expected_gf = {s: weighted_gf(s, 24) for s in SET_IDS}
         expected_sets = {s: enum_set(s, 18) for s in SET_IDS}
@@ -637,9 +651,28 @@ LARGEST_NON_Q_EXPONENT = {
 }
 
 
+def _length(key: int) -> int:
+    """The non-q part of a weight projected onto its length, x^length."""
+    return V.pack(V.m(x=V.unpack(key)[1]))
+
+
+def _largest_length(setid: str, order: int) -> int:
+    """The most parts of a member of size <= order, by the gap-4 transfer projected onto the length."""
+    return max(mono[1] for mono, _ in _gap4_transfer(setid, order, _length).items())
+
+
 @pytest.mark.parametrize("identity, setid", list(LARGEST_NON_Q_EXPONENT))
 def test_largest_non_q_exponent_at_max_order_is_below_the_limit(identity, setid):
+    # Every other non-q field counts some of the parts, so the length is the
+    # largest (the test below), and the count projected onto it finds it
+    # without building the whole series at max_order.
     order = REGISTRY[identity].max_order
-    largest = max(max(mono[1:]) for mono, _ in weighted_gf(setid, order).items())
+    largest = _largest_length(setid, order)
     assert largest == LARGEST_NON_Q_EXPONENT[identity, setid]
     assert largest < LIMIT
+
+
+@pytest.mark.parametrize("setid", SET_IDS)
+def test_the_length_projection_finds_the_largest_non_q_exponent(setid):
+    order = 60
+    assert _largest_length(setid, order) == max(max(mono[1:]) for mono, _ in weighted_gf(setid, order).items())
